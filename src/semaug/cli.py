@@ -23,7 +23,7 @@ from .audio_io import read_wav
 from .dsp import FeatureConfig, FilterbankMatrix, filterbank_energies, mel_filterbank
 from .errors import SemaugError
 from .features import StatsAccumulator, divide_std, power_mel, subtract_mean
-from .masking import SemConfig, apply_fixed_sem, apply_sem, energy_threshold, input_dropout, peak_energy
+from .masking import SemConfig, apply_fixed_sem, apply_sem, input_dropout, threshold_mask
 from .stats import EtaHistogramAccumulator
 
 log = logging.getLogger("semaug")
@@ -307,19 +307,15 @@ def cmd_render(args: argparse.Namespace) -> int:
         log.error("failed on %s: %s", in_path.name, exc)
         return EXIT_USAGE
 
-    e_peak = peak_energy(energies)
-    if e_peak > 0:
-        keep = energies.values >= energy_threshold(e_peak, args.eta_th)
-    else:
-        keep = np.ones_like(energies.values, dtype=bool)
-
     values = x_raw.values
     lo, hi = float(values.min()), float(values.max())
     if hi > lo:
         scaled = np.rint(255.0 * (values - lo) / (hi - lo)).astype(np.uint8)
     else:
         scaled = np.zeros(values.shape, dtype=np.uint8)
-    scaled = np.where(keep, scaled, np.uint8(0))
+    mask = threshold_mask(energies, args.eta_th)
+    if mask is not None:
+        scaled *= mask.values
     # width = frames, height = channels, channel 0 at the bottom row
     image = scaled.T[::-1]
     formats.write_pgm(args.out, np.ascontiguousarray(image))

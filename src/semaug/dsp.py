@@ -7,6 +7,12 @@ size) and sums it through triangular mel filters:
     energy[m, c] = sum_k |X[m, k]|^2 * W[c, k],   k = 0 .. K/2
 
 No pre-emphasis and no dithering are applied.
+
+Frames are processed in blocks of BLOCK_FRAMES (2048) rows, each block's
+energies written into the preallocated (M, C) result, so the peak memory
+of one utterance is O(block) above its samples and its output rather than
+O(utterance): the frames are a strided view of the samples and are never
+copied whole, and no whole-utterance spectrum exists.
 """
 
 from __future__ import annotations
@@ -17,6 +23,10 @@ import numpy as np
 
 from .audio_io import Waveform
 from .errors import FrameTooLong, LengthTooSmall, TooManyChannels, TooShort
+
+# Frames per block of the front end: bounds its temporaries to about
+# 2048 x 257 complex spectrum values (8.4 MB) whatever the utterance length.
+BLOCK_FRAMES = 2048
 
 
 def hz_to_mel(freq_hz):
@@ -116,7 +126,8 @@ def frame_signal(waveform: Waveform, cfg: FeatureConfig) -> np.ndarray:
     """Slice a waveform into overlapping frames of one window each.
 
     Returns an (M, L) array with M = 1 + floor((N - L) / H); the trailing
-    partial frame is dropped.
+    partial frame is dropped. The array is a read-only strided view of the
+    samples (frames overlap in memory), not a copy.
     """
     samples = np.asarray(waveform.samples, dtype=np.float64)
     length = cfg.window_samples
@@ -125,8 +136,7 @@ def frame_signal(waveform: Waveform, cfg: FeatureConfig) -> np.ndarray:
         raise TooShort(
             f"{waveform.utterance_id}: {samples.size} samples < one window of {length}"
         )
-    frames = np.lib.stride_tricks.sliding_window_view(samples, length)[::hop]
-    return np.ascontiguousarray(frames)
+    return np.lib.stride_tricks.sliding_window_view(samples, length)[::hop]
 
 
 def power_spectrum(frame: np.ndarray, fft_size: int) -> np.ndarray:
@@ -180,11 +190,24 @@ def filterbank_energies(
     """Full front end: framing, Hamming windowing, power spectrum, mel sum.
 
     A precomputed FilterbankMatrix may be shared read-only across calls.
+
+    Runs BLOCK_FRAMES frames at a time. When M > BLOCK_FRAMES the last block
+    is the final BLOCK_FRAMES frames, overlapping the one before it: every
+    mel matmul then has the same height, so each row gets the same bits as
+    from one whole-utterance matmul (BLAS may round a short block's rows
+    differently).
     """
     if filterbank is None:
         filterbank = mel_filterbank(cfg)
     frames = frame_signal(waveform, cfg)
-    windowed = frames * hamming_window(cfg.window_samples)
-    power = power_spectrum(windowed, cfg.fft_size)
-    energies = power @ filterbank.weights.T
+    window = hamming_window(cfg.window_samples)
+    weights_t = filterbank.weights.T
+    num_frames = frames.shape[0]
+    energies = np.empty((num_frames, filterbank.num_channels))
+    last_start = max(num_frames - BLOCK_FRAMES, 0)
+    for start in range(0, num_frames, BLOCK_FRAMES):
+        start = min(start, last_start)
+        stop = min(start + BLOCK_FRAMES, num_frames)
+        power = power_spectrum(frames[start:stop] * window, cfg.fft_size)
+        np.matmul(power, weights_t, out=energies[start:stop])
     return EnergyMatrix(values=energies, utterance_id=waveform.utterance_id)

@@ -48,8 +48,8 @@ class GlobalStats:
     num_frames_seen: int
 
     def __post_init__(self):
-        if np.any(self.std <= 0):
-            raise ValueError("std must be strictly positive (flooring failed?)")
+        if not np.all((self.std > 0) & np.isfinite(self.std)):
+            raise ValueError("std must be finite and strictly positive (flooring failed?)")
 
     @property
     def num_channels(self) -> int:

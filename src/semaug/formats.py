@@ -94,6 +94,8 @@ def load_stats(path: str | Path) -> GlobalStats:
             raise FormatError(f"{path}: malformed channel line {line!r}")
         mean[i] = float(parts[1])
         std[i] = float(parts[2])
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise FormatError(f"{path}: mean and std fields must be finite")
     if np.any(std <= 0):
         raise FormatError(f"{path}: std fields must be strictly positive")
     return GlobalStats(mean=mean, std=std, num_frames_seen=frames)

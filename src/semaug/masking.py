@@ -157,6 +157,18 @@ def binary_mask(
     return MaskMatrix(values=mask, eta_th_used=float(eta_th), e_th_used=float(e_th))
 
 
+def threshold_mask(energies: EnergyMatrix, eta_th: float) -> MaskMatrix | None:
+    """Keep bins within eta_th dB of the utterance's peak energy.
+
+    Returns None when the peak energy is zero (all silence): no dB ratio
+    exists, and the caller passes the utterance through unmasked.
+    """
+    e_peak = peak_energy(energies)
+    if e_peak <= 0:
+        return None
+    return binary_mask(energies, energy_threshold(e_peak, eta_th), eta_th=eta_th)
+
+
 def scaling_coefficient(x_raw: FeatureMatrix, mask: MaskMatrix) -> float:
     """Sum-preserving rescale factor r = sum(x) / sum(x * mu).
 
@@ -191,14 +203,9 @@ def _mask_and_normalize(
     stats: GlobalStats,
     eta_th: float,
 ) -> SemOutcome:
-    fallback = False
-    e_peak = peak_energy(energies)
-    if e_peak <= 0:
-        # all-silence utterance: no dB ratio exists, pass through unmasked
-        fallback = True
-    else:
-        e_th = energy_threshold(e_peak, eta_th)
-        mask = binary_mask(energies, e_th, eta_th=eta_th)
+    mask = threshold_mask(energies, eta_th)
+    fallback = mask is None
+    if not fallback:
         try:
             scaling_r = scaling_coefficient(x_raw, mask)
         except AllMaskedSignal:

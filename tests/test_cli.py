@@ -213,6 +213,17 @@ class TestMask:
             "--mode", "none", "--out", str(tmp_path / "m"),
         ]) == 2
 
+    def test_non_finite_stats_exits_2(self, tmp_path, corpus_dir):
+        stats_path = tmp_path / "nan.txt"
+        lines = ["SEMSTATS v1 C=40 N=5"] + [f"{c} 0.0 1.0" for c in range(39)] + ["39 nan nan"]
+        stats_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m"
+        assert main([
+            "mask", "--in", str(corpus_dir), "--stats", str(stats_path),
+            "--mode", "none", "--out", str(out),
+        ]) == 2
+        assert not list(out.glob("*.fmx"))
+
     def test_shuffled_input_ordering_identical(self, tmp_path, featurized):
         waves = mixed_waveforms(6)
         dir_a = tmp_path / "wa"

@@ -1,6 +1,7 @@
 """Front-end tests: windowing, framing, spectra, mel filters, energies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from semaug import (
     synth_fixture,
 )
 from semaug.audio_io import Waveform
-from semaug.dsp import hz_to_mel, mel_to_hz
+from semaug.dsp import BLOCK_FRAMES, hz_to_mel, mel_to_hz
 from semaug.errors import FrameTooLong, LengthTooSmall, TooManyChannels, TooShort
 
 
@@ -105,6 +106,12 @@ class TestFrameSignal:
         frames = frame_signal(wav, _cfg_for(160, 80))
         assert np.array_equal(frames[0], np.arange(160))
         assert np.array_equal(frames[1], np.arange(80, 240))
+
+    def test_returns_read_only_view_of_samples(self):
+        wav = Waveform(np.arange(16000, dtype=np.float64), 16000, "view")
+        frames = frame_signal(wav, _cfg_for(400, 160))
+        assert np.shares_memory(frames, wav.samples)
+        assert not frames.flags.writeable
 
 
 class TestPowerSpectrum:
@@ -212,6 +219,39 @@ class TestFilterbankEnergies:
         for seed in range(4):
             wav = synth_fixture("white_noise", 0.2, seed=seed)
             assert filterbank_energies(wav, cfg, filterbank=filterbank).values.min() >= 0.0
+
+    @pytest.mark.parametrize(
+        "num_frames",
+        [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 3],
+    )
+    def test_blocks_match_whole_utterance_bits(self, cfg, filterbank, num_frames):
+        length, hop = cfg.window_samples, cfg.hop_samples
+        rng = np.random.default_rng(num_frames)
+        samples = rng.normal(size=(num_frames - 1) * hop + length)
+        frames = np.stack([samples[m * hop : m * hop + length] for m in range(num_frames)])
+        window = hamming_window(length)
+        reference = np.abs(np.fft.rfft(frames * window, n=cfg.fft_size)) ** 2 @ filterbank.weights.T
+        wav = Waveform(samples, cfg.sample_rate_hz, "blocks")
+        energies = filterbank_energies(wav, cfg, filterbank=filterbank).values
+        assert np.array_equal(energies, reference)
+
+    def test_memory_does_not_grow_with_length(self, cfg, filterbank):
+        def extra_peak(duration_s):
+            wav = synth_fixture("white_noise", duration_s, seed=5)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                energies = filterbank_energies(wav, cfg, filterbank=filterbank)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - before - energies.values.nbytes
+
+        mib = 1 << 20
+        short, long = extra_peak(60.0), extra_peak(300.0)
+        assert short < 64 * mib
+        assert long < 64 * mib
+        assert abs(long - short) <= mib
 
     def test_propagates_too_short(self, cfg):
         wav = Waveform(np.zeros(100), 16000, "tiny")

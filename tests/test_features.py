@@ -107,6 +107,11 @@ class TestGlobalStats:
         with pytest.raises(ValueError):
             GlobalStats(mean=np.zeros(2), std=np.array([1.0, 0.0]), num_frames_seen=1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_stats_reject_non_finite_std(self, value):
+        with pytest.raises(ValueError):
+            GlobalStats(mean=np.zeros(2), std=np.array([1.0, value]), num_frames_seen=1)
+
 
 class TestNormalization:
     def test_zero_mean_is_identity(self):

@@ -108,6 +108,15 @@ class TestStatsFile:
         with pytest.raises(FormatError):
             load_stats(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_rejects_non_finite(self, tmp_path, field, value):
+        mean, std = (value, "1.0") if field == "mean" else ("0.0", value)
+        path = tmp_path / "bad.txt"
+        path.write_text(f"SEMSTATS v1 C=2 N=5\n0 0.0 1.0\n1 {mean} {std}\n")
+        with pytest.raises(FormatError):
+            load_stats(path)
+
     def test_rejects_wrong_line_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("SEMSTATS v1 C=2 N=5\n0 0.0 1.0\n")

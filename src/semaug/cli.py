@@ -10,8 +10,11 @@ usage/empty-input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import logging
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -78,23 +81,92 @@ def _list_wavs(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.wav"), key=lambda p: p.stem)
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+# (get, set) thread-count symbols: numpy >= 2 wheels bundle an ILP64 OpenBLAS
+# with suffixed names; a system OpenBLAS exports the plain ones.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of each OpenBLAS mapped into this process.
+
+    Empty where there is no /proc/self/maps (not Linux) or no OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps", "rb") as handle:
+            paths = {
+                os.fsdecode(line.split(maxsplit=5)[-1].strip())
+                for line in handle if b"openblas" in line
+            }
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get_threads = getattr(lib, get_name, None)
+            set_threads = getattr(lib, set_name, None)
+            if get_threads is not None and set_threads is not None:
+                get_threads.argtypes = []
+                get_threads.restype = ctypes.c_int
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                controls.append((get_threads, set_threads))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Hold OpenBLAS to one thread inside the block; restore its count on exit.
+
+    With two or more utterance workers, OpenBLAS's own helper thread only
+    spins and takes a core from them. The count is process-wide, so this
+    must not overlap another such block in another thread.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get_threads() for get_threads, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, previous):
+            set_threads(count)
+
+
 def _map_utterances(paths, worker, num_workers: int):
     """Run `worker` over paths, preserving input order regardless of pool size."""
     if num_workers > 1:
-        with ThreadPoolExecutor(max_workers=num_workers) as pool:
+        with _single_threaded_blas(), ThreadPoolExecutor(max_workers=num_workers) as pool:
             return list(pool.map(worker, paths))
     return [worker(path) for path in paths]
 
 
-def _extract_raw(path: Path, cfg: FeatureConfig, filterbank: FilterbankMatrix):
+def _extract_energies(path: Path, cfg: FeatureConfig, filterbank: FilterbankMatrix):
     waveform = read_wav(path)
     if waveform.sample_rate_hz != cfg.sample_rate_hz:
         raise SemaugError(
             f"{path}: sample rate {waveform.sample_rate_hz} != configured {cfg.sample_rate_hz}"
         )
-    energies = filterbank_energies(waveform, cfg, filterbank=filterbank)
-    x_raw = power_mel(energies, cfg.power_exponent)
-    return energies, x_raw
+    return filterbank_energies(waveform, cfg, filterbank=filterbank)
+
+
+def _extract_raw(path: Path, cfg: FeatureConfig, filterbank: FilterbankMatrix):
+    energies = _extract_energies(path, cfg, filterbank)
+    return energies, power_mel(energies, cfg.power_exponent)
 
 
 # --- featurize -------------------------------------------------------------
@@ -271,8 +343,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     failures = 0
     for path in wavs:
         try:
-            energies, _ = _extract_raw(path, cfg, filterbank)
-            acc.update(energies)
+            # unbound, so one utterance's arrays are freed before the next read
+            acc.update(_extract_energies(path, cfg, filterbank))
         except (SemaugError, OSError) as exc:
             log.error("failed on %s: %s", path.name, exc)
             failures += 1
@@ -337,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument("--out", dest="out_dir", required=True)
     p_feat.add_argument("--stats-out", default=None,
                         help=f"stats file path (default <out>/{DEFAULT_STATS_NAME})")
-    p_feat.add_argument("--workers", type=int, default=1)
+    p_feat.add_argument("--workers", type=_worker_count, default=1)
     _add_config_flags(p_feat)
     p_feat.set_defaults(func=cmd_featurize)
 
@@ -351,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mask.add_argument("--rate", type=float, default=None, help="dropout rate (dropout)")
     p_mask.add_argument("--seed", type=int, default=None)
     p_mask.add_argument("--out", dest="out_dir", required=True)
-    p_mask.add_argument("--workers", type=int, default=1)
+    p_mask.add_argument("--workers", type=_worker_count, default=1)
     _add_config_flags(p_mask)
     p_mask.set_defaults(func=cmd_mask)
 

@@ -15,6 +15,7 @@ from semaug import (
     synth_fixture,
     write_wav,
 )
+from semaug import cli
 from semaug.cli import main
 from semaug.formats import load_features, load_stats
 from conftest import mixed_waveforms
@@ -24,6 +25,13 @@ def make_corpus(directory, waves):
     directory.mkdir(parents=True, exist_ok=True)
     for wave in waves:
         write_wav(directory / f"{wave.utterance_id}.wav", wave)
+
+
+def assert_same_files(dir_a, dir_b):
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names == sorted(p.name for p in dir_b.iterdir())
+    for name in names:
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
 def read_manifest(path):
@@ -69,11 +77,7 @@ class TestFeaturize:
         out_b = tmp_path / "b"
         assert main(["featurize", "--in", str(corpus_dir), "--out", str(out_a)]) == 0
         assert main(["featurize", "--in", str(corpus_dir), "--out", str(out_b)]) == 0
-        files_a = sorted(p.name for p in out_a.iterdir())
-        files_b = sorted(p.name for p in out_b.iterdir())
-        assert files_a == files_b
-        for name in files_a:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert_same_files(out_a, out_b)
 
     def test_partial_failure_exits_1(self, tmp_path, corpus_dir, caplog):
         (corpus_dir / "broken.wav").write_bytes(b"not audio")
@@ -91,14 +95,39 @@ class TestFeaturize:
         assert np.array_equal(load_features(featurized / "utt_000.fmx"), expected)
 
     def test_workers_do_not_change_bytes(self, tmp_path, corpus_dir):
+        # 4 workers is more than the cores of a small machine
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert main(["featurize", "--in", str(corpus_dir), "--out", str(out_a)]) == 0
         assert main(
             ["featurize", "--in", str(corpus_dir), "--out", str(out_b), "--workers", "4"]
         ) == 0
-        for name in sorted(p.name for p in out_a.iterdir()):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert_same_files(out_a, out_b)
+        stats = str(out_a / "global_stats.txt")
+        modes = (
+            ["sem", "--seed", "3"], ["fixed", "--eta-th", "-30"],
+            ["dropout", "--rate", "0.1", "--seed", "3"], ["none"],
+        )
+        for mode in modes:
+            outs = []
+            for workers in ("1", "4"):
+                out = tmp_path / f"{mode[0]}_{workers}"
+                assert main([
+                    "mask", "--in", str(corpus_dir), "--stats", stats, "--mode", *mode,
+                    "--out", str(out), "--workers", workers,
+                ]) == 0
+                outs.append(out)
+            assert (outs[0] / "manifest.csv").exists()
+            assert_same_files(*outs)
+
+    def test_workers_below_one_exit_2(self, tmp_path, corpus_dir):
+        out = tmp_path / "f"
+        for workers in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["featurize", "--in", str(corpus_dir), "--out", str(out),
+                      "--workers", workers])
+            assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestMask:
@@ -207,6 +236,17 @@ class TestMask:
             zeros = energies.values.size - kept
             assert round(float(row["masked_fraction"]) * energies.values.size) == zeros
 
+    def test_workers_below_one_exit_2(self, tmp_path, corpus_dir, featurized):
+        out = tmp_path / "m"
+        for workers in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "mask", "--in", str(corpus_dir), "--stats", str(self._stats_path(featurized)),
+                    "--mode", "none", "--out", str(out), "--workers", workers,
+                ])
+            assert exc.value.code == 2
+        assert not out.exists()
+
     def test_missing_stats_exits_2(self, tmp_path, corpus_dir):
         assert main([
             "mask", "--in", str(corpus_dir), "--stats", str(tmp_path / "nope.txt"),
@@ -263,6 +303,18 @@ class TestStatsCommand:
         make_corpus(wavs, [wav])
         out_csv = tmp_path / "dist.csv"
         assert main(["stats", "--in", str(wavs), "--out", str(out_csv)]) == 0
+
+    def test_does_not_compute_features(self, tmp_path, corpus_dir, monkeypatch):
+        expected = tmp_path / "plain.csv"
+        assert main(["stats", "--in", str(corpus_dir), "--out", str(expected)]) == 0
+
+        def no_features(*args, **kwargs):
+            raise AssertionError("stats needs the energies only")
+
+        monkeypatch.setattr(cli, "power_mel", no_features)
+        out_csv = tmp_path / "dist.csv"
+        assert main(["stats", "--in", str(corpus_dir), "--out", str(out_csv)]) == 0
+        assert out_csv.read_bytes() == expected.read_bytes()
 
     def test_empty_dir_exits_2(self, tmp_path):
         empty = tmp_path / "e"
@@ -322,3 +374,57 @@ class TestRender:
                      "--out", str(out)]) == 0
         payload = out.read_bytes().split(b"\n", 3)[3]
         assert payload == bytes(len(payload))
+
+
+blas_controls = cli._openblas_thread_controls()
+needs_openblas = pytest.mark.skipif(
+    not blas_controls, reason="no OpenBLAS thread control in this process (another BLAS or OS)"
+)
+
+
+def blas_threads():
+    return [get_threads() for get_threads, _ in blas_controls]
+
+
+@needs_openblas
+class TestSingleThreadedBlas:
+    def test_one_thread_inside_restored_after(self):
+        before = blas_threads()
+        with cli._single_threaded_blas():
+            assert blas_threads() == [1] * len(before)
+        assert blas_threads() == before
+
+    def test_restored_after_exception(self):
+        before = blas_threads()
+        with pytest.raises(RuntimeError):
+            with cli._single_threaded_blas():
+                raise RuntimeError("inside")
+        assert blas_threads() == before
+
+    def test_restored_after_partial_failure(self, tmp_path, corpus_dir):
+        before = blas_threads()
+        (corpus_dir / "broken.wav").write_bytes(b"not audio")
+        out = tmp_path / "f"
+        assert main([
+            "featurize", "--in", str(corpus_dir), "--out", str(out), "--workers", "4",
+        ]) == 1
+        assert blas_threads() == before
+
+    def test_held_only_while_pool_runs(self, tmp_path, corpus_dir, monkeypatch):
+        seen = []
+        original = cli.filterbank_energies
+
+        def recording(*args, **kwargs):
+            seen.append(blas_threads())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "filterbank_energies", recording)
+        before = blas_threads()
+        for workers in ("1", "2"):
+            seen.clear()
+            assert main([
+                "featurize", "--in", str(corpus_dir), "--out", str(tmp_path / workers),
+                "--workers", workers,
+            ]) == 0
+            expected = before if workers == "1" else [1] * len(before)
+            assert seen == [expected] * 6

@@ -27,7 +27,13 @@ FIXTURE_KINDS = ("sine", "white_noise", "chirp", "silence")
 
 @dataclass(frozen=True)
 class Waveform:
-    """Mono amplitude sequence with its sample rate and an utterance label."""
+    """Mono amplitude sequence with its sample rate and an utterance label.
+
+    samples is a 1-D float32 or float64 array. read_wav returns float32:
+    every 16-bit PCM value divided by 32768 needs at most 15 significant
+    bits, so float32 holds it exactly at half the memory of float64. The
+    synthesized fixtures are float64.
+    """
 
     samples: np.ndarray
     sample_rate_hz: int
@@ -47,10 +53,10 @@ class Waveform:
 
 
 def read_wav(path: str | Path) -> Waveform:
-    """Read a 16-bit mono PCM WAV file into a float waveform.
+    """Read a 16-bit mono PCM WAV file into a float32 waveform.
 
-    Samples are the raw integers divided by 32768.0; the utterance id is
-    the file stem.
+    Samples are the raw integers divided by 32768, exactly (see Waveform);
+    the utterance id is the file stem.
     """
     path = Path(path)
     try:
@@ -82,9 +88,10 @@ def read_wav(path: str | Path) -> Waveform:
     if len(raw) % 2 != 0:
         raise MalformedHeader(f"{path}: truncated sample data")
 
-    ints = np.frombuffer(raw, dtype="<i2")
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32)
+    samples /= np.float32(PCM_SCALE)
     return Waveform(
-        samples=ints.astype(np.float64) / PCM_SCALE,
+        samples=samples,
         sample_rate_hz=rate,
         utterance_id=path.stem,
     )

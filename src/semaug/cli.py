@@ -316,7 +316,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
     rows.sort(key=lambda row: row[0])
     manifest_path = out_dir / MANIFEST_NAME
-    with open(manifest_path, "w", encoding="ascii", newline="") as handle:
+    with formats.atomic_write(manifest_path, "w", encoding="ascii", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(MANIFEST_COLUMNS)
         writer.writerows(rows)
@@ -344,7 +344,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for path in wavs:
         try:
             # unbound, so one utterance's arrays are freed before the next read
-            acc.update(_extract_energies(path, cfg, filterbank))
+            if not acc.update(_extract_energies(path, cfg, filterbank)):
+                log.info("%s has zero peak energy (silence): no bins added", path.name)
         except (SemaugError, OSError) as exc:
             log.error("failed on %s: %s", path.name, exc)
             failures += 1
@@ -354,7 +355,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     dist = acc.finalize()
     out_path = Path(args.out)
-    with open(out_path, "w", encoding="ascii", newline="") as handle:
+    with formats.atomic_write(out_path, "w", encoding="ascii", newline="") as handle:
         handle.write("eta_db,pdf,cdf,energy_ratio\n")
         for i in range(dist.num_bins):
             handle.write(

@@ -12,7 +12,10 @@ Frames are processed in blocks of BLOCK_FRAMES (2048) rows, each block's
 energies written into the preallocated (M, C) result, so the peak memory
 of one utterance is O(block) above its samples and its output rather than
 O(utterance): the frames are a strided view of the samples and are never
-copied whole, and no whole-utterance spectrum exists.
+copied whole, and no whole-utterance spectrum exists. Within a block the
+window and FFT run SUB_BLOCK_FRAMES (64) rows at a time through one
+zero-padded float64 workspace; only the block's power spectrum, the input
+of its mel matmul, is held at full block height.
 """
 
 from __future__ import annotations
@@ -24,9 +27,16 @@ import numpy as np
 from .audio_io import Waveform
 from .errors import FrameTooLong, LengthTooSmall, TooManyChannels, TooShort
 
-# Frames per block of the front end: bounds its temporaries to about
-# 2048 x 257 complex spectrum values (8.4 MB) whatever the utterance length.
+# Frames per block of the front end: the height of every mel matmul, which
+# fixes its bits, and of the block's 2048 x 257 float64 power spectrum (4.2 MB).
 BLOCK_FRAMES = 2048
+
+# Frames per window + FFT pass inside a block: bounds the workspace and the
+# complex spectrum to 64 x 512 and 64 x 257 values (263 kB each). Short
+# utterances pay a page fault per 4 kB of temporaries on every call (the
+# allocator returns them to the OS after each), so these stay small; 64 is
+# also faster than 256 on long utterances.
+SUB_BLOCK_FRAMES = 64
 
 
 def hz_to_mel(freq_hz):
@@ -127,9 +137,12 @@ def frame_signal(waveform: Waveform, cfg: FeatureConfig) -> np.ndarray:
 
     Returns an (M, L) array with M = 1 + floor((N - L) / H); the trailing
     partial frame is dropped. The array is a read-only strided view of the
-    samples (frames overlap in memory), not a copy.
+    samples (frames overlap in memory), not a copy, in their floating dtype;
+    samples of another dtype are converted to float64 first.
     """
-    samples = np.asarray(waveform.samples, dtype=np.float64)
+    samples = np.asarray(waveform.samples)
+    if not np.issubdtype(samples.dtype, np.floating):
+        samples = samples.astype(np.float64)
     length = cfg.window_samples
     hop = cfg.hop_samples
     if samples.size < length:
@@ -195,19 +208,30 @@ def filterbank_energies(
     is the final BLOCK_FRAMES frames, overlapping the one before it: every
     mel matmul then has the same height, so each row gets the same bits as
     from one whole-utterance matmul (BLAS may round a short block's rows
-    differently).
+    differently). Each block's power spectrum is filled SUB_BLOCK_FRAMES rows
+    at a time: the windowed frames are written, promoted to float64 exactly,
+    into the first L columns of a zeroed (sub-block, fft_size) workspace whose
+    other columns stay zero, so the FFT sees the zero-padded frames and needs
+    no padding copy of its own.
     """
     if filterbank is None:
         filterbank = mel_filterbank(cfg)
     frames = frame_signal(waveform, cfg)
-    window = hamming_window(cfg.window_samples)
+    length = cfg.window_samples
+    window = hamming_window(length)
     weights_t = filterbank.weights.T
     num_frames = frames.shape[0]
     energies = np.empty((num_frames, filterbank.num_channels))
+    block_rows = min(num_frames, BLOCK_FRAMES)
+    power = np.empty((block_rows, cfg.fft_size // 2 + 1))
+    workspace = np.zeros((min(block_rows, SUB_BLOCK_FRAMES), cfg.fft_size))
     last_start = max(num_frames - BLOCK_FRAMES, 0)
     for start in range(0, num_frames, BLOCK_FRAMES):
         start = min(start, last_start)
-        stop = min(start + BLOCK_FRAMES, num_frames)
-        power = power_spectrum(frames[start:stop] * window, cfg.fft_size)
-        np.matmul(power, weights_t, out=energies[start:stop])
+        for row in range(0, block_rows, SUB_BLOCK_FRAMES):
+            rows = min(SUB_BLOCK_FRAMES, block_rows - row)
+            sub = frames[start + row : start + row + rows]
+            np.multiply(sub, window, out=workspace[:rows, :length])
+            power[row : row + rows] = power_spectrum(workspace[:rows], cfg.fft_size)
+        np.matmul(power, weights_t, out=energies[start : start + block_rows])
     return EnergyMatrix(values=energies, utterance_id=waveform.utterance_id)

@@ -11,11 +11,17 @@ FMX1 layout (little-endian):
 The stats file is text: a header line "SEMSTATS v1 C=<channels> N=<frames>"
 followed by C lines of "<channel> <mean> <std>". Floats are written with
 repr so a write/read/write cycle is byte-identical.
+
+Every writer goes through atomic_write, so a file at its final path is
+always complete.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +35,46 @@ _FEATURE_HEADER = struct.Struct("<4sHII")
 
 STATS_HEADER_PREFIX = "SEMSTATS v1"
 
+# FMX1 payload bytes converted to float32 per write call
+_WRITE_CHUNK_BYTES = 1 << 18
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "wb", **open_kwargs):
+    """Open a temporary file beside `path` for writing; rename it onto `path`
+    when the block ends without an error.
+
+    The temporary file is in the same directory, so os.replace swaps it in
+    atomically: `path` holds either its previous content or the complete new
+    file, never a partial one. On an error the temporary file is removed.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(temp, mode, **open_kwargs) as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
+
 
 def save_features(path: str | Path, values: np.ndarray) -> None:
-    """Write an (M, C) feature matrix as an FMX1 file."""
+    """Write an (M, C) feature matrix as an FMX1 file.
+
+    The payload is converted to float32 a chunk of rows at a time, so the
+    write holds no whole-matrix copy.
+    """
     values = np.asarray(values)
     if values.ndim != 2:
         raise FormatError(f"feature matrix must be 2-D, got shape {values.shape}")
     frames, channels = values.shape
-    payload = np.ascontiguousarray(values, dtype="<f4").tobytes()
-    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, frames, channels)
-    Path(path).write_bytes(header + payload)
+    rows = max(1, _WRITE_CHUNK_BYTES // (4 * max(channels, 1)))
+    with atomic_write(path) as handle:
+        handle.write(_FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, frames, channels))
+        for start in range(0, frames, rows):
+            handle.write(np.ascontiguousarray(values[start : start + rows], dtype="<f4"))
 
 
 def load_features(path: str | Path) -> np.ndarray:
@@ -68,7 +104,8 @@ def save_stats(path: str | Path, stats: GlobalStats) -> None:
         mean = repr(float(stats.mean[channel]))
         std = repr(float(stats.std[channel]))
         lines.append(f"{channel} {mean} {std}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    with atomic_write(path, "w", encoding="ascii", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def load_stats(path: str | Path) -> GlobalStats:
@@ -110,4 +147,6 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
         raise FormatError(f"image must be uint8, got {image.dtype}")
     height, width = image.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + np.ascontiguousarray(image).tobytes())
+    with atomic_write(path) as handle:
+        handle.write(header)
+        handle.write(np.ascontiguousarray(image))

@@ -116,13 +116,16 @@ def eta(e_val, e_peak: float):
     """Energy expressed in dB relative to the peak: 10*log10(e/e_peak).
 
     Zero energies are floored at 1e-30 so the ratio stays finite. Accepts
-    scalars or arrays.
+    scalars or arrays; an array result is one fresh array, computed in place.
     """
     if e_peak <= 0:
         raise NonPositivePeak(f"e_peak must be > 0, got {e_peak}")
-    clamped = np.maximum(np.asarray(e_val, dtype=np.float64), ETA_FLOOR)
-    result = 10.0 * np.log10(clamped / e_peak)
-    return float(result) if np.ndim(e_val) == 0 else result
+    values = np.asarray(e_val, dtype=np.float64)
+    result = np.maximum(values, ETA_FLOOR, out=np.empty(values.shape))
+    result /= e_peak
+    np.log10(result, out=result)
+    result *= 10.0
+    return float(result) if result.ndim == 0 else result
 
 
 def sample_threshold(cfg: SemConfig, utterance_id: str) -> float:
@@ -214,8 +217,11 @@ def _mask_and_normalize(
         mask = _passthrough_mask(x_raw.values.shape)
         scaling_r = 1.0
 
-    normalized = (x_raw.values - stats.mean) / stats.std
-    output = normalized * mask.values * scaling_r
+    # In place: the broadcast operands keep numpy from eliding temporaries.
+    output = x_raw.values - stats.mean
+    output /= stats.std
+    output *= mask.values
+    output *= scaling_r
     features = FeatureMatrix(
         values=output, utterance_id=x_raw.utterance_id, stage=STAGE_FINAL
     )

@@ -65,17 +65,25 @@ class EtaHistogramAccumulator:
         self.counts = np.zeros(num_bins, dtype=np.int64)
         self.energy = np.zeros(num_bins, dtype=np.float64)
 
-    def update(self, energies: EnergyMatrix) -> None:
+    def update(self, energies: EnergyMatrix) -> bool:
+        """Add one utterance's bins; False, adding nothing, when it has no dB
+        ratios (no bins, or a zero peak: all silence)."""
         values = np.asarray(energies.values, dtype=np.float64).ravel()
         if values.size == 0:
-            return
-        ratios_db = eta(values, peak_energy(values))
-        lo = self.bin_edges[0]
-        width = self.bin_edges[1] - self.bin_edges[0]
-        idx = np.floor((ratios_db - lo) / width).astype(np.int64)
+            return False
+        e_peak = peak_energy(values)
+        if e_peak <= 0:
+            return False
+        # bin index floor((eta - lo) / width), in place on eta's fresh array
+        ratios_db = eta(values, e_peak)
+        ratios_db -= self.bin_edges[0]
+        ratios_db /= self.bin_edges[1] - self.bin_edges[0]
+        np.floor(ratios_db, out=ratios_db)
+        idx = ratios_db.astype(np.int64)
         np.clip(idx, 0, self.counts.size - 1, out=idx)
         self.counts += np.bincount(idx, minlength=self.counts.size)
         self.energy += np.bincount(idx, weights=values, minlength=self.counts.size)
+        return True
 
     def merge(self, other: "EtaHistogramAccumulator") -> None:
         if not np.array_equal(self.bin_edges, other.bin_edges):
@@ -90,12 +98,9 @@ class EtaHistogramAccumulator:
         pdf = self.counts / total
         cdf = np.cumsum(self.counts) / total
         cum_energy = np.cumsum(self.energy)
-        if cum_energy[-1] > 0:
-            # dividing by the cumulative total makes the last entry exactly 1
-            energy_ratio = cum_energy / cum_energy[-1]
-        else:
-            # all-silence corpus: no energy mass anywhere
-            energy_ratio = np.ones_like(pdf)
+        # every counted utterance has a positive peak, so the total is > 0;
+        # dividing by the cumulative total makes the last entry exactly 1
+        energy_ratio = cum_energy / cum_energy[-1]
         return EtaDistribution(
             bin_edges=self.bin_edges.copy(),
             pdf=pdf,

@@ -1,5 +1,7 @@
 """Shared fixtures: a default front-end config and small mixed corpora."""
 
+import tracemalloc
+
 import pytest
 
 from semaug import FeatureConfig, filterbank_energies, mel_filterbank, power_mel
@@ -46,3 +48,16 @@ def random_energy_matrix(rng, num_frames=None, num_channels=None):
     channels = num_channels or int(rng.integers(1, 16))
     magnitudes = rng.uniform(-8.0, 3.0, size=(frames, channels))
     return 10.0 ** magnitudes
+
+
+def traced_peak(fn):
+    """Call fn(); return (its result, the peak bytes tracemalloc saw above the
+    traced total at the start of the call)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before

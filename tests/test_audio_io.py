@@ -36,6 +36,14 @@ class TestReadWav:
         assert wav.samples[1] == -0.5
         assert wav.samples[3] == 32767 / 32768.0
 
+    def test_float32_samples_exact(self, tmp_path):
+        path = tmp_path / "grid.wav"
+        ints = np.arange(-32768, 32768, dtype=np.int64)
+        _write_pcm(path, ints)
+        wav = read_wav(path)
+        assert wav.samples.dtype == np.float32
+        assert np.array_equal(wav.samples, ints / 32768.0)
+
     def test_rejects_stereo(self, tmp_path):
         path = tmp_path / "stereo.wav"
         _write_pcm(path, np.zeros(200, dtype=np.int16), channels=2)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -320,6 +321,25 @@ class TestStatsCommand:
         empty = tmp_path / "e"
         empty.mkdir()
         assert main(["stats", "--in", str(empty), "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_silent_utterance_adds_no_bins(self, tmp_path, corpus_dir, caplog):
+        expected = tmp_path / "plain.csv"
+        assert main(["stats", "--in", str(corpus_dir), "--out", str(expected)]) == 0
+        make_corpus(corpus_dir, [synth_fixture("silence", 0.5, utterance_id="quiet")])
+        caplog.set_level(logging.INFO, logger="semaug")
+        out_csv = tmp_path / "dist.csv"
+        assert main(["stats", "--in", str(corpus_dir), "--out", str(out_csv)]) == 0
+        assert out_csv.read_bytes() == expected.read_bytes()
+        quiet = [r for r in caplog.records if "quiet.wav" in r.getMessage()]
+        assert [r.levelno for r in quiet] == [logging.INFO]
+
+    def test_all_silent_corpus_exits_2(self, tmp_path, caplog):
+        wavs = tmp_path / "w"
+        make_corpus(wavs, [synth_fixture("silence", 0.5, utterance_id=f"s{i}") for i in range(2)])
+        out_csv = tmp_path / "dist.csv"
+        assert main(["stats", "--in", str(wavs), "--out", str(out_csv)]) == 2
+        assert "empty corpus" in caplog.text
+        assert not out_csv.exists()
 
 
 class TestRender:

@@ -1,7 +1,6 @@
 """Front-end tests: windowing, framing, spectra, mel filters, energies."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +12,14 @@ from semaug import (
     hamming_window,
     mel_filterbank,
     power_spectrum,
+    read_wav,
     synth_fixture,
+    write_wav,
 )
-from semaug.audio_io import Waveform
-from semaug.dsp import BLOCK_FRAMES, hz_to_mel, mel_to_hz
+from semaug.audio_io import PCM_SCALE, Waveform
+from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES, hz_to_mel, mel_to_hz
 from semaug.errors import FrameTooLong, LengthTooSmall, TooManyChannels, TooShort
+from conftest import traced_peak
 
 
 def direct_dft_power(frame, fft_size):
@@ -112,6 +114,18 @@ class TestFrameSignal:
         frames = frame_signal(wav, _cfg_for(400, 160))
         assert np.shares_memory(frames, wav.samples)
         assert not frames.flags.writeable
+
+    def test_float32_samples_stay_float32_view(self):
+        wav = Waveform(np.arange(16000, dtype=np.float32), 16000, "f32")
+        frames = frame_signal(wav, _cfg_for(400, 160))
+        assert frames.dtype == np.float32
+        assert np.shares_memory(frames, wav.samples)
+
+    def test_integer_samples_become_float64(self):
+        wav = Waveform(np.arange(1000), 16000, "ints")
+        frames = frame_signal(wav, _cfg_for(400, 160))
+        assert frames.dtype == np.float64
+        assert np.array_equal(frames[1], np.arange(160, 560))
 
 
 class TestPowerSpectrum:
@@ -222,7 +236,17 @@ class TestFilterbankEnergies:
 
     @pytest.mark.parametrize(
         "num_frames",
-        [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 3],
+        [
+            1,
+            SUB_BLOCK_FRAMES - 1,
+            SUB_BLOCK_FRAMES,
+            SUB_BLOCK_FRAMES + 1,
+            BLOCK_FRAMES - 1,
+            BLOCK_FRAMES,
+            BLOCK_FRAMES + 1,
+            BLOCK_FRAMES + SUB_BLOCK_FRAMES + 1,
+            2 * BLOCK_FRAMES + 3,
+        ],
     )
     def test_blocks_match_whole_utterance_bits(self, cfg, filterbank, num_frames):
         length, hop = cfg.window_samples, cfg.hop_samples
@@ -235,17 +259,43 @@ class TestFilterbankEnergies:
         energies = filterbank_energies(wav, cfg, filterbank=filterbank).values
         assert np.array_equal(energies, reference)
 
+    @pytest.mark.parametrize("num_frames", [SUB_BLOCK_FRAMES + 1, BLOCK_FRAMES + 3])
+    def test_float32_samples_give_float64_bits(self, cfg, filterbank, num_frames):
+        # float32 holds every 16-bit PCM amplitude exactly, so the energies
+        # must not depend on which of the two dtypes carries it
+        rng = np.random.default_rng(num_frames)
+        num = (num_frames - 1) * cfg.hop_samples + cfg.window_samples
+        samples = rng.integers(-32768, 32768, size=num) / PCM_SCALE
+        as64 = Waveform(samples, cfg.sample_rate_hz, "f64")
+        as32 = Waveform(samples.astype(np.float32), cfg.sample_rate_hz, "f32")
+        assert np.array_equal(as32.samples, samples)
+        reference = filterbank_energies(as64, cfg, filterbank=filterbank).values
+        energies = filterbank_energies(as32, cfg, filterbank=filterbank).values
+        assert np.array_equal(energies, reference)
+
+    def test_read_and_extract_memory(self, cfg, filterbank, tmp_path):
+        # Peak above float32 samples + energies: one block's power spectrum
+        # (the mel matmul's input) and O(sub-block) temporaries, never an
+        # O(utterance) buffer such as float64 samples.
+        path = tmp_path / "long.wav"
+        write_wav(path, synth_fixture("white_noise", 300.0, seed=5))
+
+        def read_and_extract():
+            wav = read_wav(path)
+            return wav, filterbank_energies(wav, cfg, filterbank=filterbank)
+
+        (wav, energies), peak = traced_peak(read_and_extract)
+        assert wav.samples.dtype == np.float32
+        power_block = BLOCK_FRAMES * (cfg.fft_size // 2 + 1) * 8
+        assert peak <= wav.samples.nbytes + energies.values.nbytes + power_block + (4 << 20)
+
     def test_memory_does_not_grow_with_length(self, cfg, filterbank):
         def extra_peak(duration_s):
             wav = synth_fixture("white_noise", duration_s, seed=5)
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                energies = filterbank_energies(wav, cfg, filterbank=filterbank)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - before - energies.values.nbytes
+            energies, peak = traced_peak(
+                lambda: filterbank_energies(wav, cfg, filterbank=filterbank)
+            )
+            return peak - energies.values.nbytes
 
         mib = 1 << 20
         short, long = extra_peak(60.0), extra_peak(300.0)

@@ -5,13 +5,16 @@ import pytest
 
 from semaug import GlobalStats
 from semaug.errors import FormatError
+from semaug import formats
 from semaug.formats import (
+    atomic_write,
     load_features,
     load_stats,
     save_features,
     save_stats,
     write_pgm,
 )
+from conftest import traced_peak
 
 
 class TestFeatureFile:
@@ -61,6 +64,45 @@ class TestFeatureFile:
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(FormatError):
             save_features(tmp_path / "x.fmx", np.zeros(5))
+
+    def test_chunked_payload_matches_whole_cast(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "_WRITE_CHUNK_BYTES", 3 * 4 * 7)  # 3 rows a chunk
+        values = np.random.default_rng(63).normal(size=(10, 7))
+        path = tmp_path / "c.fmx"
+        save_features(path, values)
+        assert path.read_bytes()[14:] == values.astype("<f4").tobytes()
+
+    def test_write_memory(self, tmp_path):
+        values = np.random.default_rng(64).normal(size=(60000, 40))
+        _, peak = traced_peak(lambda: save_features(tmp_path / "m.fmx", values))
+        assert peak < 2 << 20
+
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "_WRITE_CHUNK_BYTES", 4)  # one row a chunk
+        values = np.array([[1.0], [2.0], ["not a number"]], dtype=object)
+        with pytest.raises(ValueError):
+            save_features(tmp_path / "f.fmx", values)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAtomicWrite:
+    def test_raise_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path, "w") as handle:
+                handle.write("new")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_success_replaces_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with atomic_write(path, "w", encoding="ascii") as handle:
+            handle.write("new\n")
+        assert path.read_text() == "new\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestStatsFile:

@@ -35,7 +35,7 @@ from semaug.errors import (
     NonPositivePeak,
     ShapeMismatch,
 )
-from conftest import random_energy_matrix
+from conftest import random_energy_matrix, traced_peak
 
 
 def raw_feat(values, uid="u"):
@@ -89,6 +89,17 @@ class TestEta:
     def test_array_input(self):
         out = eta(np.array([1.0, 0.1]), 1.0)
         assert np.allclose(out, [0.0, -10.0], atol=1e-12)
+
+    def test_scalar_input_returns_float(self):
+        assert type(eta(0.1, 1.0)) is float
+        assert type(eta(np.float64(0.1), 1.0)) is float
+
+    def test_leaves_input_unchanged(self):
+        values = np.array([[0.0, 0.5], [2.0, 1.0]])
+        original = values.copy()
+        out = eta(values, 2.0)
+        assert np.array_equal(values, original)
+        assert not np.shares_memory(out, values)
 
 
 class TestSampleThreshold:
@@ -258,6 +269,16 @@ class TestApplySem:
         bad = FeatureMatrix(x_raw.values[:, :-1], x_raw.utterance_id, x_raw.stage)
         with pytest.raises(ShapeMismatch):
             apply_sem(bad, energies, stats, SemConfig())
+
+    def test_memory_one_output_and_mask(self):
+        rng = np.random.default_rng(17)
+        energies = EnergyMatrix(random_energy_matrix(rng, 60000, 40), "mem")
+        x_raw = power_mel(energies, 1 / 15)
+        stats = compute_global_stats([x_raw])
+        outcome, peak = traced_peak(lambda: apply_sem(x_raw, energies, stats, SemConfig(seed=2)))
+        assert not outcome.fallback_applied
+        bound = x_raw.values.nbytes + outcome.mask.values.nbytes + (1 << 20)
+        assert peak <= bound
 
     def test_same_seed_same_outcome(self):
         _, energies, x_raw, stats = _pipeline_inputs(seed=6)

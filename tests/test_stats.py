@@ -17,7 +17,7 @@ from semaug import (
     peak_energy,
 )
 from semaug.errors import EmptyCorpus, EmptyMatrix
-from conftest import random_energy_matrix
+from conftest import random_energy_matrix, traced_peak
 
 
 def _matrices(rng, count=6):
@@ -63,6 +63,30 @@ class TestEtaHistogram:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             eta_histogram([])
+
+    def test_zero_peak_utterance_adds_no_bins(self):
+        rng = np.random.default_rng(47)
+        matrices = _matrices(rng, 3)
+        expected = eta_histogram(matrices)
+        acc = EtaHistogramAccumulator()
+        assert acc.update(EnergyMatrix(np.zeros((6, 4)), "silent")) is False
+        assert acc.counts.sum() == 0 and acc.energy.sum() == 0.0
+        for m in matrices:
+            assert acc.update(m) is True
+        dist = acc.finalize()
+        assert np.array_equal(dist.pdf, expected.pdf)
+        assert np.array_equal(dist.energy_ratio, expected.energy_ratio)
+
+    def test_all_silent_corpus_is_empty(self):
+        with pytest.raises(EmptyCorpus):
+            eta_histogram([EnergyMatrix(np.zeros((3, 5)), "s0"), EnergyMatrix(np.zeros((2, 5)), "s1")])
+
+    def test_update_memory(self):
+        rng = np.random.default_rng(49)
+        energies = EnergyMatrix(random_energy_matrix(rng, 60000, 40), "mem")
+        acc = EtaHistogramAccumulator()
+        _, peak = traced_peak(lambda: acc.update(energies))
+        assert peak <= 2 * energies.values.nbytes + (1 << 20)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(43)

@@ -1,12 +1,15 @@
 """WAV input/output and deterministic waveform fixtures.
 
-Only 16-bit mono linear PCM is accepted; resampling and multi-channel
+Only 16-bit mono linear PCM is accepted, tagged plain PCM or
+WAVE_FORMAT_EXTENSIBLE with the PCM subformat; resampling and multi-channel
 mixing are out of scope. Peak amplitude normalization is deliberately
 not performed.
 """
 
 from __future__ import annotations
 
+import os
+import struct
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +20,15 @@ from .errors import EmptyAudio, InvalidDuration, MalformedHeader, UnsupportedFor
 
 # 16-bit PCM full scale; raw integers map to [-1.0, 1.0).
 PCM_SCALE = 32768.0
+
+WAVE_FORMAT_PCM = 0x0001
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# the extensible subformat GUID of integer PCM, as stored in the file
+KSDATAFORMAT_SUBTYPE_PCM = bytes.fromhex("0100000000001000800000aa00389b71")
+# fmt chunk bytes: tag, channels, rate, byte rate, block align, bits per
+# sample; the extensible form adds cbSize, valid bits, channel mask, GUID
+_FMT_PCM_SIZE = 16
+_FMT_EXTENSIBLE_SIZE = 40
 
 SINE_FREQ_HZ = 440.0
 SINE_AMPLITUDE = 0.5
@@ -52,38 +64,67 @@ class Waveform:
         return self.num_samples / self.sample_rate_hz
 
 
+def _read_riff_wave(path: Path) -> tuple[bytes, bytes]:
+    """The `fmt ` chunk and the sample bytes of a RIFF/WAVE file.
+
+    Chunks other than `fmt ` and `data` are skipped, with the pad byte that
+    follows an odd-sized chunk. Sample bytes cut short by the end of the file
+    are returned as they are; no read asks for more than the file holds.
+    """
+    with open(path, "rb") as handle:
+        file_size = os.fstat(handle.fileno()).st_size
+        riff = handle.read(12)
+        if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
+            raise MalformedHeader(f"{path}: not a RIFF/WAVE file")
+        fmt = None
+        while True:
+            header = handle.read(8)
+            if len(header) < 8:
+                raise MalformedHeader(f"{path}: truncated header, no data chunk")
+            chunk_id, size = header[:4], int.from_bytes(header[4:], "little")
+            if chunk_id == b"data":
+                if fmt is None:
+                    raise MalformedHeader(f"{path}: data chunk before fmt chunk")
+                return fmt, handle.read(min(size, file_size - handle.tell()))
+            skip = size + size % 2
+            if chunk_id == b"fmt ":
+                fmt = handle.read(min(size, _FMT_EXTENSIBLE_SIZE))
+                if len(fmt) < _FMT_PCM_SIZE:
+                    raise MalformedHeader(f"{path}: truncated fmt chunk")
+                skip -= len(fmt)
+            handle.seek(skip, os.SEEK_CUR)
+
+
 def read_wav(path: str | Path) -> Waveform:
     """Read a 16-bit mono PCM WAV file into a float32 waveform.
 
-    Samples are the raw integers divided by 32768, exactly (see Waveform);
-    the utterance id is the file stem.
+    The format tag is PCM (1), or WAVE_FORMAT_EXTENSIBLE (0xFFFE) with the
+    PCM subformat. Samples are the raw integers divided by 32768, exactly
+    (see Waveform); the utterance id is the file stem.
     """
     path = Path(path)
-    try:
-        with wave.open(str(path), "rb") as handle:
-            num_channels = handle.getnchannels()
-            sample_width = handle.getsampwidth()
-            comp_type = handle.getcomptype()
-            rate = handle.getframerate()
-            num_frames = handle.getnframes()
-            raw = handle.readframes(num_frames)
-    except wave.Error as exc:
-        # The wave module reports non-PCM encodings as "unknown format".
-        if "unknown format" in str(exc):
-            raise UnsupportedFormat(f"{path}: {exc}") from exc
-        raise MalformedHeader(f"{path}: {exc}") from exc
-    except EOFError as exc:
-        raise MalformedHeader(f"{path}: truncated header") from exc
-
-    if comp_type != "NONE":
-        raise UnsupportedFormat(f"{path}: compressed audio ({comp_type}) not supported")
+    fmt, raw = _read_riff_wave(path)
+    tag, num_channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == WAVE_FORMAT_EXTENSIBLE:
+        if len(fmt) < _FMT_EXTENSIBLE_SIZE:
+            raise MalformedHeader(f"{path}: truncated extensible fmt chunk")
+        subformat = fmt[_FMT_EXTENSIBLE_SIZE - 16 : _FMT_EXTENSIBLE_SIZE]
+        if subformat != KSDATAFORMAT_SUBTYPE_PCM:
+            raise UnsupportedFormat(f"{path}: extensible subformat {subformat.hex()} is not PCM")
+    elif tag != WAVE_FORMAT_PCM:
+        raise UnsupportedFormat(f"{path}: format tag {tag:#06x} is not PCM")
+    sample_width = (bits + 7) // 8
+    if rate == 0 or num_channels == 0 or sample_width == 0:
+        raise MalformedHeader(
+            f"{path}: {num_channels} channels of {bits}-bit samples at {rate} Hz"
+        )
     if num_channels != 1:
         raise UnsupportedFormat(f"{path}: expected mono, got {num_channels} channels")
     if sample_width != 2:
         raise UnsupportedFormat(
             f"{path}: expected 16-bit samples, got {8 * sample_width}-bit"
         )
-    if num_frames == 0 or len(raw) == 0:
+    if len(raw) == 0:
         raise EmptyAudio(f"{path}: no audio samples")
     if len(raw) % 2 != 0:
         raise MalformedHeader(f"{path}: truncated sample data")

@@ -147,6 +147,41 @@ def _single_threaded_blas():
             set_threads(count)
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# Above the largest temporary whose size does not grow with the utterance (the
+# 2048 x 257 float64 block power buffer, 4.2 MB), below the whole-utterance
+# arrays of long files, which stay mmapped and go back to the OS when freed.
+_MMAP_THRESHOLD_BYTES = 8 << 20
+# Freed heap top kept resident between utterances, in every thread's arena.
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _libc_mallopt():
+    """The running C library's mallopt, or None where it has none (not glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _keep_freed_memory() -> None:
+    """Keep the per-utterance temporaries the allocator frees in this process.
+
+    By default glibc mmaps each temporary above 128 kB and trims the freed
+    heap top, so every utterance faults the same pages in again. Raising both
+    thresholds once per process ends that churn; bytes never depend on it.
+    Without mallopt, or when it refuses a value, this does nothing.
+    """
+    mallopt = _libc_mallopt()
+    if mallopt is not None and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def _map_utterances(paths, worker, num_workers: int):
     """Run `worker` over paths, preserving input order regardless of pool size."""
     if num_workers > 1:
@@ -446,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:

@@ -32,9 +32,7 @@ from .errors import FrameTooLong, LengthTooSmall, TooManyChannels, TooShort
 BLOCK_FRAMES = 2048
 
 # Frames per window + FFT pass inside a block: bounds the workspace and the
-# complex spectrum to 64 x 512 and 64 x 257 values (263 kB each). Short
-# utterances pay a page fault per 4 kB of temporaries on every call (the
-# allocator returns them to the OS after each), so these stay small; 64 is
+# complex spectrum to 64 x 512 and 64 x 257 values (263 kB each); 64 is
 # also faster than 256 on long utterances.
 SUB_BLOCK_FRAMES = 64
 

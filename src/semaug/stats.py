@@ -129,6 +129,9 @@ def energy_ratio_curve(
     """Fraction of total corpus energy held by bins below each dB threshold.
 
     Peaks are per utterance; thresholds must be given in ascending order.
+    An utterance with no bins or a zero peak (all silence) has no dB ratios
+    and is left out, as in EtaHistogramAccumulator.update; EmptyCorpus when
+    no utterance is left.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if thresholds.size == 0:
@@ -138,13 +141,14 @@ def energy_ratio_curve(
 
     numerators = np.zeros(thresholds.size)
     total_energy = 0.0
-    seen = False
     for energies in corpus:
-        seen = True
         values = np.asarray(energies.values, dtype=np.float64).ravel()
         if values.size == 0:
             continue
-        ratios_db = eta(values, peak_energy(values))
+        e_peak = peak_energy(values)
+        if e_peak <= 0:
+            continue
+        ratios_db = eta(values, e_peak)
         order = np.argsort(ratios_db, kind="stable")
         sorted_eta = ratios_db[order]
         cum_energy = np.concatenate(([0.0], np.cumsum(values[order])))
@@ -152,17 +156,22 @@ def energy_ratio_curve(
         numerators += cum_energy[positions]
         # same accumulation as the numerators, so "above everything" is exactly 1
         total_energy += cum_energy[-1]
-    if not seen:
-        raise EmptyCorpus("no energy matrices supplied")
-    if total_energy <= 0:
-        return np.ones_like(numerators)
+    # a counted utterance has a positive peak, so a positive energy sum
+    if total_energy == 0.0:
+        raise EmptyCorpus("no utterance with a positive peak energy")
     return numerators / total_energy
 
 
 def masked_fraction(energies: EnergyMatrix, eta_th: float) -> float:
-    """Share of bins whose dB ratio falls strictly below eta_th."""
+    """Share of bins whose dB ratio falls strictly below eta_th.
+
+    0.0 for a zero peak (all silence): the mask passes it through whole.
+    """
     values = np.asarray(getattr(energies, "values", energies), dtype=np.float64)
     if values.size == 0:
         raise EmptyMatrix("masked_fraction of an empty matrix")
-    ratios_db = eta(values, peak_energy(values))
+    e_peak = peak_energy(values)
+    if e_peak <= 0:
+        return 0.0
+    ratios_db = eta(values, e_peak)
     return float(np.count_nonzero(ratios_db < eta_th)) / values.size

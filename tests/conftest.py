@@ -1,5 +1,8 @@
-"""Shared fixtures: a default front-end config and small mixed corpora."""
+"""Shared fixtures: a default front-end config, small mixed corpora, and
+memory and page-fault probes."""
 
+import os
+import subprocess
 import tracemalloc
 
 import pytest
@@ -61,3 +64,15 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - before
+
+
+def run_with_rusage(argv, **popen_kwargs):
+    """Run argv in a child process; return (its exit code, its os.wait4 rusage).
+
+    The rusage covers the child alone, so ru_minflt counts its minor page
+    faults from start to exit.
+    """
+    proc = subprocess.Popen(argv, **popen_kwargs)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage

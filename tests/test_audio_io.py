@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from semaug import Waveform, read_wav, synth_fixture, synth_speech_like, write_wav
+from semaug.audio_io import KSDATAFORMAT_SUBTYPE_PCM, WAVE_FORMAT_EXTENSIBLE
 from semaug.errors import EmptyAudio, InvalidDuration, MalformedHeader, UnsupportedFormat
+
+# KSDATAFORMAT_SUBTYPE_IEEE_FLOAT, as stored in the file
+FLOAT_SUBFORMAT = bytes.fromhex("0300000000001000800000aa00389b71")
 
 
 def _write_pcm(path, ints, rate=16000, channels=1, sampwidth=2):
@@ -16,6 +20,24 @@ def _write_pcm(path, ints, rate=16000, channels=1, sampwidth=2):
         handle.setsampwidth(sampwidth)
         handle.setframerate(rate)
         handle.writeframes(np.asarray(ints, dtype="<i2").tobytes())
+
+
+def _chunk(chunk_id, body):
+    """One RIFF chunk, with the pad byte an odd-sized body needs."""
+    return chunk_id + struct.pack("<I", len(body)) + body + bytes(len(body) % 2)
+
+
+def _riff(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _extensible_fmt(subformat, channels=1, bits=16):
+    block = channels * bits // 8
+    return struct.pack(
+        "<HHIIHHHHI", WAVE_FORMAT_EXTENSIBLE, channels, 16000, 16000 * block, block, bits,
+        22, bits, 0x4,
+    ) + subformat
 
 
 class TestReadWav:
@@ -69,6 +91,81 @@ class TestReadWav:
         body += b"data" + struct.pack("<I", len(data)) + data
         path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
         with pytest.raises(UnsupportedFormat):
+            read_wav(path)
+
+    def test_extensible_pcm_reads_like_plain_pcm(self, tmp_path):
+        ints = np.random.default_rng(3).integers(-32768, 32768, size=300).astype("<i2")
+        plain = tmp_path / "plain.wav"
+        _write_pcm(plain, ints)
+        extensible = tmp_path / "extensible.wav"
+        extensible.write_bytes(
+            _riff(_chunk(b"fmt ", _extensible_fmt(KSDATAFORMAT_SUBTYPE_PCM)),
+                  _chunk(b"data", ints.tobytes()))
+        )
+        wav = read_wav(extensible)
+        assert wav.sample_rate_hz == 16000
+        assert wav.samples.dtype == np.float32
+        assert np.array_equal(wav.samples, read_wav(plain).samples)
+
+    def test_rejects_extensible_float(self, tmp_path):
+        path = tmp_path / "float.wav"
+        path.write_bytes(
+            _riff(_chunk(b"fmt ", _extensible_fmt(FLOAT_SUBFORMAT, bits=32)),
+                  _chunk(b"data", bytes(16)))
+        )
+        with pytest.raises(UnsupportedFormat):
+            read_wav(path)
+
+    def test_rejects_extensible_stereo(self, tmp_path):
+        path = tmp_path / "stereo.wav"
+        path.write_bytes(
+            _riff(_chunk(b"fmt ", _extensible_fmt(KSDATAFORMAT_SUBTYPE_PCM, channels=2)),
+                  _chunk(b"data", bytes(16)))
+        )
+        with pytest.raises(UnsupportedFormat):
+            read_wav(path)
+
+    def test_rejects_truncated_extensible_fmt(self, tmp_path):
+        path = tmp_path / "short.wav"
+        fmt = _extensible_fmt(KSDATAFORMAT_SUBTYPE_PCM)[:24]
+        path.write_bytes(_riff(_chunk(b"fmt ", fmt), _chunk(b"data", bytes(16))))
+        with pytest.raises(MalformedHeader):
+            read_wav(path)
+
+    def test_skips_odd_sized_unknown_chunks(self, tmp_path):
+        ints = np.array([1, -2, 300, -32768], dtype="<i2")
+        fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+        path = tmp_path / "chunks.wav"
+        path.write_bytes(
+            _riff(_chunk(b"LIST", b"odd"), _chunk(b"fmt ", fmt), _chunk(b"fact", b"x"),
+                  _chunk(b"data", ints.tobytes()), _chunk(b"LIST", b"trailer"))
+        )
+        assert np.array_equal(read_wav(path).samples, ints / 32768.0)
+
+    @pytest.mark.parametrize("field", ["rate", "channels", "bits"])
+    def test_rejects_zero_header_field(self, tmp_path, field):
+        values = {"rate": 16000, "channels": 1, "bits": 16, field: 0}
+        fmt = struct.pack(
+            "<HHIIHH", 1, values["channels"], values["rate"], 32000, 2, values["bits"]
+        )
+        path = tmp_path / "zero.wav"
+        path.write_bytes(_riff(_chunk(b"fmt ", fmt), _chunk(b"data", bytes(8))))
+        with pytest.raises(MalformedHeader):
+            read_wav(path)
+
+    def test_rejects_data_before_fmt(self, tmp_path):
+        fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+        path = tmp_path / "order.wav"
+        path.write_bytes(_riff(_chunk(b"data", bytes(8)), _chunk(b"fmt ", fmt)))
+        with pytest.raises(MalformedHeader):
+            read_wav(path)
+
+    @pytest.mark.parametrize("size", [4, 12, 20, 30])
+    def test_rejects_truncated_header(self, tmp_path, size):
+        path = tmp_path / "cut.wav"
+        _write_pcm(path, np.zeros(10, dtype=np.int16))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(MalformedHeader):
             read_wav(path)
 
     def test_rejects_garbage(self, tmp_path):

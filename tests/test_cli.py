@@ -2,10 +2,15 @@
 
 import csv
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semaug
 from semaug import (
     FeatureConfig,
     divide_std,
@@ -14,12 +19,13 @@ from semaug import (
     read_wav,
     subtract_mean,
     synth_fixture,
+    synth_speech_like,
     write_wav,
 )
 from semaug import cli
 from semaug.cli import main
 from semaug.formats import load_features, load_stats
-from conftest import mixed_waveforms
+from conftest import mixed_waveforms, run_with_rusage
 
 
 def make_corpus(directory, waves):
@@ -87,6 +93,17 @@ class TestFeaturize:
         # good files still produced
         assert (out / "utt_000.fmx").exists()
         assert "broken.wav" in caplog.text
+
+    def test_zero_sample_rate_fails_only_its_file(self, tmp_path, corpus_dir, caplog):
+        path = corpus_dir / "zero_rate.wav"
+        write_wav(path, synth_fixture("sine", 0.1, utterance_id="zero_rate"))
+        header = bytearray(path.read_bytes())
+        header[24:28] = bytes(4)  # the fmt chunk's sample rate
+        path.write_bytes(bytes(header))
+        out = tmp_path / "f"
+        assert main(["featurize", "--in", str(corpus_dir), "--out", str(out)]) == 1
+        assert (out / "utt_000.fmx").exists()
+        assert "zero_rate.wav" in caplog.text
 
     def test_raw_features_match_library(self, corpus_dir, featurized):
         cfg = FeatureConfig()
@@ -448,3 +465,49 @@ class TestSingleThreadedBlas:
             ]) == 0
             expected = before if workers == "1" else [1] * len(before)
             assert seen == [expected] * 6
+
+
+def _featurize_faults(tmp_path, num_utterances):
+    """Minor page faults of `featurize` over that many 1.5 s WAVs, in a fresh process."""
+    wavs = tmp_path / f"wavs{num_utterances}"
+    make_corpus(wavs, [
+        synth_speech_like(1.5, seed=i, utterance_id=f"utt_{i:03d}")
+        for i in range(num_utterances)
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(semaug.__file__).parents[1]))
+    code, usage = run_with_rusage(
+        [sys.executable, "-m", "semaug.cli", "featurize",
+         "--in", str(wavs), "--out", str(tmp_path / f"out{num_utterances}")],
+        env=env, stderr=subprocess.DEVNULL,
+    )
+    assert code == 0
+    return usage.ru_minflt
+
+
+class TestKeepFreedMemory:
+    @pytest.mark.skipif(cli._libc_mallopt() is None, reason="the C library has no mallopt")
+    def test_no_page_faults_per_utterance(self, tmp_path):
+        # glibc's default thresholds fault each utterance's temporaries in
+        # again: about 235 extra faults per extra 1.5 s utterance
+        few = _featurize_faults(tmp_path, 20)
+        many = _featurize_faults(tmp_path, 60)
+        assert (many - few) / 40 < 20
+
+    @pytest.mark.parametrize("failure", ["no_library", "no_symbol"])
+    def test_runs_without_mallopt(self, tmp_path, corpus_dir, monkeypatch, failure):
+        reference = tmp_path / "reference"
+        assert main(["featurize", "--in", str(corpus_dir), "--out", str(reference)]) == 0
+
+        def no_library(name):
+            raise OSError(f"cannot load {name}")
+
+        def no_symbol(name):
+            return object()
+
+        monkeypatch.setattr(
+            cli.ctypes, "CDLL", no_library if failure == "no_library" else no_symbol
+        )
+        assert cli._libc_mallopt() is None
+        out = tmp_path / "out"
+        assert main(["featurize", "--in", str(corpus_dir), "--out", str(out)]) == 0
+        assert_same_files(reference, out)

@@ -5,10 +5,22 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from semaug import FeatureConfig, filterbank_energies, mel_filterbank  # noqa: E402
+from semaug import (  # noqa: E402
+    EnergyMatrix,
+    EtaHistogramAccumulator,
+    FeatureConfig,
+    GlobalStats,
+    apply_fixed_sem,
+    filterbank_energies,
+    mel_filterbank,
+    power_mel,
+)
 from semaug.audio_io import PCM_SCALE, Waveform  # noqa: E402
 from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES  # noqa: E402
+from semaug.formats import load_features, load_stats, save_features, save_stats  # noqa: E402
+from semaug.masking import threshold_mask  # noqa: E402
 
 CFG = FeatureConfig()
 FILTERBANK = mel_filterbank(CFG)
@@ -47,3 +59,110 @@ def test_float32_and_float64_samples_give_identical_energies(
     )
     assert as64.num_frames == num_frames
     assert np.array_equal(as32.values, as64.values)
+
+
+def energy_matrices(max_frames=30, max_channels=12):
+    """Nonnegative energies spanning 11 decades, with some exact zeros."""
+    shapes = st.tuples(st.integers(1, max_frames), st.integers(1, max_channels))
+    decades = st.one_of(st.just(-np.inf), st.floats(-8.0, 3.0))
+    return shapes.flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=decades).map(
+            lambda logs: EnergyMatrix(10.0 ** logs, "utt")
+        )
+    )
+
+
+def _unit_stats(num_channels):
+    return GlobalStats(np.zeros(num_channels), np.ones(num_channels), num_frames_seen=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(energies=energy_matrices(), eta_th=st.floats(-100.0, 10.0))
+def test_scaling_preserves_feature_sum(energies, eta_th):
+    x_raw = power_mel(energies, CFG.power_exponent)
+    outcome = apply_fixed_sem(x_raw, energies, _unit_stats(energies.num_channels), eta_th)
+    if outcome.fallback_applied:
+        return
+    kept_sum = float((outcome.mask.values * x_raw.values).sum())
+    total = float(x_raw.values.sum())
+    assert outcome.scaling_r * kept_sum == pytest.approx(total, rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    energies=energy_matrices(),
+    thresholds=st.lists(st.floats(-120.0, 20.0), min_size=2, max_size=2).map(sorted),
+)
+def test_kept_bins_shrink_as_threshold_rises(energies, thresholds):
+    low, high = (threshold_mask(energies, t) for t in thresholds)
+    if low is None:
+        assert high is None  # a zero peak has no mask at any threshold
+        return
+    # every bin kept at the higher threshold is kept at the lower one
+    assert np.all(high.values <= low.values)
+
+
+def _merged(partials):
+    total = EtaHistogramAccumulator()
+    for partial in partials:
+        total.merge(partial)
+    return total
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    corpus=st.lists(energy_matrices(), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_histogram_merge_order_and_grouping_do_not_matter(corpus, data):
+    partials = []
+    for energies in corpus:
+        acc = EtaHistogramAccumulator()
+        acc.update(energies)
+        partials.append(acc)
+    forward = _merged(partials)
+    order = data.draw(st.permutations(range(len(partials))))
+    split = data.draw(st.integers(0, len(partials)))
+    grouped = _merged(partials[:split])
+    grouped.merge(_merged(partials[split:]))
+    for other in (_merged([partials[i] for i in order]), grouped):
+        assert np.array_equal(forward.counts, other.counts)
+        assert np.allclose(forward.energy, other.energy, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float32,
+        st.tuples(st.integers(0, 40), st.integers(1, 8)),
+        elements=st.floats(width=32, allow_nan=True, allow_infinity=True),
+    )
+)
+def test_fmx1_round_trip_is_exact(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("fmx") / "m.fmx"
+    save_features(path, values)
+    loaded = load_features(path)
+    assert loaded.shape == values.shape
+    assert np.array_equal(loaded.view(np.uint32), values.view(np.uint32))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    num_channels=st.integers(1, 16),
+    num_frames=st.integers(0, 2**40),
+    data=st.data(),
+)
+def test_semstats_round_trip_is_exact(tmp_path_factory, num_channels, num_frames, data):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    stats = GlobalStats(
+        mean=data.draw(hnp.arrays(np.float64, num_channels, elements=finite)),
+        std=data.draw(hnp.arrays(np.float64, num_channels, elements=positive)),
+        num_frames_seen=num_frames,
+    )
+    path = tmp_path_factory.mktemp("stats") / "global_stats.txt"
+    save_stats(path, stats)
+    loaded = load_stats(path)
+    assert np.array_equal(loaded.mean.view(np.uint64), stats.mean.view(np.uint64))
+    assert np.array_equal(loaded.std, stats.std)
+    assert loaded.num_frames_seen == num_frames

@@ -17,6 +17,7 @@ from semaug import (
     peak_energy,
 )
 from semaug.errors import EmptyCorpus, EmptyMatrix
+from semaug.masking import threshold_mask
 from conftest import random_energy_matrix, traced_peak
 
 
@@ -143,6 +144,20 @@ class TestEnergyRatioCurve:
         with pytest.raises(EmptyCorpus):
             energy_ratio_curve([], [0.0])
 
+    def test_zero_peak_utterance_is_left_out(self):
+        rng = np.random.default_rng(61)
+        matrices = _matrices(rng, 3)
+        thresholds = np.arange(-100.0, 11.0, 5.0)
+        expected = energy_ratio_curve(matrices, thresholds)
+        silent = EnergyMatrix(np.zeros((6, 4)), "silent")
+        out = energy_ratio_curve([silent, *matrices, silent], thresholds)
+        assert np.array_equal(out, expected)
+
+    def test_all_silent_corpus_is_empty(self):
+        silent = [EnergyMatrix(np.zeros((3, 4)), "s0"), EnergyMatrix(np.zeros((0, 4)), "s1")]
+        with pytest.raises(EmptyCorpus):
+            energy_ratio_curve(silent, [-20.0])
+
     def test_ratio_below_cdf_on_random_corpora(self):
         rng = np.random.default_rng(53)
         matrices = _matrices(rng)
@@ -168,6 +183,11 @@ class TestMaskedFraction:
     def test_empty(self):
         with pytest.raises(EmptyMatrix):
             masked_fraction(EnergyMatrix(np.zeros((0, 2)), "e"), -20.0)
+
+    def test_zero_peak_masks_nothing(self):
+        silent = EnergyMatrix(np.zeros((3, 4)), "silent")
+        assert masked_fraction(silent, -20.0) == 0.0
+        assert threshold_mask(silent, -20.0) is None
 
     def test_equals_brute_force_count(self):
         rng = np.random.default_rng(59)

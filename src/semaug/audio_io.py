@@ -64,14 +64,39 @@ class Waveform:
         return self.num_samples / self.sample_rate_hz
 
 
-def _read_riff_wave(path: Path) -> tuple[bytes, bytes]:
-    """The `fmt ` chunk and the sample bytes of a RIFF/WAVE file.
+class WavReader:
+    """A 16-bit mono PCM WAV file, open for reading its samples by span.
 
-    Chunks other than `fmt ` and `data` are skipped, with the pad byte that
-    follows an odd-sized chunk. Sample bytes cut short by the end of the file
-    are returned as they are; no read asks for more than the file holds.
+    Opening parses and validates the RIFF header once, with every check
+    read_wav makes; read_wav then reads spans of samples through it (see
+    there), so a long file can be read block by block with no
+    whole-utterance sample array. Chunks other than `fmt ` and `data` are
+    skipped, with the pad byte that follows an odd-sized chunk. A data chunk
+    cut short by the end of the file holds the samples that are there; no
+    header read asks for more than the file holds. Close it, or use it as a
+    context manager.
     """
-    with open(path, "rb") as handle:
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.utterance_id = self.path.stem
+        self._handle = open(self.path, "rb")
+        try:
+            fmt, self._data_offset, data_size = self._parse_chunks()
+            self.sample_rate_hz = self._check_fmt(fmt)
+            if data_size == 0:
+                raise EmptyAudio(f"{self.path}: no audio samples")
+            if data_size % 2 != 0:
+                raise MalformedHeader(f"{self.path}: truncated sample data")
+        except BaseException:
+            self._handle.close()
+            raise
+        self.num_samples = data_size // 2
+        self._pcm = np.empty(0, dtype="<i2")
+
+    def _parse_chunks(self) -> tuple[bytes, int, int]:
+        """The `fmt ` chunk, and the offset and readable size of the data chunk."""
+        handle, path = self._handle, self.path
         file_size = os.fstat(handle.fileno()).st_size
         riff = handle.read(12)
         if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
@@ -85,7 +110,8 @@ def _read_riff_wave(path: Path) -> tuple[bytes, bytes]:
             if chunk_id == b"data":
                 if fmt is None:
                     raise MalformedHeader(f"{path}: data chunk before fmt chunk")
-                return fmt, handle.read(min(size, file_size - handle.tell()))
+                offset = handle.tell()
+                return fmt, offset, min(size, file_size - offset)
             skip = size + size % 2
             if chunk_id == b"fmt ":
                 fmt = handle.read(min(size, _FMT_EXTENSIBLE_SIZE))
@@ -94,47 +120,81 @@ def _read_riff_wave(path: Path) -> tuple[bytes, bytes]:
                 skip -= len(fmt)
             handle.seek(skip, os.SEEK_CUR)
 
+    def _check_fmt(self, fmt: bytes) -> int:
+        """The sample rate of a 16-bit mono PCM `fmt ` chunk; raises otherwise."""
+        path = self.path
+        tag, num_channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+        if tag == WAVE_FORMAT_EXTENSIBLE:
+            if len(fmt) < _FMT_EXTENSIBLE_SIZE:
+                raise MalformedHeader(f"{path}: truncated extensible fmt chunk")
+            subformat = fmt[_FMT_EXTENSIBLE_SIZE - 16 : _FMT_EXTENSIBLE_SIZE]
+            if subformat != KSDATAFORMAT_SUBTYPE_PCM:
+                raise UnsupportedFormat(
+                    f"{path}: extensible subformat {subformat.hex()} is not PCM"
+                )
+        elif tag != WAVE_FORMAT_PCM:
+            raise UnsupportedFormat(f"{path}: format tag {tag:#06x} is not PCM")
+        sample_width = (bits + 7) // 8
+        if rate == 0 or num_channels == 0 or sample_width == 0:
+            raise MalformedHeader(
+                f"{path}: {num_channels} channels of {bits}-bit samples at {rate} Hz"
+            )
+        if num_channels != 1:
+            raise UnsupportedFormat(f"{path}: expected mono, got {num_channels} channels")
+        if sample_width != 2:
+            raise UnsupportedFormat(
+                f"{path}: expected 16-bit samples, got {8 * sample_width}-bit"
+            )
+        return rate
 
-def read_wav(path: str | Path) -> Waveform:
-    """Read a 16-bit mono PCM WAV file into a float32 waveform.
+    def _read_into(self, start: int, out: np.ndarray) -> None:
+        """Fill float32 `out` with the samples from `start` on: one seek and one
+        readinto of the raw integers into a buffer kept for the next read."""
+        if self._pcm.size < out.size:
+            self._pcm = np.empty(out.size, dtype="<i2")
+        pcm = self._pcm[: out.size]
+        self._handle.seek(self._data_offset + 2 * start)
+        if self._handle.readinto(pcm) != pcm.nbytes:
+            raise MalformedHeader(f"{self.path}: sample data ends early")
+        np.divide(pcm, np.float32(PCM_SCALE), out=out)
 
-    The format tag is PCM (1), or WAVE_FORMAT_EXTENSIBLE (0xFFFE) with the
-    PCM subformat. Samples are the raw integers divided by 32768, exactly
-    (see Waveform); the utterance id is the file stem.
+    def close(self) -> None:
+        self._handle.close()
+
+    def __enter__(self) -> "WavReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def read_wav(
+    wav: str | Path | WavReader,
+    start: int = 0,
+    stop: int | None = None,
+    out: np.ndarray | None = None,
+) -> Waveform:
+    """Read samples [start, stop) of a 16-bit mono PCM WAV file as float32.
+
+    wav is a path, opened for this one call, or an open WavReader, whose
+    header was parsed when it was opened. The format tag is PCM (1), or
+    WAVE_FORMAT_EXTENSIBLE (0xFFFE) with the PCM subformat. stop defaults to
+    the end of the data. Samples are the raw integers divided by 32768,
+    exactly (see Waveform), whatever the span; the utterance id is the file
+    stem. With `out`, a float32 array of at least stop - start entries, the
+    samples are written there and the waveform is a view of it.
     """
-    path = Path(path)
-    fmt, raw = _read_riff_wave(path)
-    tag, num_channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
-    if tag == WAVE_FORMAT_EXTENSIBLE:
-        if len(fmt) < _FMT_EXTENSIBLE_SIZE:
-            raise MalformedHeader(f"{path}: truncated extensible fmt chunk")
-        subformat = fmt[_FMT_EXTENSIBLE_SIZE - 16 : _FMT_EXTENSIBLE_SIZE]
-        if subformat != KSDATAFORMAT_SUBTYPE_PCM:
-            raise UnsupportedFormat(f"{path}: extensible subformat {subformat.hex()} is not PCM")
-    elif tag != WAVE_FORMAT_PCM:
-        raise UnsupportedFormat(f"{path}: format tag {tag:#06x} is not PCM")
-    sample_width = (bits + 7) // 8
-    if rate == 0 or num_channels == 0 or sample_width == 0:
-        raise MalformedHeader(
-            f"{path}: {num_channels} channels of {bits}-bit samples at {rate} Hz"
-        )
-    if num_channels != 1:
-        raise UnsupportedFormat(f"{path}: expected mono, got {num_channels} channels")
-    if sample_width != 2:
-        raise UnsupportedFormat(
-            f"{path}: expected 16-bit samples, got {8 * sample_width}-bit"
-        )
-    if len(raw) == 0:
-        raise EmptyAudio(f"{path}: no audio samples")
-    if len(raw) % 2 != 0:
-        raise MalformedHeader(f"{path}: truncated sample data")
-
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32)
-    samples /= np.float32(PCM_SCALE)
+    if not isinstance(wav, WavReader):
+        with WavReader(wav) as reader:
+            return read_wav(reader, start, stop, out)
+    stop = wav.num_samples if stop is None else stop
+    if not 0 <= start <= stop <= wav.num_samples:
+        raise ValueError(f"span [{start}, {stop}) outside [0, {wav.num_samples})")
+    count = stop - start
+    samples = np.empty(count, dtype=np.float32) if out is None else out[:count]
+    wav._read_into(start, samples)
     return Waveform(
-        samples=samples,
-        sample_rate_hz=rate,
-        utterance_id=path.stem,
+        samples=samples, sample_rate_hz=wav.sample_rate_hz, utterance_id=wav.utterance_id
     )
 
 

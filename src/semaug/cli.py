@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .audio_io import read_wav
+from .audio_io import WavReader
 from .dsp import FeatureConfig, FilterbankMatrix, filterbank_energies, mel_filterbank
 from .errors import SemaugError
-from .features import StatsAccumulator, divide_std, power_mel, subtract_mean
+from .features import StatsAccumulator, normalize, power_mel
 from .masking import SemConfig, apply_fixed_sem, apply_sem, input_dropout, threshold_mask
 from .stats import EtaHistogramAccumulator
 
@@ -191,17 +191,13 @@ def _map_utterances(paths, worker, num_workers: int):
 
 
 def _extract_energies(path: Path, cfg: FeatureConfig, filterbank: FilterbankMatrix):
-    waveform = read_wav(path)
-    if waveform.sample_rate_hz != cfg.sample_rate_hz:
-        raise SemaugError(
-            f"{path}: sample rate {waveform.sample_rate_hz} != configured {cfg.sample_rate_hz}"
-        )
-    return filterbank_energies(waveform, cfg, filterbank=filterbank)
-
-
-def _extract_raw(path: Path, cfg: FeatureConfig, filterbank: FilterbankMatrix):
-    energies = _extract_energies(path, cfg, filterbank)
-    return energies, power_mel(energies, cfg.power_exponent)
+    """The file's energies, its samples read block by block (no whole-file array)."""
+    with WavReader(path) as wav:
+        if wav.sample_rate_hz != cfg.sample_rate_hz:
+            raise SemaugError(
+                f"{path}: sample rate {wav.sample_rate_hz} != configured {cfg.sample_rate_hz}"
+            )
+        return filterbank_energies(wav, cfg, filterbank=filterbank)
 
 
 # --- featurize -------------------------------------------------------------
@@ -221,7 +217,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     filterbank = mel_filterbank(cfg)
 
     def worker(path: Path):
-        energies, x_raw = _extract_raw(path, cfg, filterbank)
+        energies = _extract_energies(path, cfg, filterbank)
+        x_raw = power_mel(energies, cfg.power_exponent)
         formats.save_features(out_dir / (path.stem + FEATURE_SUFFIX), x_raw.values)
         acc = StatsAccumulator()
         acc.update(x_raw)
@@ -312,13 +309,14 @@ def cmd_mask(args: argparse.Namespace) -> int:
     filterbank = mel_filterbank(cfg)
 
     def worker(path: Path):
-        energies, x_raw = _extract_raw(path, cfg, filterbank)
-        uid = x_raw.utterance_id
+        # every mode turns the energies into its output in place
+        energies = _extract_energies(path, cfg, filterbank)
+        uid = energies.utterance_id
         if args.mode == "sem" or args.mode == "fixed":
             if args.mode == "sem":
-                outcome = apply_sem(x_raw, energies, stats, sem_cfg)
+                outcome = apply_sem(energies, stats, sem_cfg, cfg.power_exponent)
             else:
-                outcome = apply_fixed_sem(x_raw, energies, stats, args.eta_th)
+                outcome = apply_fixed_sem(energies, stats, args.eta_th, cfg.power_exponent)
             final = outcome.features.values
             row = (
                 uid,
@@ -328,15 +326,15 @@ def cmd_mask(args: argparse.Namespace) -> int:
                 _fmt(outcome.scaling_r),
                 str(int(outcome.fallback_applied)),
             )
-        elif args.mode == "dropout":
-            normalized = divide_std(subtract_mean(x_raw, stats), stats)
-            dropped = input_dropout(normalized, args.rate, seed, uid)
-            final = dropped.values
-            zero_fraction = np.count_nonzero(dropped.values == 0.0) / dropped.values.size
-            row = (uid, "", "", _fmt(zero_fraction), _fmt(1.0 / (1.0 - args.rate)), "0")
-        else:  # none
-            final = divide_std(subtract_mean(x_raw, stats), stats).values
-            row = (uid, "", "", "", "", "")
+        else:
+            normalized = normalize(power_mel(energies, cfg.power_exponent), stats)
+            final = normalized.values
+            if args.mode == "dropout":
+                final = input_dropout(normalized, args.rate, seed, uid).values
+                zero_fraction = np.count_nonzero(final == 0.0) / final.size
+                row = (uid, "", "", _fmt(zero_fraction), _fmt(1.0 / (1.0 - args.rate)), "0")
+            else:  # none
+                row = (uid, "", "", "", "", "")
         formats.save_features(out_dir / (path.stem + FEATURE_SUFFIX), final)
         return row
 
@@ -351,7 +349,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
     rows.sort(key=lambda row: row[0])
     manifest_path = out_dir / MANIFEST_NAME
-    with formats.atomic_write(manifest_path, "w", encoding="ascii", newline="") as handle:
+    with formats.atomic_write(manifest_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(MANIFEST_COLUMNS)
         writer.writerows(rows)
@@ -410,18 +408,18 @@ def cmd_render(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     cfg = _config_from_args(args)
     try:
-        energies, x_raw = _extract_raw(in_path, cfg, mel_filterbank(cfg))
+        energies = _extract_energies(in_path, cfg, mel_filterbank(cfg))
     except (SemaugError, OSError) as exc:
         log.error("failed on %s: %s", in_path.name, exc)
         return EXIT_USAGE
 
-    values = x_raw.values
+    mask = threshold_mask(energies, args.eta_th)
+    values = power_mel(energies, cfg.power_exponent).values
     lo, hi = float(values.min()), float(values.max())
     if hi > lo:
         scaled = np.rint(255.0 * (values - lo) / (hi - lo)).astype(np.uint8)
     else:
         scaled = np.zeros(values.shape, dtype=np.uint8)
-    mask = threshold_mask(energies, args.eta_th)
     if mask is not None:
         scaled *= mask.values
     # width = frames, height = channels, channel 0 at the bottom row

@@ -10,12 +10,12 @@ No pre-emphasis and no dithering are applied.
 
 Frames are processed in blocks of BLOCK_FRAMES (2048) rows, each block's
 energies written into the preallocated (M, C) result, so the peak memory
-of one utterance is O(block) above its samples and its output rather than
-O(utterance): the frames are a strided view of the samples and are never
-copied whole, and no whole-utterance spectrum exists. Within a block the
-window and FFT run SUB_BLOCK_FRAMES (64) rows at a time through one
-zero-padded float64 workspace; only the block's power spectrum, the input
-of its mel matmul, is held at full block height.
+of one utterance is O(block) above its output rather than O(utterance):
+no whole-utterance spectrum exists, and the samples of an open WAV file
+are read one block's span at a time into one reused buffer. Within a
+block the window and FFT run SUB_BLOCK_FRAMES (64) rows at a time through
+one zero-padded float64 workspace; only the block's power spectrum, the
+input of its mel matmul, is held at full block height.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import Waveform
+from .audio_io import WavReader, Waveform, read_wav
 from .errors import FrameTooLong, LengthTooSmall, TooManyChannels, TooShort
 
 # Frames per block of the front end: the height of every mel matmul, which
@@ -130,6 +130,13 @@ def hamming_window(length: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
 
 
+def _check_length(num_samples: int, cfg: FeatureConfig, utterance_id: str) -> None:
+    if num_samples < cfg.window_samples:
+        raise TooShort(
+            f"{utterance_id}: {num_samples} samples < one window of {cfg.window_samples}"
+        )
+
+
 def frame_signal(waveform: Waveform, cfg: FeatureConfig) -> np.ndarray:
     """Slice a waveform into overlapping frames of one window each.
 
@@ -143,10 +150,7 @@ def frame_signal(waveform: Waveform, cfg: FeatureConfig) -> np.ndarray:
         samples = samples.astype(np.float64)
     length = cfg.window_samples
     hop = cfg.hop_samples
-    if samples.size < length:
-        raise TooShort(
-            f"{waveform.utterance_id}: {samples.size} samples < one window of {length}"
-        )
+    _check_length(samples.size, cfg, waveform.utterance_id)
     return np.lib.stride_tricks.sliding_window_view(samples, length)[::hop]
 
 
@@ -194,13 +198,17 @@ def mel_filterbank(cfg: FeatureConfig) -> FilterbankMatrix:
 
 
 def filterbank_energies(
-    waveform: Waveform,
+    source: Waveform | WavReader,
     cfg: FeatureConfig,
     filterbank: FilterbankMatrix | None = None,
 ) -> EnergyMatrix:
     """Full front end: framing, Hamming windowing, power spectrum, mel sum.
 
-    A precomputed FilterbankMatrix may be shared read-only across calls.
+    source is a Waveform, or an open WavReader whose samples are read one
+    block's span at a time (read_wav into one reused float32 buffer), so no
+    whole-utterance sample array exists; both give the same bits for the
+    same samples. A precomputed FilterbankMatrix may be shared read-only
+    across calls.
 
     Runs BLOCK_FRAMES frames at a time. When M > BLOCK_FRAMES the last block
     is the final BLOCK_FRAMES frames, overlapping the one before it: every
@@ -214,22 +222,32 @@ def filterbank_energies(
     """
     if filterbank is None:
         filterbank = mel_filterbank(cfg)
-    frames = frame_signal(waveform, cfg)
-    length = cfg.window_samples
+    length, hop = cfg.window_samples, cfg.hop_samples
+    _check_length(source.num_samples, cfg, source.utterance_id)
+    num_frames = 1 + (source.num_samples - length) // hop
     window = hamming_window(length)
     weights_t = filterbank.weights.T
-    num_frames = frames.shape[0]
     energies = np.empty((num_frames, filterbank.num_channels))
     block_rows = min(num_frames, BLOCK_FRAMES)
+    span = (block_rows - 1) * hop + length
+    streamed = isinstance(source, WavReader)
+    samples = np.empty(span, dtype=np.float32) if streamed else None
     power = np.empty((block_rows, cfg.fft_size // 2 + 1))
     workspace = np.zeros((min(block_rows, SUB_BLOCK_FRAMES), cfg.fft_size))
     last_start = max(num_frames - BLOCK_FRAMES, 0)
     for start in range(0, num_frames, BLOCK_FRAMES):
         start = min(start, last_start)
+        lo = start * hop
+        if streamed:
+            block = read_wav(source, lo, lo + span, out=samples)
+        else:
+            block = Waveform(
+                source.samples[lo : lo + span], source.sample_rate_hz, source.utterance_id
+            )
+        frames = frame_signal(block, cfg)
         for row in range(0, block_rows, SUB_BLOCK_FRAMES):
             rows = min(SUB_BLOCK_FRAMES, block_rows - row)
-            sub = frames[start + row : start + row + rows]
-            np.multiply(sub, window, out=workspace[:rows, :length])
+            np.multiply(frames[row : row + rows], window, out=workspace[:rows, :length])
             power[row : row + rows] = power_spectrum(workspace[:rows], cfg.fft_size)
         np.matmul(power, weights_t, out=energies[start : start + block_rows])
-    return EnergyMatrix(values=energies, utterance_id=waveform.utterance_id)
+    return EnergyMatrix(values=energies, utterance_id=source.utterance_id)

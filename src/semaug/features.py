@@ -21,6 +21,10 @@ STAGE_FINAL = "final"
 # std floor keeps divide_std total on degenerate constant channels
 STD_FLOOR = 1e-8
 
+# rows per pass of StatsAccumulator.update: bounds its temporaries to 656 kB
+# at 40 channels, whatever the utterance length
+STATS_CHUNK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -74,7 +78,7 @@ class StatsAccumulator:
             return
         batch_count = values.shape[0]
         batch_mean = values.mean(axis=0)
-        batch_m2 = ((values - batch_mean) ** 2).sum(axis=0)
+        batch_m2 = _centred_square_sums(values, batch_mean)
         self._combine(batch_count, batch_mean, batch_m2)
 
     def merge(self, other: "StatsAccumulator") -> None:
@@ -105,11 +109,59 @@ class StatsAccumulator:
         return GlobalStats(mean=self._mean.copy(), std=std, num_frames_seen=self.count)
 
 
+def _centred_square_sums(values: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """((values - center) ** 2).sum(axis=0), with the same bits,
+    STATS_CHUNK_ROWS rows at a time.
+
+    numpy's axis-0 sum adds the rows in order, so the running sum carried in
+    as the first row of the next chunk continues it exactly; adding per-chunk
+    sums would round differently.
+    """
+    rows = min(values.shape[0], STATS_CHUNK_ROWS)
+    buffer = np.empty((rows + 1, values.shape[1]))
+    total = None
+    for start in range(0, values.shape[0], rows):
+        chunk = values[start : start + rows]
+        body = buffer[1 : chunk.shape[0] + 1]
+        np.subtract(chunk, center, out=body)
+        np.square(body, out=body)
+        if total is None:
+            total = body.sum(axis=0)
+        else:
+            buffer[0] = total
+            total = buffer[: chunk.shape[0] + 1].sum(axis=0)
+    return total
+
+
+def writable_values(matrix: FeatureMatrix | EnergyMatrix) -> np.ndarray:
+    """matrix.values, checked for the in-place transforms: a writable float64
+    array. Anything else (a float32 or read-only matrix, such as the one
+    formats.load_features returns) raises ValueError, so no transform casts
+    or copies behind the caller's back."""
+    values = matrix.values
+    if not (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.flags.writeable
+    ):
+        kind = getattr(values, "dtype", type(values).__name__)
+        if isinstance(values, np.ndarray) and not values.flags.writeable:
+            kind = f"read-only {kind}"
+        raise ValueError(
+            f"{matrix.utterance_id}: in-place transforms need a writable float64 "
+            f"matrix, got {kind}; pass np.array(values, dtype=np.float64)"
+        )
+    return values
+
+
 def power_mel(energies: EnergyMatrix, exponent: float) -> FeatureMatrix:
-    """Elementwise power-law compression of filterbank energies."""
+    """Elementwise power-law compression of filterbank energies, in place:
+    the result's values are energies.values, with the bits of
+    energies.values ** exponent. Needs a writable float64 matrix."""
     if exponent <= 0:
         raise ValueError(f"exponent must be > 0, got {exponent}")
-    values = np.asarray(energies.values, dtype=np.float64) ** exponent
+    values = writable_values(energies)
+    values **= exponent
     return FeatureMatrix(values=values, utterance_id=energies.utterance_id, stage=STAGE_RAW)
 
 
@@ -121,17 +173,29 @@ def compute_global_stats(corpus: Iterable[FeatureMatrix]) -> GlobalStats:
     return acc.finalize()
 
 
-def _check_channels(features: FeatureMatrix, stats: GlobalStats) -> None:
-    if features.num_channels != stats.num_channels:
+def check_channels(matrix: FeatureMatrix | EnergyMatrix, stats: GlobalStats) -> None:
+    """ShapeMismatch unless the matrix has the stats' channel count."""
+    if matrix.num_channels != stats.num_channels:
         raise ShapeMismatch(
-            f"{features.utterance_id}: {features.num_channels} channels vs "
+            f"{matrix.utterance_id}: {matrix.num_channels} channels vs "
             f"stats with {stats.num_channels}"
         )
 
 
+def normalize(features: FeatureMatrix, stats: GlobalStats) -> FeatureMatrix:
+    """(x - mean) / std per channel, in place: the result's values are
+    features.values, with the bits of divide_std(subtract_mean(x)). Needs a
+    writable float64 matrix."""
+    check_channels(features, stats)
+    values = writable_values(features)
+    values -= stats.mean
+    values /= stats.std
+    return FeatureMatrix(values=values, utterance_id=features.utterance_id, stage=STAGE_FINAL)
+
+
 def subtract_mean(features: FeatureMatrix, stats: GlobalStats) -> FeatureMatrix:
     """Subtract the per-channel corpus mean (applied before masking)."""
-    _check_channels(features, stats)
+    check_channels(features, stats)
     return FeatureMatrix(
         values=features.values - stats.mean,
         utterance_id=features.utterance_id,
@@ -141,7 +205,7 @@ def subtract_mean(features: FeatureMatrix, stats: GlobalStats) -> FeatureMatrix:
 
 def divide_std(features: FeatureMatrix, stats: GlobalStats) -> FeatureMatrix:
     """Divide by the per-channel corpus standard deviation."""
-    _check_channels(features, stats)
+    check_channels(features, stats)
     return FeatureMatrix(
         values=features.values / stats.std,
         utterance_id=features.utterance_id,

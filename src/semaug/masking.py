@@ -14,6 +14,10 @@ features; the mask multiplies the mean-subtracted values so masked bins
 are exactly zero. Utterances the mask would wipe out entirely (including
 all-silence input with zero peak energy) fall back to an unmasked
 pass-through with a flag instead of failing the batch.
+
+Steps 3-5 run in place on the energy matrix: the mask is built from the
+energies, which then become x_raw and then the output, so an utterance
+holds one (M, C) float64 array plus its uint8 mask, never two.
 """
 
 from __future__ import annotations
@@ -32,7 +36,14 @@ from .errors import (
     NonPositivePeak,
     ShapeMismatch,
 )
-from .features import STAGE_FINAL, FeatureMatrix, GlobalStats
+from .features import (
+    FeatureMatrix,
+    GlobalStats,
+    check_channels,
+    normalize,
+    power_mel,
+    writable_values,
+)
 
 # energies below this floor are clamped before the dB ratio (keeps eta finite)
 ETA_FLOOR = 1e-30
@@ -201,12 +212,14 @@ def _passthrough_mask(shape) -> MaskMatrix:
 
 
 def _mask_and_normalize(
-    x_raw: FeatureMatrix,
     energies: EnergyMatrix,
     stats: GlobalStats,
     eta_th: float,
+    exponent: float,
 ) -> SemOutcome:
+    check_channels(energies, stats)
     mask = threshold_mask(energies, eta_th)
+    x_raw = power_mel(energies, exponent)
     fallback = mask is None
     if not fallback:
         try:
@@ -217,53 +230,42 @@ def _mask_and_normalize(
         mask = _passthrough_mask(x_raw.values.shape)
         scaling_r = 1.0
 
-    # In place: the broadcast operands keep numpy from eliding temporaries.
-    output = x_raw.values - stats.mean
-    output /= stats.std
+    features = normalize(x_raw, stats)
+    output = features.values
     output *= mask.values
     output *= scaling_r
-    features = FeatureMatrix(
-        values=output, utterance_id=x_raw.utterance_id, stage=STAGE_FINAL
-    )
     return SemOutcome(
         features=features, mask=mask, scaling_r=scaling_r, fallback_applied=fallback
     )
 
 
-def _check_shapes(x_raw: FeatureMatrix, energies: EnergyMatrix, stats: GlobalStats) -> None:
-    if x_raw.values.shape != energies.values.shape:
-        raise ShapeMismatch(
-            f"{x_raw.utterance_id}: features {x_raw.values.shape} vs "
-            f"energies {energies.values.shape}"
-        )
-    if x_raw.num_channels != stats.num_channels:
-        raise ShapeMismatch(
-            f"{x_raw.utterance_id}: {x_raw.num_channels} channels vs "
-            f"stats with {stats.num_channels}"
-        )
-
-
 def apply_sem(
-    x_raw: FeatureMatrix,
     energies: EnergyMatrix,
     stats: GlobalStats,
     cfg: SemConfig,
+    exponent: float,
 ) -> SemOutcome:
-    """Full small-energy-masking pipeline with a per-utterance random threshold."""
-    _check_shapes(x_raw, energies, stats)
-    eta_th = sample_threshold(cfg, x_raw.utterance_id)
-    return _mask_and_normalize(x_raw, energies, stats, eta_th)
+    """Full small-energy-masking pipeline with a per-utterance random threshold.
+
+    In place: the energies, a writable float64 matrix, become the output
+    features (outcome.features.values is energies.values), by way of
+    power_mel with `exponent`. Pass a copy to keep the energies.
+    """
+    eta_th = sample_threshold(cfg, energies.utterance_id)
+    return _mask_and_normalize(energies, stats, eta_th, exponent)
 
 
 def apply_fixed_sem(
-    x_raw: FeatureMatrix,
     energies: EnergyMatrix,
     stats: GlobalStats,
     eta_th_fixed: float,
+    exponent: float,
 ) -> SemOutcome:
-    """Masking pipeline with a constant dB threshold (the non-random ablation)."""
-    _check_shapes(x_raw, energies, stats)
-    return _mask_and_normalize(x_raw, energies, stats, eta_th_fixed)
+    """Masking pipeline with a constant dB threshold (the non-random ablation).
+
+    In place, as apply_sem.
+    """
+    return _mask_and_normalize(energies, stats, eta_th_fixed, exponent)
 
 
 def input_dropout(
@@ -273,20 +275,20 @@ def input_dropout(
     utterance_id: str,
 ) -> FeatureMatrix:
     """Inverted input dropout: zero each element with probability `rate`,
-    scale survivors by 1/(1 - rate). Deterministic per (seed, utterance_id)."""
+    scale survivors by 1/(1 - rate). Deterministic per (seed, utterance_id).
+
+    In place: the result's values are features.values, which must be a
+    writable float64 matrix. Dropped entries become +0.0 whatever their sign
+    (multiplying by a 0/1 mask would leave -0.0 where a value was negative).
+    """
     if not 0.0 <= rate < 1.0:
         raise InvalidRate(f"rate must be in [0, 1), got {rate}")
+    values = writable_values(features)
     if rate == 0.0:
-        return FeatureMatrix(
-            values=features.values.copy(),
-            utterance_id=features.utterance_id,
-            stage=features.stage,
-        )
+        return features
     child_seed = int.from_bytes(_stream_digest(seed, utterance_id, "dropout"), "little")
     rng = np.random.default_rng(child_seed)
-    keep = rng.random(features.values.shape) >= rate
-    survivor_scale = 1.0 / (1.0 - rate)
-    values = np.where(keep, features.values * survivor_scale, 0.0)
-    return FeatureMatrix(
-        values=values, utterance_id=features.utterance_id, stage=features.stage
-    )
+    dropped = rng.random(values.shape) < rate
+    values *= 1.0 / (1.0 - rate)
+    values[dropped] = 0.0
+    return features

@@ -25,6 +25,10 @@ from .masking import eta, peak_energy
 DEFAULT_RANGE_DB = (-100.0, 10.0)
 DEFAULT_BIN_WIDTH_DB = 1.0
 
+# bins per eta / bin-index pass of EtaHistogramAccumulator.update (512 kB
+# of float64 dB ratios and as much of int64 indices)
+UPDATE_CHUNK_BINS = 1 << 16
+
 
 @dataclass(frozen=True)
 class EtaDistribution:
@@ -74,15 +78,24 @@ class EtaHistogramAccumulator:
         e_peak = peak_energy(values)
         if e_peak <= 0:
             return False
-        # bin index floor((eta - lo) / width), in place on eta's fresh array
-        ratios_db = eta(values, e_peak)
-        ratios_db -= self.bin_edges[0]
-        ratios_db /= self.bin_edges[1] - self.bin_edges[0]
-        np.floor(ratios_db, out=ratios_db)
-        idx = ratios_db.astype(np.int64)
-        np.clip(idx, 0, self.counts.size - 1, out=idx)
-        self.counts += np.bincount(idx, minlength=self.counts.size)
-        self.energy += np.bincount(idx, weights=values, minlength=self.counts.size)
+        energy = None
+        for start in range(0, values.size, UPDATE_CHUNK_BINS):
+            chunk = values[start : start + UPDATE_CHUNK_BINS]
+            # bin index floor((eta - lo) / width), in place on eta's fresh array
+            ratios_db = eta(chunk, e_peak)
+            ratios_db -= self.bin_edges[0]
+            ratios_db /= self.bin_edges[1] - self.bin_edges[0]
+            np.floor(ratios_db, out=ratios_db)
+            idx = ratios_db.astype(np.int64)
+            np.clip(idx, 0, self.counts.size - 1, out=idx)
+            self.counts += np.bincount(idx, minlength=self.counts.size)
+            # in element order from 0.0 across chunks, as one weighted bincount
+            # over the utterance adds them; summed per-chunk bincounts would not
+            if energy is None:
+                energy = np.bincount(idx, weights=chunk, minlength=self.counts.size)
+            else:
+                np.add.at(energy, idx, chunk)
+        self.energy += energy
         return True
 
     def merge(self, other: "EtaHistogramAccumulator") -> None:

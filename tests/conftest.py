@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from semaug import FeatureConfig, filterbank_energies, mel_filterbank, power_mel
+from semaug import EnergyMatrix, FeatureConfig, filterbank_energies, mel_filterbank, power_mel
 from semaug import synth_fixture, synth_speech_like
 
 
@@ -41,8 +41,13 @@ def mixed_corpus(cfg, filterbank):
     pairs = []
     for wave in mixed_waveforms(8):
         energies = filterbank_energies(wave, cfg, filterbank=filterbank)
-        pairs.append((energies, power_mel(energies, cfg.power_exponent)))
+        pairs.append((energies, power_mel(fresh(energies), cfg.power_exponent)))
     return pairs
+
+
+def fresh(energies):
+    """A copy for an in-place transform to overwrite."""
+    return EnergyMatrix(energies.values.copy(), energies.utterance_id)
 
 
 def random_energy_matrix(rng, num_frames=None, num_channels=None):

@@ -36,6 +36,7 @@ from semaug import (
     synth_speech_like,
     write_wav,
 )
+from conftest import fresh
 from semaug.cli import main
 from semaug.features import FeatureMatrix
 from semaug.formats import load_features, load_stats, save_features, save_stats
@@ -64,7 +65,7 @@ def fixture_utterance(index, duration_s=0.4):
 
 def extract(waveform):
     energies = filterbank_energies(waveform, CFG, filterbank=FILTERBANK)
-    return energies, power_mel(energies, CFG.power_exponent)
+    return energies, power_mel(fresh(energies), CFG.power_exponent)
 
 
 def test_criterion_1_sum_preservation():
@@ -78,7 +79,12 @@ def test_criterion_1_sum_preservation():
             )
             total = x_raw.values.sum()
             for eta_th in rng.uniform(-80.0, 0.0, size=50):
-                outcome = apply_fixed_sem(x_raw, energies, stats, float(eta_th))
+                outcome = apply_fixed_sem(
+                    fresh(energies),
+                    stats,
+                    float(eta_th),
+                    CFG.power_exponent,
+                )
                 if outcome.fallback_applied:
                     continue
                 preserved = (outcome.scaling_r * outcome.mask.values * x_raw.values).sum()
@@ -113,7 +119,7 @@ def test_criterion_3_gain_invariance():
                 scaled = Waveform(base.samples * gain, base.sample_rate_hz, base.utterance_id)
                 energies, x_raw = extract(scaled)
                 stats = compute_global_stats([x_raw])
-                outcome = apply_sem(x_raw, energies, stats, sem_cfg)
+                outcome = apply_sem(energies, stats, sem_cfg, CFG.power_exponent)
                 if reference is None:
                     reference = outcome.mask.values
                 else:
@@ -176,7 +182,7 @@ def test_criterion_6_dropout_statistics():
     with criterion(6, "dropout rate, survivor scale, and unbiased mean at r=0.2"):
         rng = np.random.default_rng(61)
         values = rng.uniform(0.5, 1.5, size=(1000, 1000))
-        x = FeatureMatrix(values, "dropout_acc", "final")
+        x = FeatureMatrix(values.copy(), "dropout_acc", "final")
         out = input_dropout(x, 0.2, seed=6, utterance_id="dropout_acc")
         dropped = np.count_nonzero(out.values == 0.0) / out.values.size
         assert abs(dropped - 0.2) <= 3.0 * math.sqrt(0.2 * 0.8 / 1e6)

@@ -6,9 +6,26 @@ import wave
 import numpy as np
 import pytest
 
-from semaug import Waveform, read_wav, synth_fixture, synth_speech_like, write_wav
+from semaug import (
+    FeatureConfig,
+    Waveform,
+    WavReader,
+    filterbank_energies,
+    mel_filterbank,
+    read_wav,
+    synth_fixture,
+    synth_speech_like,
+    write_wav,
+)
+from semaug import cli, dsp
 from semaug.audio_io import KSDATAFORMAT_SUBTYPE_PCM, WAVE_FORMAT_EXTENSIBLE
-from semaug.errors import EmptyAudio, InvalidDuration, MalformedHeader, UnsupportedFormat
+from semaug.errors import (
+    EmptyAudio,
+    InvalidDuration,
+    MalformedHeader,
+    SemaugError,
+    UnsupportedFormat,
+)
 
 # KSDATAFORMAT_SUBTYPE_IEEE_FLOAT, as stored in the file
 FLOAT_SUBFORMAT = bytes.fromhex("0300000000001000800000aa00389b71")
@@ -179,6 +196,124 @@ class TestReadWav:
         _write_pcm(path, np.zeros(0, dtype=np.int16))
         with pytest.raises(EmptyAudio):
             read_wav(path)
+
+
+_PCM_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+
+
+def _wav_file_bytes(kind, ints):
+    """A valid 16-bit mono WAV of the given integers, in one of four layouts."""
+    data = np.asarray(ints, dtype="<i2").tobytes()
+    if kind == "plain":
+        return _riff(_chunk(b"fmt ", _PCM_FMT), _chunk(b"data", data))
+    if kind == "extensible":
+        return _riff(_chunk(b"fmt ", _extensible_fmt(KSDATAFORMAT_SUBTYPE_PCM)),
+                     _chunk(b"data", data))
+    if kind == "odd_chunk":
+        return _riff(_chunk(b"LIST", b"odd"), _chunk(b"fmt ", _PCM_FMT),
+                     _chunk(b"fact", b"x"), _chunk(b"data", data))
+    if kind == "truncated":  # the data chunk claims more bytes than the file holds
+        header = b"data" + struct.pack("<I", len(data) + 1000)
+        return _riff(_chunk(b"fmt ", _PCM_FMT)) + header + data
+    raise ValueError(kind)
+
+
+def _stream_cases():
+    for kind in ("plain", "extensible", "odd_chunk", "truncated"):
+        for block in (16, dsp.BLOCK_FRAMES) if kind == "plain" else (16,):
+            for num_frames in (1, block - 1, block, block + 1, 2 * block + 3):
+                yield kind, block, num_frames
+
+
+# (name, file bytes): every one is rejected while the header is read
+_MALFORMED = [
+    ("garbage", b"this is not a wav file at all"),
+    ("riff_only", b"RIFF"),
+    ("no_chunks", _riff()),
+    ("cut_fmt_header", _riff()[:12] + b"fmt \x10\x00"),
+    ("short_fmt", _riff(_chunk(b"fmt ", _PCM_FMT[:10]), _chunk(b"data", bytes(8)))),
+    ("fmt_past_end", _riff() + b"fmt " + struct.pack("<I", 1000) + _PCM_FMT),
+    ("unknown_past_end", _riff(_chunk(b"fmt ", _PCM_FMT)) + b"LIST" + struct.pack("<I", 1 << 30)),
+    ("data_before_fmt", _riff(_chunk(b"data", bytes(8)), _chunk(b"fmt ", _PCM_FMT))),
+    ("stereo", _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 2, 16000, 64000, 4, 16)),
+                     _chunk(b"data", bytes(8)))),
+    ("8bit", _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 16000, 1, 8)),
+                   _chunk(b"data", bytes(8)))),
+    ("float_tag", _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32)),
+                        _chunk(b"data", bytes(8)))),
+    ("extensible_float", _riff(_chunk(b"fmt ", _extensible_fmt(FLOAT_SUBFORMAT, bits=32)),
+                               _chunk(b"data", bytes(16)))),
+    ("short_extensible", _riff(_chunk(b"fmt ", _extensible_fmt(KSDATAFORMAT_SUBTYPE_PCM)[:24]),
+                               _chunk(b"data", bytes(16)))),
+    ("zero_rate", _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 0, 32000, 2, 16)),
+                        _chunk(b"data", bytes(8)))),
+    ("zero_channels", _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 0, 16000, 32000, 2, 16)),
+                            _chunk(b"data", bytes(8)))),
+    ("zero_bits", _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 0)),
+                        _chunk(b"data", bytes(8)))),
+    ("empty_data", _riff(_chunk(b"fmt ", _PCM_FMT), _chunk(b"data", b""))),
+    ("data_at_end", _riff(_chunk(b"fmt ", _PCM_FMT)) + b"data" + struct.pack("<I", 800)),
+    ("odd_data", _riff(_chunk(b"fmt ", _PCM_FMT), _chunk(b"data", bytes(801)))),
+]
+
+
+class TestWavReader:
+    def test_spans_match_whole_read(self, tmp_path):
+        ints = np.random.default_rng(11).integers(-32768, 32768, size=1000)
+        path = tmp_path / "span.wav"
+        path.write_bytes(_wav_file_bytes("odd_chunk", ints))
+        whole = read_wav(path).samples
+        out = np.full(400, np.nan, dtype=np.float32)
+        with WavReader(path) as reader:
+            assert reader.num_samples == 1000
+            for start, stop in [(0, 1000), (0, 0), (5, 17), (999, 1000), (600, 1000)]:
+                span = read_wav(reader, start, stop).samples
+                assert span.dtype == np.float32
+                assert np.array_equal(span, whole[start:stop])
+            view = read_wav(reader, 100, 400, out=out).samples
+            assert np.shares_memory(view, out)
+            assert np.array_equal(view, whole[100:400])
+        assert np.array_equal(read_wav(path, 7, 9).samples, whole[7:9])
+
+    @pytest.mark.parametrize("start,stop", [(-1, 5), (6, 5), (0, 1001)])
+    def test_span_outside_data(self, tmp_path, start, stop):
+        path = tmp_path / "span.wav"
+        path.write_bytes(_wav_file_bytes("plain", np.zeros(1000)))
+        with pytest.raises(ValueError):
+            read_wav(path, start, stop)
+
+    @pytest.mark.parametrize("kind,block,num_frames", list(_stream_cases()))
+    def test_streamed_energies_match_whole_read(
+        self, tmp_path, monkeypatch, kind, block, num_frames
+    ):
+        # the CLI's block-by-block read gives the bits of one whole read,
+        # at the block edges and for every accepted layout
+        monkeypatch.setattr(dsp, "BLOCK_FRAMES", block)
+        if block < dsp.SUB_BLOCK_FRAMES:
+            monkeypatch.setattr(dsp, "SUB_BLOCK_FRAMES", 5)
+        cfg = FeatureConfig()
+        filterbank = mel_filterbank(cfg)
+        num = (num_frames - 1) * cfg.hop_samples + cfg.window_samples + 77
+        ints = np.random.default_rng(num_frames).integers(-32768, 32768, size=num)
+        path = tmp_path / f"{kind}.wav"
+        path.write_bytes(_wav_file_bytes(kind, ints))
+        whole = filterbank_energies(read_wav(path), cfg, filterbank=filterbank)
+        energies = cli._extract_energies(path, cfg, filterbank)
+        assert whole.num_frames == num_frames
+        assert energies.utterance_id == kind
+        assert np.array_equal(energies.values, whole.values)
+
+    @pytest.mark.parametrize("name,content", _MALFORMED, ids=[name for name, _ in _MALFORMED])
+    def test_cli_reader_raises_what_read_wav_raises(self, tmp_path, name, content):
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(content)
+        cfg = FeatureConfig()
+        with pytest.raises(SemaugError) as from_read_wav:
+            read_wav(path)
+        with pytest.raises(SemaugError) as from_cli:
+            cli._extract_energies(path, cfg, mel_filterbank(cfg))
+        assert type(from_cli.value) is type(from_read_wav.value)
+        assert type(from_cli.value) in (MalformedHeader, UnsupportedFormat, EmptyAudio)
 
 
 class TestWriteWav:

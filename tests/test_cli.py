@@ -12,7 +12,9 @@ import pytest
 
 import semaug
 from semaug import (
+    EnergyMatrix,
     FeatureConfig,
+    GlobalStats,
     divide_std,
     filterbank_energies,
     power_mel,
@@ -24,8 +26,8 @@ from semaug import (
 )
 from semaug import cli
 from semaug.cli import main
-from semaug.formats import load_features, load_stats
-from conftest import mixed_waveforms, run_with_rusage
+from semaug.formats import load_features, load_stats, save_stats
+from conftest import mixed_waveforms, run_with_rusage, traced_peak
 
 
 def make_corpus(directory, waves):
@@ -42,7 +44,7 @@ def assert_same_files(dir_a, dir_b):
 
 
 def read_manifest(path):
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
 
 
@@ -299,6 +301,57 @@ class TestMask:
         assert (outs[0] / "manifest.csv").read_bytes() == (outs[1] / "manifest.csv").read_bytes()
         for fmx in sorted(p.name for p in outs[0].glob("*.fmx")):
             assert (outs[0] / fmx).read_bytes() == (outs[1] / fmx).read_bytes()
+
+
+    def test_non_ascii_stem(self, tmp_path):
+        wavs = tmp_path / "wavs"
+        make_corpus(wavs, [
+            synth_speech_like(0.5, seed=1, utterance_id="café"),
+            synth_speech_like(0.5, seed=2, utterance_id="plain"),
+        ])
+        feats = tmp_path / "features"
+        assert main(["featurize", "--in", str(wavs), "--out", str(feats)]) == 0
+        assert (feats / "café.fmx").is_file()
+        out = tmp_path / "m"
+        assert main([
+            "mask", "--in", str(wavs), "--stats", str(feats / "global_stats.txt"),
+            "--mode", "sem", "--seed", "4", "--out", str(out),
+        ]) == 0
+        assert (out / "café.fmx").is_file()
+        rows = read_manifest(out / "manifest.csv")
+        assert [row["utterance_id"] for row in rows] == ["café", "plain"]
+        assert "café,".encode("utf-8") in (out / "manifest.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "mode_flags",
+        [["sem", "--seed", "2"], ["fixed", "--eta-th", "-30"],
+         ["dropout", "--rate", "0.1", "--seed", "2"], ["none"]],
+        ids=["sem", "fixed", "dropout", "none"],
+    )
+    def test_memory_one_matrix_and_one_transient(self, tmp_path, monkeypatch, mode_flags):
+        # From the energies on, every mode works in place on them: the peak is
+        # that matrix, one matrix-sized transient (the percentile's partition
+        # copy, r's masked product or dropout's uniform draws) and a few
+        # one-byte-per-bin masks.
+        shape = (60000, 40)
+
+        def energies_in_place(path, cfg, filterbank):
+            values = np.random.default_rng(3).uniform(-8.0, 3.0, size=shape)
+            np.power(10.0, values, out=values)
+            return EnergyMatrix(values, path.stem)
+
+        monkeypatch.setattr(cli, "_extract_energies", energies_in_place)
+        wavs = tmp_path / "wavs"
+        make_corpus(wavs, [synth_fixture("sine", 0.1, utterance_id="long")])
+        stats = tmp_path / "stats.txt"
+        save_stats(stats, GlobalStats(np.zeros(40), np.ones(40), 1))
+        out = tmp_path / "m"
+        argv = ["mask", "--in", str(wavs), "--stats", str(stats), "--mode", *mode_flags,
+                "--out", str(out)]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
+        matrix = shape[0] * shape[1] * 8
+        assert peak <= 2 * matrix + 3 * (matrix // 8) + (1 << 20)
 
 
 class TestStatsCommand:

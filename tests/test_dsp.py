@@ -12,11 +12,10 @@ from semaug import (
     hamming_window,
     mel_filterbank,
     power_spectrum,
-    read_wav,
     synth_fixture,
     write_wav,
 )
-from semaug.audio_io import PCM_SCALE, Waveform
+from semaug.audio_io import PCM_SCALE, WavReader, Waveform
 from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES, hz_to_mel, mel_to_hz
 from semaug.errors import FrameTooLong, LengthTooSmall, TooManyChannels, TooShort
 from conftest import traced_peak
@@ -274,20 +273,25 @@ class TestFilterbankEnergies:
         assert np.array_equal(energies, reference)
 
     def test_read_and_extract_memory(self, cfg, filterbank, tmp_path):
-        # Peak above float32 samples + energies: one block's power spectrum
-        # (the mel matmul's input) and O(sub-block) temporaries, never an
-        # O(utterance) buffer such as float64 samples.
-        path = tmp_path / "long.wav"
-        write_wav(path, synth_fixture("white_noise", 300.0, seed=5))
+        # Read block by block, the peak above the energies is one block's
+        # power spectrum (the mel matmul's input), one block's samples and
+        # O(sub-block) temporaries: no samples-sized buffer, so it does not
+        # grow with the file.
+        def extra_peak(duration_s):
+            path = tmp_path / f"long_{duration_s:.0f}.wav"
+            write_wav(path, synth_fixture("white_noise", duration_s, seed=5))
 
-        def read_and_extract():
-            wav = read_wav(path)
-            return wav, filterbank_energies(wav, cfg, filterbank=filterbank)
+            def read_and_extract():
+                with WavReader(path) as wav:
+                    return filterbank_energies(wav, cfg, filterbank=filterbank)
 
-        (wav, energies), peak = traced_peak(read_and_extract)
-        assert wav.samples.dtype == np.float32
+            energies, peak = traced_peak(read_and_extract)
+            return peak - energies.values.nbytes
+
+        short, long = extra_peak(60.0), extra_peak(300.0)
         power_block = BLOCK_FRAMES * (cfg.fft_size // 2 + 1) * 8
-        assert peak <= wav.samples.nbytes + energies.values.nbytes + power_block + (4 << 20)
+        assert long <= power_block + (4 << 20)
+        assert abs(long - short) <= 1 << 20
 
     def test_memory_does_not_grow_with_length(self, cfg, filterbank):
         def extra_peak(duration_s):

@@ -7,14 +7,26 @@ from semaug import (
     EnergyMatrix,
     FeatureMatrix,
     GlobalStats,
+    SemConfig,
     StatsAccumulator,
+    apply_sem,
     compute_global_stats,
     divide_std,
+    input_dropout,
+    normalize,
     power_mel,
     subtract_mean,
 )
-from semaug.features import STAGE_FINAL, STAGE_MEAN_SUBTRACTED, STAGE_RAW, STD_FLOOR
+from semaug.features import (
+    STAGE_FINAL,
+    STAGE_MEAN_SUBTRACTED,
+    STAGE_RAW,
+    STATS_CHUNK_ROWS,
+    STD_FLOOR,
+)
+from conftest import traced_peak
 from semaug.errors import EmptyCorpus, ShapeMismatch
+from semaug.formats import load_features, save_features
 
 
 def feat(values, uid="u", stage=STAGE_RAW):
@@ -50,6 +62,58 @@ class TestPowerMel:
     def test_stage_is_raw(self):
         out = power_mel(EnergyMatrix(np.ones((2, 2)), "s"), 0.5)
         assert out.stage == STAGE_RAW
+
+
+    @pytest.mark.parametrize("exponent", [1 / 15, 0.5, 2.0, 1.0])
+    def test_in_place_same_bits(self, exponent):
+        values = 10.0 ** np.random.default_rng(5).uniform(-8, 3, size=(30, 7))
+        energies = EnergyMatrix(values.copy(), "b")
+        out = power_mel(energies, exponent)
+        assert out.values is energies.values
+        assert np.array_equal(out.values, values ** exponent)
+
+
+def _transforms():
+    stats = GlobalStats(np.full(3, 0.5), np.full(3, 2.0), 4)
+    return {
+        "power_mel": lambda m: power_mel(EnergyMatrix(m, "u"), 1 / 15),
+        "normalize": lambda m: normalize(feat_view(m), stats),
+        "input_dropout": lambda m: input_dropout(feat_view(m), 0.5, seed=1, utterance_id="u"),
+        "apply_sem": lambda m: apply_sem(EnergyMatrix(m, "u"), stats, SemConfig(seed=1), 1 / 15),
+    }
+
+
+def feat_view(values):
+    return FeatureMatrix(values=values, utterance_id="u", stage=STAGE_RAW)
+
+
+class TestInPlaceContract:
+    """The in-place transforms take a writable float64 matrix and raise
+    ValueError on anything else, leaving it untouched."""
+
+    @pytest.mark.parametrize("name", sorted(_transforms()))
+    def test_loaded_features_raise(self, tmp_path, name):
+        values = np.arange(1.0, 13.0).reshape(4, 3)
+        save_features(tmp_path / "u.fmx", values)
+        loaded = load_features(tmp_path / "u.fmx")
+        assert loaded.dtype == np.float32 and not loaded.flags.writeable
+        with pytest.raises(ValueError, match="read-only float32"):
+            _transforms()[name](loaded)
+        assert np.array_equal(loaded, values)
+
+    @pytest.mark.parametrize("name", sorted(_transforms()))
+    def test_writable_float32_raises(self, name):
+        values = np.arange(1.0, 13.0, dtype=np.float32).reshape(4, 3)
+        with pytest.raises(ValueError, match="float32"):
+            _transforms()[name](values)
+        assert np.array_equal(values, np.arange(1.0, 13.0).reshape(4, 3))
+
+    @pytest.mark.parametrize("name", sorted(_transforms()))
+    def test_read_only_float64_raises(self, name):
+        values = np.arange(1.0, 13.0).reshape(4, 3)
+        values.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only float64"):
+            _transforms()[name](values)
 
 
 class TestGlobalStats:
@@ -96,6 +160,26 @@ class TestGlobalStats:
         assert a.num_frames_seen == b.num_frames_seen
         assert np.allclose(a.mean, b.mean, atol=1e-12)
         assert np.allclose(a.std, b.std, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows", [1, STATS_CHUNK_ROWS - 1, STATS_CHUNK_ROWS, STATS_CHUNK_ROWS + 1,
+                 2 * STATS_CHUNK_ROWS + 3]
+    )
+    def test_chunked_update_keeps_whole_matrix_bits(self, rows):
+        # the row chunks carry the running sum, so mean and m2 are bit-equal
+        # to numpy's one-pass axis-0 reductions; per-chunk partial sums are not
+        values = np.random.default_rng(rows).uniform(0.0, 3.0, size=(rows, 40))
+        acc = StatsAccumulator()
+        acc.update(values)
+        mean = values.mean(axis=0)
+        assert np.array_equal(acc._mean, mean)
+        assert np.array_equal(acc._m2, ((values - mean) ** 2).sum(axis=0))
+
+    def test_update_memory(self):
+        values = np.random.default_rng(8).uniform(0.0, 3.0, size=(60000, 40))
+        _, peak = traced_peak(lambda: StatsAccumulator().update(values))
+        chunk_buffer = (STATS_CHUNK_ROWS + 1) * 40 * 8
+        assert peak <= chunk_buffer + (256 << 10)
 
     def test_mismatched_channels(self):
         acc = StatsAccumulator()
@@ -163,6 +247,21 @@ class TestNormalization:
         centered = subtract_mean(x, stats)
         assert centered.stage == STAGE_MEAN_SUBTRACTED
         assert divide_std(centered, stats).stage == STAGE_FINAL
+
+    def test_normalize_in_place_same_bits(self):
+        rng = np.random.default_rng(12)
+        x = feat(rng.uniform(0.0, 2.0, size=(9, 4)))
+        stats = GlobalStats(rng.normal(size=4), rng.uniform(0.5, 2.0, size=4), 9)
+        expected = divide_std(subtract_mean(x, stats), stats).values
+        out = normalize(x, stats)
+        assert out.values is x.values
+        assert out.stage == STAGE_FINAL
+        assert np.array_equal(out.values, expected)
+
+    def test_normalize_shape_mismatch(self):
+        stats = GlobalStats(np.zeros(3), np.ones(3), 1)
+        with pytest.raises(ShapeMismatch):
+            normalize(feat(np.ones((2, 4))), stats)
 
     def test_self_normalization_gives_zero_mean_unit_std(self, mixed_corpus):
         raws = [x for _, x in mixed_corpus]

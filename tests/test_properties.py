@@ -79,8 +79,13 @@ def _unit_stats(num_channels):
 @settings(max_examples=100, deadline=None)
 @given(energies=energy_matrices(), eta_th=st.floats(-100.0, 10.0))
 def test_scaling_preserves_feature_sum(energies, eta_th):
-    x_raw = power_mel(energies, CFG.power_exponent)
-    outcome = apply_fixed_sem(x_raw, energies, _unit_stats(energies.num_channels), eta_th)
+    x_raw = power_mel(EnergyMatrix(energies.values.copy(), "utt"), CFG.power_exponent)
+    outcome = apply_fixed_sem(
+        energies,
+        _unit_stats(energies.num_channels),
+        eta_th,
+        CFG.power_exponent,
+    )
     if outcome.fallback_applied:
         return
     kept_sum = float((outcome.mask.values * x_raw.values).sum())

@@ -16,6 +16,7 @@ from semaug import (
     masked_fraction,
     peak_energy,
 )
+from semaug import stats as stats_module
 from semaug.errors import EmptyCorpus, EmptyMatrix
 from semaug.masking import threshold_mask
 from conftest import random_energy_matrix, traced_peak
@@ -83,11 +84,29 @@ class TestEtaHistogram:
             eta_histogram([EnergyMatrix(np.zeros((3, 5)), "s0"), EnergyMatrix(np.zeros((2, 5)), "s1")])
 
     def test_update_memory(self):
+        # one partition copy for the peak, then one chunk at a time
         rng = np.random.default_rng(49)
         energies = EnergyMatrix(random_energy_matrix(rng, 60000, 40), "mem")
         acc = EtaHistogramAccumulator()
         _, peak = traced_peak(lambda: acc.update(energies))
-        assert peak <= 2 * energies.values.nbytes + (1 << 20)
+        assert peak <= energies.values.nbytes + (1 << 20)
+
+    @pytest.mark.parametrize("size", [1, 6, 7, 8, 17])
+    def test_chunked_update_keeps_whole_matrix_bits(self, monkeypatch, size):
+        # chunks of 7 bins: counts and the energy column equal one bincount
+        # over the whole matrix, bit for bit
+        monkeypatch.setattr(stats_module, "UPDATE_CHUNK_BINS", 7)
+        values = random_energy_matrix(np.random.default_rng(size), size, 1)
+        acc = EtaHistogramAccumulator()
+        assert acc.update(EnergyMatrix(values, "c"))
+        flat = values.ravel()
+        ratios_db = (eta(flat, peak_energy(flat)) - acc.bin_edges[0]) / (
+            acc.bin_edges[1] - acc.bin_edges[0]
+        )
+        idx = np.clip(np.floor(ratios_db).astype(np.int64), 0, acc.counts.size - 1)
+        assert np.array_equal(acc.counts, np.bincount(idx, minlength=acc.counts.size))
+        expected = np.bincount(idx, weights=flat, minlength=acc.counts.size)
+        assert np.array_equal(acc.energy, expected)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(43)

@@ -40,15 +40,14 @@ DEFAULT_STATS_NAME = "global_stats.txt"
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_COLUMNS = ("utterance_id", "eta_th", "e_th", "masked_fraction", "scaling_r", "fallback")
 
-MASK_MODES = ("sem", "fixed", "dropout", "none")
-# flags that may accompany each masking mode; anything else is a usage error
-_MODE_FLAGS = {
-    "sem": {"eta_a", "eta_b", "seed"},
-    "fixed": {"eta_th"},
-    "dropout": {"rate", "seed"},
-    "none": set(),
+# masking mode -> (flags it accepts, flags it requires); any other mode flag
+# is a usage error
+MASK_MODES = {
+    "sem": ({"eta_a", "eta_b", "seed"}, set()),
+    "fixed": ({"eta_th"}, {"eta_th"}),
+    "dropout": ({"rate", "seed"}, {"rate"}),
+    "none": (set(), set()),
 }
-_MODE_REQUIRED = {"fixed": {"eta_th"}, "dropout": {"rate"}}
 
 
 def _fmt(value: float) -> str:
@@ -77,8 +76,16 @@ def _config_from_args(args: argparse.Namespace) -> FeatureConfig:
     )
 
 
-def _list_wavs(directory: Path) -> list[Path]:
-    return sorted(directory.glob("*.wav"), key=lambda p: p.stem)
+def _input_wavs(in_dir: str) -> list[Path]:
+    """The directory's WAVs in utterance-id order; a usage error when the
+    directory is missing or holds none."""
+    directory = Path(in_dir)
+    if not directory.is_dir():
+        raise SemaugError(f"input directory {directory} does not exist")
+    wavs = sorted(directory.glob("*.wav"), key=lambda p: p.stem)
+    if not wavs:
+        raise SemaugError("no input files")
+    return wavs
 
 
 def _worker_count(text: str) -> int:
@@ -182,12 +189,30 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _map_utterances(paths, worker, num_workers: int):
-    """Run `worker` over paths, preserving input order regardless of pool size."""
+def _run_utterances(paths, worker, num_workers: int):
+    """Run `worker` on each path; (results in input order, failure count).
+
+    A SemaugError or OSError fails only its file, which is logged after the
+    run and yields no result. Input order holds whatever the pool size.
+    """
+    def attempt(path):
+        try:
+            return worker(path)
+        except (SemaugError, OSError) as exc:
+            return exc
+
     if num_workers > 1:
         with _single_threaded_blas(), ThreadPoolExecutor(max_workers=num_workers) as pool:
-            return list(pool.map(worker, paths))
-    return [worker(path) for path in paths]
+            outcomes = list(pool.map(attempt, paths))
+    else:
+        outcomes = [attempt(path) for path in paths]
+    results = []
+    for path, outcome in zip(paths, outcomes):
+        if isinstance(outcome, Exception):
+            log.error("failed on %s: %s", path.name, outcome)
+        else:
+            results.append(outcome)
+    return results, len(paths) - len(results)
 
 
 def _extract_energies(path: Path, cfg: FeatureConfig, filterbank: FilterbankMatrix):
@@ -203,15 +228,8 @@ def _extract_energies(path: Path, cfg: FeatureConfig, filterbank: FilterbankMatr
 # --- featurize -------------------------------------------------------------
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    in_dir = Path(args.in_dir)
+    wavs = _input_wavs(args.in_dir)
     out_dir = Path(args.out_dir)
-    if not in_dir.is_dir():
-        log.error("input directory %s does not exist", in_dir)
-        return EXIT_USAGE
-    wavs = _list_wavs(in_dir)
-    if not wavs:
-        log.error("no input files")
-        return EXIT_USAGE
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _config_from_args(args)
     filterbank = mel_filterbank(cfg)
@@ -224,70 +242,45 @@ def cmd_featurize(args: argparse.Namespace) -> int:
         acc.update(x_raw)
         return acc
 
-    failures = 0
+    accumulators, failures = _run_utterances(wavs, worker, args.workers)
     corpus_acc = StatsAccumulator()
-    for path, result in zip(wavs, _map_utterances(wavs, _safe(worker), args.workers)):
-        if isinstance(result, Exception):
-            log.error("failed on %s: %s", path.name, result)
-            failures += 1
-        else:
-            corpus_acc.merge(result)
-
+    for acc in accumulators:
+        corpus_acc.merge(acc)
     if corpus_acc.count == 0:
         log.error("no utterance produced features")
         return EXIT_USAGE
     stats_path = Path(args.stats_out) if args.stats_out else out_dir / DEFAULT_STATS_NAME
     formats.save_stats(stats_path, corpus_acc.finalize())
     log.info("featurized %d utterances (%d failed), stats at %s",
-             len(wavs) - failures, failures, stats_path)
+             len(accumulators), failures, stats_path)
     return EXIT_PARTIAL if failures else EXIT_OK
-
-
-def _safe(worker):
-    def wrapped(path):
-        try:
-            return worker(path)
-        except (SemaugError, OSError) as exc:
-            return exc
-    return wrapped
 
 
 # --- mask --------------------------------------------------------------------
 
-def _validate_mode_flags(args: argparse.Namespace) -> str | None:
-    """Return an error message when flags contradict the chosen mode."""
-    passed = {
-        name for name in ("eta_a", "eta_b", "eta_th", "rate", "seed")
-        if getattr(args, name) is not None
-    }
-    stray = passed - _MODE_FLAGS[args.mode]
+def _mode_flags(args: argparse.Namespace) -> dict:
+    """The mode flags given, by name; ValueError when they contradict the mode."""
+    accepted, required = MASK_MODES[args.mode]
+    every = set().union(*(flags for flags, _ in MASK_MODES.values()))
+    given = {name: getattr(args, name) for name in every if getattr(args, name) is not None}
+    stray = given.keys() - accepted
     if stray:
         flags = ", ".join("--" + name.replace("_", "-") for name in sorted(stray))
-        return f"{flags} not valid with --mode {args.mode}"
-    missing = _MODE_REQUIRED.get(args.mode, set()) - passed
+        raise ValueError(f"{flags} not valid with --mode {args.mode}")
+    missing = required - given.keys()
     if missing:
         flags = ", ".join("--" + name.replace("_", "-") for name in sorted(missing))
-        return f"--mode {args.mode} requires {flags}"
-    return None
+        raise ValueError(f"--mode {args.mode} requires {flags}")
+    return given
 
 
 def cmd_mask(args: argparse.Namespace) -> int:
-    problem = _validate_mode_flags(args)
-    if problem:
-        log.error("%s", problem)
-        return EXIT_USAGE
-    in_dir = Path(args.in_dir)
+    given = _mode_flags(args)
+    wavs = _input_wavs(args.in_dir)
     out_dir = Path(args.out_dir)
     stats_path = Path(args.stats)
-    if not in_dir.is_dir():
-        log.error("input directory %s does not exist", in_dir)
-        return EXIT_USAGE
     if not stats_path.is_file():
         log.error("stats file %s does not exist", stats_path)
-        return EXIT_USAGE
-    wavs = _list_wavs(in_dir)
-    if not wavs:
-        log.error("no input files")
         return EXIT_USAGE
 
     cfg = _config_from_args(args)
@@ -297,14 +290,8 @@ def cmd_mask(args: argparse.Namespace) -> int:
                   stats.num_channels, cfg.num_channels)
         return EXIT_USAGE
 
-    seed = 0 if args.seed is None else args.seed
-    sem_cfg = None
-    if args.mode == "sem":
-        sem_cfg = SemConfig(
-            eta_a=-80.0 if args.eta_a is None else args.eta_a,
-            eta_b=0.0 if args.eta_b is None else args.eta_b,
-            seed=seed,
-        )
+    # after _mode_flags, the flags given to sem are SemConfig fields
+    sem_cfg = SemConfig(**given) if args.mode == "sem" else None
     out_dir.mkdir(parents=True, exist_ok=True)
     filterbank = mel_filterbank(cfg)
 
@@ -330,7 +317,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
             normalized = normalize(power_mel(energies, cfg.power_exponent), stats)
             final = normalized.values
             if args.mode == "dropout":
-                final = input_dropout(normalized, args.rate, seed, uid).values
+                final = input_dropout(normalized, args.rate, given.get("seed", 0), uid).values
                 zero_fraction = np.count_nonzero(final == 0.0) / final.size
                 row = (uid, "", "", _fmt(zero_fraction), _fmt(1.0 / (1.0 - args.rate)), "0")
             else:  # none
@@ -338,15 +325,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
         formats.save_features(out_dir / (path.stem + FEATURE_SUFFIX), final)
         return row
 
-    failures = 0
-    rows = []
-    for path, result in zip(wavs, _map_utterances(wavs, _safe(worker), args.workers)):
-        if isinstance(result, Exception):
-            log.error("failed on %s: %s", path.name, result)
-            failures += 1
-        else:
-            rows.append(result)
-
+    rows, failures = _run_utterances(wavs, worker, args.workers)
     rows.sort(key=lambda row: row[0])
     manifest_path = out_dir / MANIFEST_NAME
     with formats.atomic_write(manifest_path, "w", encoding="utf-8", newline="") as handle:
@@ -361,27 +340,18 @@ def cmd_mask(args: argparse.Namespace) -> int:
 # --- stats ---------------------------------------------------------------------
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    in_dir = Path(args.in_dir)
-    if not in_dir.is_dir():
-        log.error("input directory %s does not exist", in_dir)
-        return EXIT_USAGE
-    wavs = _list_wavs(in_dir)
-    if not wavs:
-        log.error("no input files")
-        return EXIT_USAGE
+    wavs = _input_wavs(args.in_dir)
     cfg = _config_from_args(args)
     filterbank = mel_filterbank(cfg)
     acc = EtaHistogramAccumulator(bin_width_db=args.bin_width)
 
-    failures = 0
-    for path in wavs:
-        try:
-            # unbound, so one utterance's arrays are freed before the next read
-            if not acc.update(_extract_energies(path, cfg, filterbank)):
-                log.info("%s has zero peak energy (silence): no bins added", path.name)
-        except (SemaugError, OSError) as exc:
-            log.error("failed on %s: %s", path.name, exc)
-            failures += 1
+    def worker(path: Path) -> None:
+        # returns nothing, so one utterance's arrays are freed before the next read
+        if not acc.update(_extract_energies(path, cfg, filterbank)):
+            log.info("%s has zero peak energy (silence): no bins added", path.name)
+
+    # one worker: the histogram is shared
+    _, failures = _run_utterances(wavs, worker, 1)
     if int(acc.counts.sum()) == 0:
         log.error("empty corpus")
         return EXIT_USAGE
@@ -417,7 +387,12 @@ def cmd_render(args: argparse.Namespace) -> int:
     values = power_mel(energies, cfg.power_exponent).values
     lo, hi = float(values.min()), float(values.max())
     if hi > lo:
-        scaled = np.rint(255.0 * (values - lo) / (hi - lo)).astype(np.uint8)
+        # rint(255 * (values - lo) / (hi - lo)), in place: same steps, same bits
+        values -= lo
+        values *= 255.0
+        values /= hi - lo
+        np.rint(values, out=values)
+        scaled = values.astype(np.uint8)
     else:
         scaled = np.zeros(values.shape, dtype=np.uint8)
     if mask is not None:

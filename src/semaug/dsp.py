@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import WavReader, Waveform, read_wav
-from .errors import FrameTooLong, LengthTooSmall, TooManyChannels, TooShort
+from .errors import TooManyChannels, TooShort
 
 # Frames per block of the front end: the height of every mel matmul, which
 # fixes its bits, and of the block's 2048 x 257 float64 power spectrum (4.2 MB).
@@ -125,7 +125,7 @@ class EnergyMatrix:
 def hamming_window(length: int) -> np.ndarray:
     """Symmetric Hamming window w[n] = 0.54 - 0.46*cos(2*pi*n/(length-1))."""
     if length < 2:
-        raise LengthTooSmall(f"window length must be >= 2, got {length}")
+        raise ValueError(f"window length must be >= 2, got {length}")
     n = np.arange(length)
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
 
@@ -158,7 +158,7 @@ def power_spectrum(frame: np.ndarray, fft_size: int) -> np.ndarray:
     """Squared DFT magnitudes at bins 0..K/2 of a zero-padded frame."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] > fft_size:
-        raise FrameTooLong(f"frame of {frame.shape[-1]} samples > fft_size {fft_size}")
+        raise ValueError(f"frame of {frame.shape[-1]} samples > fft_size {fft_size}")
     spectrum = np.fft.rfft(frame, n=fft_size, axis=-1)
     return np.abs(spectrum) ** 2
 

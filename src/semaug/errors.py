@@ -25,16 +25,8 @@ class InvalidDuration(SemaugError):
 
 # --- feature extraction --------------------------------------------------
 
-class LengthTooSmall(SemaugError):
-    """Window length below the minimum of 2 samples."""
-
-
 class TooShort(SemaugError):
     """Waveform shorter than one analysis window."""
-
-
-class FrameTooLong(SemaugError):
-    """Frame longer than the FFT size."""
 
 
 class TooManyChannels(SemaugError):

@@ -14,10 +14,6 @@ import numpy as np
 from .dsp import EnergyMatrix
 from .errors import EmptyCorpus, ShapeMismatch
 
-STAGE_RAW = "raw_power_mel"
-STAGE_MEAN_SUBTRACTED = "mean_subtracted"
-STAGE_FINAL = "final"
-
 # std floor keeps divide_std total on degenerate constant channels
 STD_FLOOR = 1e-8
 
@@ -28,11 +24,10 @@ STATS_CHUNK_ROWS = 2048
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """An (M, C) feature matrix with its pipeline stage."""
+    """An (M, C) feature matrix of one utterance."""
 
     values: np.ndarray
     utterance_id: str
-    stage: str = STAGE_RAW
 
     @property
     def num_frames(self) -> int:
@@ -72,8 +67,8 @@ class StatsAccumulator:
         self._mean = None
         self._m2 = None
 
-    def update(self, features: FeatureMatrix | np.ndarray) -> None:
-        values = np.asarray(getattr(features, "values", features), dtype=np.float64)
+    def update(self, features: FeatureMatrix) -> None:
+        values = np.asarray(features.values, dtype=np.float64)
         if values.size == 0:
             return
         batch_count = values.shape[0]
@@ -162,7 +157,7 @@ def power_mel(energies: EnergyMatrix, exponent: float) -> FeatureMatrix:
         raise ValueError(f"exponent must be > 0, got {exponent}")
     values = writable_values(energies)
     values **= exponent
-    return FeatureMatrix(values=values, utterance_id=energies.utterance_id, stage=STAGE_RAW)
+    return FeatureMatrix(values=values, utterance_id=energies.utterance_id)
 
 
 def compute_global_stats(corpus: Iterable[FeatureMatrix]) -> GlobalStats:
@@ -190,24 +185,16 @@ def normalize(features: FeatureMatrix, stats: GlobalStats) -> FeatureMatrix:
     values = writable_values(features)
     values -= stats.mean
     values /= stats.std
-    return FeatureMatrix(values=values, utterance_id=features.utterance_id, stage=STAGE_FINAL)
+    return FeatureMatrix(values=values, utterance_id=features.utterance_id)
 
 
 def subtract_mean(features: FeatureMatrix, stats: GlobalStats) -> FeatureMatrix:
     """Subtract the per-channel corpus mean (applied before masking)."""
     check_channels(features, stats)
-    return FeatureMatrix(
-        values=features.values - stats.mean,
-        utterance_id=features.utterance_id,
-        stage=STAGE_MEAN_SUBTRACTED,
-    )
+    return FeatureMatrix(values=features.values - stats.mean, utterance_id=features.utterance_id)
 
 
 def divide_std(features: FeatureMatrix, stats: GlobalStats) -> FeatureMatrix:
     """Divide by the per-channel corpus standard deviation."""
     check_channels(features, stats)
-    return FeatureMatrix(
-        values=features.values / stats.std,
-        utterance_id=features.utterance_id,
-        stage=STAGE_FINAL,
-    )
+    return FeatureMatrix(values=features.values / stats.std, utterance_id=features.utterance_id)

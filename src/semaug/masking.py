@@ -82,7 +82,7 @@ class MaskMatrix:
 
 @dataclass(frozen=True)
 class SemOutcome:
-    features: FeatureMatrix  # stage "final"
+    features: FeatureMatrix
     mask: MaskMatrix
     scaling_r: float
     fallback_applied: bool
@@ -108,13 +108,13 @@ def _unit_uniform(seed: int, utterance_id: str, stream: str) -> float:
     return bits / (1 << 53)
 
 
-def peak_energy(energies: EnergyMatrix | np.ndarray) -> float:
+def peak_energy(energies: EnergyMatrix) -> float:
     """Nearest-rank 95th percentile over all time-frequency bins.
 
     Sorted ascending, the element at index ceil(0.95 * n) - 1; the ceiling
     is taken in exact integer arithmetic.
     """
-    values = np.asarray(getattr(energies, "values", energies), dtype=np.float64)
+    values = np.asarray(energies.values, dtype=np.float64)
     n = values.size
     if n == 0:
         raise EmptyMatrix("peak_energy of an empty matrix")
@@ -157,7 +157,7 @@ def energy_threshold(e_peak: float, eta_th: float) -> float:
 
 
 def binary_mask(
-    energies: EnergyMatrix | np.ndarray,
+    energies: EnergyMatrix,
     e_th: float,
     eta_th: float = math.nan,
 ) -> MaskMatrix:
@@ -166,7 +166,7 @@ def binary_mask(
     eta_th is recorded as provenance only; the comparison runs in the
     energy domain.
     """
-    values = np.asarray(getattr(energies, "values", energies), dtype=np.float64)
+    values = np.asarray(energies.values, dtype=np.float64)
     mask = (values >= e_th).astype(np.uint8)
     return MaskMatrix(values=mask, eta_th_used=float(eta_th), e_th_used=float(e_th))
 

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dsp import EnergyMatrix
-from .errors import EmptyCorpus, EmptyMatrix
-from .masking import eta, peak_energy
+from .errors import EmptyCorpus
+from .masking import energy_threshold, eta, peak_energy, threshold_mask
 
 DEFAULT_RANGE_DB = (-100.0, 10.0)
 DEFAULT_BIN_WIDTH_DB = 1.0
@@ -75,7 +75,7 @@ class EtaHistogramAccumulator:
         values = np.asarray(energies.values, dtype=np.float64).ravel()
         if values.size == 0:
             return False
-        e_peak = peak_energy(values)
+        e_peak = peak_energy(energies)
         if e_peak <= 0:
             return False
         energy = None
@@ -141,7 +141,9 @@ def energy_ratio_curve(
 ) -> np.ndarray:
     """Fraction of total corpus energy held by bins below each dB threshold.
 
-    Peaks are per utterance; thresholds must be given in ascending order.
+    Bin by bin, "below" is the comparison threshold_mask makes: energy under
+    energy_threshold(e_peak, threshold), the bins the mask drops. Peaks are
+    per utterance; thresholds must be given in ascending order.
     An utterance with no bins or a zero peak (all silence) has no dB ratios
     and is left out, as in EtaHistogramAccumulator.update; EmptyCorpus when
     no utterance is left.
@@ -155,17 +157,15 @@ def energy_ratio_curve(
     numerators = np.zeros(thresholds.size)
     total_energy = 0.0
     for energies in corpus:
-        values = np.asarray(energies.values, dtype=np.float64).ravel()
-        if values.size == 0:
+        if energies.values.size == 0:
             continue
-        e_peak = peak_energy(values)
+        e_peak = peak_energy(energies)
         if e_peak <= 0:
             continue
-        ratios_db = eta(values, e_peak)
-        order = np.argsort(ratios_db, kind="stable")
-        sorted_eta = ratios_db[order]
-        cum_energy = np.concatenate(([0.0], np.cumsum(values[order])))
-        positions = np.searchsorted(sorted_eta, thresholds, side="left")
+        sorted_energy = np.sort(np.asarray(energies.values, dtype=np.float64), axis=None)
+        cum_energy = np.concatenate(([0.0], np.cumsum(sorted_energy)))
+        e_th = [energy_threshold(e_peak, threshold) for threshold in thresholds.tolist()]
+        positions = np.searchsorted(sorted_energy, e_th, side="left")
         numerators += cum_energy[positions]
         # same accumulation as the numerators, so "above everything" is exactly 1
         total_energy += cum_energy[-1]
@@ -176,15 +176,9 @@ def energy_ratio_curve(
 
 
 def masked_fraction(energies: EnergyMatrix, eta_th: float) -> float:
-    """Share of bins whose dB ratio falls strictly below eta_th.
+    """Share of bins threshold_mask(energies, eta_th) drops.
 
     0.0 for a zero peak (all silence): the mask passes it through whole.
     """
-    values = np.asarray(getattr(energies, "values", energies), dtype=np.float64)
-    if values.size == 0:
-        raise EmptyMatrix("masked_fraction of an empty matrix")
-    e_peak = peak_energy(values)
-    if e_peak <= 0:
-        return 0.0
-    ratios_db = eta(values, e_peak)
-    return float(np.count_nonzero(ratios_db < eta_th)) / values.size
+    mask = threshold_mask(energies, eta_th)
+    return 0.0 if mask is None else mask.masked_fraction

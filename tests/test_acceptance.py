@@ -182,7 +182,7 @@ def test_criterion_6_dropout_statistics():
     with criterion(6, "dropout rate, survivor scale, and unbiased mean at r=0.2"):
         rng = np.random.default_rng(61)
         values = rng.uniform(0.5, 1.5, size=(1000, 1000))
-        x = FeatureMatrix(values.copy(), "dropout_acc", "final")
+        x = FeatureMatrix(values.copy(), "dropout_acc")
         out = input_dropout(x, 0.2, seed=6, utterance_id="dropout_acc")
         dropped = np.count_nonzero(out.values == 0.0) / out.values.size
         assert abs(dropped - 0.2) <= 3.0 * math.sqrt(0.2 * 0.8 / 1e6)

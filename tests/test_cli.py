@@ -63,6 +63,24 @@ def featurized(tmp_path, corpus_dir):
     return out
 
 
+MODE_FLAGS = {
+    "sem": ["--seed", "2"],
+    "fixed": ["--eta-th", "-30"],
+    "dropout": ["--rate", "0.1", "--seed", "2"],
+    "none": [],
+}
+
+PARTIAL_FAILURE_COMMANDS = [
+    *(pytest.param(["featurize", "--workers", w], id=f"featurize-w{w}") for w in "12"),
+    *(
+        pytest.param(["mask", "--mode", mode, *flags, "--workers", w], id=f"mask-{mode}-w{w}")
+        for mode, flags in MODE_FLAGS.items()
+        for w in "12"
+    ),
+    pytest.param(["stats"], id="stats"),
+]
+
+
 class TestFeaturize:
     def test_empty_dir_exits_2(self, tmp_path, caplog):
         empty = tmp_path / "empty"
@@ -88,13 +106,25 @@ class TestFeaturize:
         assert main(["featurize", "--in", str(corpus_dir), "--out", str(out_b)]) == 0
         assert_same_files(out_a, out_b)
 
-    def test_partial_failure_exits_1(self, tmp_path, corpus_dir, caplog):
+    @pytest.mark.parametrize("command", PARTIAL_FAILURE_COMMANDS)
+    def test_partial_failure_exits_1(self, tmp_path, corpus_dir, featurized, caplog, command):
+        # every command: the broken file is one logged failure and exit 1, and
+        # the other files' artifacts are those of a run without it
+        def run(out_dir):
+            out_dir.mkdir()
+            out = out_dir / "dist.csv" if command[0] == "stats" else out_dir
+            argv = [command[0], "--in", str(corpus_dir), *command[1:], "--out", str(out)]
+            if command[0] == "mask":
+                argv += ["--stats", str(featurized / "global_stats.txt")]
+            return main(argv)
+
+        assert run(tmp_path / "clean") == 0
         (corpus_dir / "broken.wav").write_bytes(b"not audio")
-        out = tmp_path / "f"
-        assert main(["featurize", "--in", str(corpus_dir), "--out", str(out)]) == 1
-        # good files still produced
-        assert (out / "utt_000.fmx").exists()
-        assert "broken.wav" in caplog.text
+        caplog.clear()
+        assert run(tmp_path / "partial") == 1
+        failed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("failed on")]
+        assert len(failed) == 1 and failed[0].startswith("failed on broken.wav: ")
+        assert_same_files(tmp_path / "clean", tmp_path / "partial")
 
     def test_zero_sample_rate_fails_only_its_file(self, tmp_path, corpus_dir, caplog):
         path = corpus_dir / "zero_rate.wav"

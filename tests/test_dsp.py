@@ -17,7 +17,7 @@ from semaug import (
 )
 from semaug.audio_io import PCM_SCALE, WavReader, Waveform
 from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES, hz_to_mel, mel_to_hz
-from semaug.errors import FrameTooLong, LengthTooSmall, TooManyChannels, TooShort
+from semaug.errors import TooManyChannels, TooShort
 from conftest import traced_peak
 
 
@@ -61,7 +61,7 @@ class TestHammingWindow:
         assert window.max() < 1.0
 
     def test_too_small(self):
-        with pytest.raises(LengthTooSmall):
+        with pytest.raises(ValueError):
             hamming_window(1)
 
 
@@ -147,7 +147,7 @@ class TestPowerSpectrum:
         assert np.all(off_bins < 1e-10 * peak)
 
     def test_frame_too_long(self):
-        with pytest.raises(FrameTooLong):
+        with pytest.raises(ValueError):
             power_spectrum(np.zeros(600), 512)
 
     def test_matches_direct_dft_small(self):

@@ -17,20 +17,14 @@ from semaug import (
     power_mel,
     subtract_mean,
 )
-from semaug.features import (
-    STAGE_FINAL,
-    STAGE_MEAN_SUBTRACTED,
-    STAGE_RAW,
-    STATS_CHUNK_ROWS,
-    STD_FLOOR,
-)
+from semaug.features import STATS_CHUNK_ROWS, STD_FLOOR
 from conftest import traced_peak
 from semaug.errors import EmptyCorpus, ShapeMismatch
 from semaug.formats import load_features, save_features
 
 
-def feat(values, uid="u", stage=STAGE_RAW):
-    return FeatureMatrix(values=np.asarray(values, dtype=float), utterance_id=uid, stage=stage)
+def feat(values, uid="u"):
+    return FeatureMatrix(values=np.asarray(values, dtype=float), utterance_id=uid)
 
 
 class TestPowerMel:
@@ -59,9 +53,10 @@ class TestPowerMel:
         with pytest.raises(ValueError):
             power_mel(EnergyMatrix(np.ones((1, 1)), "e"), 0.0)
 
-    def test_stage_is_raw(self):
+    def test_keeps_utterance_id(self):
         out = power_mel(EnergyMatrix(np.ones((2, 2)), "s"), 0.5)
-        assert out.stage == STAGE_RAW
+        assert isinstance(out, FeatureMatrix)
+        assert out.utterance_id == "s"
 
 
     @pytest.mark.parametrize("exponent", [1 / 15, 0.5, 2.0, 1.0])
@@ -84,7 +79,7 @@ def _transforms():
 
 
 def feat_view(values):
-    return FeatureMatrix(values=values, utterance_id="u", stage=STAGE_RAW)
+    return FeatureMatrix(values=values, utterance_id="u")
 
 
 class TestInPlaceContract:
@@ -149,12 +144,12 @@ class TestGlobalStats:
         matrices = [rng.uniform(0, 4, size=(30, 4)) for _ in range(6)]
         whole = StatsAccumulator()
         for m in matrices:
-            whole.update(m)
+            whole.update(feat(m))
         left, right = StatsAccumulator(), StatsAccumulator()
         for m in matrices[:2]:
-            left.update(m)
+            left.update(feat(m))
         for m in matrices[2:]:
-            right.update(m)
+            right.update(feat(m))
         left.merge(right)
         a, b = whole.finalize(), left.finalize()
         assert a.num_frames_seen == b.num_frames_seen
@@ -170,22 +165,23 @@ class TestGlobalStats:
         # to numpy's one-pass axis-0 reductions; per-chunk partial sums are not
         values = np.random.default_rng(rows).uniform(0.0, 3.0, size=(rows, 40))
         acc = StatsAccumulator()
-        acc.update(values)
+        acc.update(feat(values))
         mean = values.mean(axis=0)
         assert np.array_equal(acc._mean, mean)
         assert np.array_equal(acc._m2, ((values - mean) ** 2).sum(axis=0))
 
     def test_update_memory(self):
         values = np.random.default_rng(8).uniform(0.0, 3.0, size=(60000, 40))
-        _, peak = traced_peak(lambda: StatsAccumulator().update(values))
+        features = feat(values)
+        _, peak = traced_peak(lambda: StatsAccumulator().update(features))
         chunk_buffer = (STATS_CHUNK_ROWS + 1) * 40 * 8
         assert peak <= chunk_buffer + (256 << 10)
 
     def test_mismatched_channels(self):
         acc = StatsAccumulator()
-        acc.update(np.ones((2, 3)))
+        acc.update(feat(np.ones((2, 3))))
         with pytest.raises(ShapeMismatch):
-            acc.update(np.ones((2, 4)))
+            acc.update(feat(np.ones((2, 4))))
 
     def test_stats_reject_nonpositive_std(self):
         with pytest.raises(ValueError):
@@ -241,12 +237,12 @@ class TestNormalization:
         with pytest.raises(ShapeMismatch):
             divide_std(x, stats)
 
-    def test_stages_advance(self):
-        x = feat(np.ones((2, 2)))
+    def test_steps_keep_utterance_id(self):
+        x = feat(np.ones((2, 2)), uid="s")
         stats = GlobalStats(np.zeros(2), np.ones(2), 2)
         centered = subtract_mean(x, stats)
-        assert centered.stage == STAGE_MEAN_SUBTRACTED
-        assert divide_std(centered, stats).stage == STAGE_FINAL
+        assert centered.utterance_id == "s"
+        assert divide_std(centered, stats).utterance_id == "s"
 
     def test_normalize_in_place_same_bits(self):
         rng = np.random.default_rng(12)
@@ -255,7 +251,6 @@ class TestNormalization:
         expected = divide_std(subtract_mean(x, stats), stats).values
         out = normalize(x, stats)
         assert out.values is x.values
-        assert out.stage == STAGE_FINAL
         assert np.array_equal(out.values, expected)
 
     def test_normalize_shape_mismatch(self):

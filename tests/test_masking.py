@@ -39,7 +39,7 @@ from conftest import fresh, random_energy_matrix, traced_peak
 
 
 def raw_feat(values, uid="u"):
-    return FeatureMatrix(np.asarray(values, dtype=float), uid, "raw_power_mel")
+    return FeatureMatrix(np.asarray(values, dtype=float), uid)
 
 
 def sort_oracle_percentile(values):
@@ -67,7 +67,7 @@ class TestPeakEnergy:
         rng = np.random.default_rng(31)
         for _ in range(200):
             values = random_energy_matrix(rng)
-            assert peak_energy(values) == sort_oracle_percentile(values)
+            assert peak_energy(EnergyMatrix(values, "o")) == sort_oracle_percentile(values)
 
 
 class TestEta:
@@ -159,11 +159,11 @@ class TestBinaryMask:
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            values = random_energy_matrix(rng)
-            e_peak = peak_energy(values)
+            energies = EnergyMatrix(random_energy_matrix(rng), "m")
+            e_peak = peak_energy(energies)
             t1, t2 = sorted(rng.uniform(-90, 5, size=2))
-            low = binary_mask(values, energy_threshold(e_peak, t1)).values
-            high = binary_mask(values, energy_threshold(e_peak, t2)).values
+            low = binary_mask(energies, energy_threshold(e_peak, t1)).values
+            high = binary_mask(energies, energy_threshold(e_peak, t2)).values
             assert np.all(low >= high)
 
 
@@ -195,8 +195,9 @@ class TestScalingCoefficient:
         for _ in range(50):
             values = random_energy_matrix(rng)
             x = raw_feat(values ** (1 / 15))
-            e_peak = peak_energy(values)
-            mask = binary_mask(values, energy_threshold(e_peak, rng.uniform(-80, 0)))
+            energies = EnergyMatrix(values, "m")
+            e_peak = peak_energy(energies)
+            mask = binary_mask(energies, energy_threshold(e_peak, rng.uniform(-80, 0)))
             assert scaling_coefficient(x, mask) >= 1.0
 
 

@@ -100,7 +100,7 @@ class TestEtaHistogram:
         acc = EtaHistogramAccumulator()
         assert acc.update(EnergyMatrix(values, "c"))
         flat = values.ravel()
-        ratios_db = (eta(flat, peak_energy(flat)) - acc.bin_edges[0]) / (
+        ratios_db = (eta(flat, peak_energy(EnergyMatrix(values, "c"))) - acc.bin_edges[0]) / (
             acc.bin_edges[1] - acc.bin_edges[0]
         )
         idx = np.clip(np.floor(ratios_db).astype(np.int64), 0, acc.counts.size - 1)

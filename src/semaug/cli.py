@@ -14,6 +14,7 @@ import contextlib
 import csv
 import ctypes
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -57,12 +58,12 @@ def _fmt(value: float) -> str:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("front-end config")
-    group.add_argument("--window-ms", type=float, default=25.0)
-    group.add_argument("--hop-ms", type=float, default=10.0)
+    group.add_argument("--window-ms", type=_finite, default=25.0)
+    group.add_argument("--hop-ms", type=_finite, default=10.0)
     group.add_argument("--fft-size", type=int, default=512)
     group.add_argument("--num-channels", type=int, default=40)
     group.add_argument("--sample-rate", type=int, default=16000)
-    group.add_argument("--power-exponent", type=float, default=1.0 / 15.0)
+    group.add_argument("--power-exponent", type=_finite, default=1.0 / 15.0)
 
 
 def _config_from_args(args: argparse.Namespace) -> FeatureConfig:
@@ -93,6 +94,23 @@ def _worker_count(text: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _dropout_rate(text: str) -> float:
+    rate = _finite(text)
+    if not 0.0 <= rate < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text!r}")
+    return rate
 
 
 # (get, set) thread-count symbols: numpy >= 2 wheels bundle an ILP64 OpenBLAS
@@ -318,7 +336,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
             final = normalized.values
             if args.mode == "dropout":
                 final = input_dropout(normalized, args.rate, given.get("seed", 0), uid).values
-                zero_fraction = np.count_nonzero(final == 0.0) / final.size
+                zero_fraction = (final.size - np.count_nonzero(final)) / final.size
                 row = (uid, "", "", _fmt(zero_fraction), _fmt(1.0 / (1.0 - args.rate)), "0")
             else:  # none
                 row = (uid, "", "", "", "", "")
@@ -426,10 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mask.add_argument("--in", dest="in_dir", required=True)
     p_mask.add_argument("--stats", required=True)
     p_mask.add_argument("--mode", choices=MASK_MODES, required=True)
-    p_mask.add_argument("--eta-a", type=float, default=None, help="lower dB bound (sem)")
-    p_mask.add_argument("--eta-b", type=float, default=None, help="upper dB bound (sem)")
-    p_mask.add_argument("--eta-th", type=float, default=None, help="fixed dB threshold (fixed)")
-    p_mask.add_argument("--rate", type=float, default=None, help="dropout rate (dropout)")
+    p_mask.add_argument("--eta-a", type=_finite, default=None, help="lower dB bound (sem)")
+    p_mask.add_argument("--eta-b", type=_finite, default=None, help="upper dB bound (sem)")
+    p_mask.add_argument("--eta-th", type=_finite, default=None, help="fixed dB threshold (fixed)")
+    p_mask.add_argument("--rate", type=_dropout_rate, default=None, help="dropout rate (dropout)")
     p_mask.add_argument("--seed", type=int, default=None)
     p_mask.add_argument("--out", dest="out_dir", required=True)
     p_mask.add_argument("--workers", type=_worker_count, default=1)
@@ -438,14 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="WAV dir -> dB-ratio histogram CSV")
     p_stats.add_argument("--in", dest="in_dir", required=True)
-    p_stats.add_argument("--bin-width", type=float, default=1.0)
+    p_stats.add_argument("--bin-width", type=_finite, default=1.0)
     p_stats.add_argument("--out", required=True)
     _add_config_flags(p_stats)
     p_stats.set_defaults(func=cmd_stats)
 
     p_render = sub.add_parser("render", help="WAV -> masked power-mel spectrogram PGM")
     p_render.add_argument("--in", dest="in_path", required=True)
-    p_render.add_argument("--eta-th", type=float, required=True)
+    p_render.add_argument("--eta-th", type=_finite, required=True)
     p_render.add_argument("--out", required=True)
     _add_config_flags(p_render)
     p_render.set_defaults(func=cmd_render)

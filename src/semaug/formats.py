@@ -127,10 +127,13 @@ def load_stats(path: str | Path) -> GlobalStats:
     std = np.empty(channels)
     for i, line in enumerate(body):
         parts = line.split()
-        if len(parts) != 3 or int(parts[0]) != i:
-            raise FormatError(f"{path}: malformed channel line {line!r}")
-        mean[i] = float(parts[1])
-        std[i] = float(parts[2])
+        try:
+            if len(parts) != 3 or int(parts[0]) != i:
+                raise ValueError(f"expected '{i} <mean> <std>'")
+            mean[i] = float(parts[1])
+            std[i] = float(parts[2])
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed channel line {i + 2} {line!r}") from exc
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise FormatError(f"{path}: mean and std fields must be finite")
     if np.any(std <= 0):

@@ -17,13 +17,16 @@ pass-through with a flag instead of failing the batch.
 
 Steps 3-5 run in place on the energy matrix: the mask is built from the
 energies, which then become x_raw and then the output, so an utterance
-holds one (M, C) float64 array plus its uint8 mask, never two.
+holds one (M, C) float64 array plus its uint8 mask, never two. The peak
+percentile, r's masked sum and dropout's draws work CHUNK_BINS bins at a
+time, with the bits of their whole-matrix forms.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +56,18 @@ MASKED_SUM_FLOOR = 1e-12
 
 PEAK_PERCENTILE = 95
 
+# bins per pass of the peak selection, per leaf of r's masked sum and per
+# dropout draw: 512 kB of float64 (a 600 s utterance has 2.4 M bins)
+CHUNK_BINS = 1 << 16
+
+# numpy's pairwise sum adds up to this many elements in one unrolled loop
+_PAIRWISE_BLOCK = 128
+
+# peak_energy fixes one 16-bit digit of a float64's bits per counting pass;
+# the sign bit is the leading digit's top bit
+_DIGIT_VALUES = 1 << 16
+_SIGN_DIGIT = 1 << 15
+
 
 @dataclass(frozen=True)
 class SemConfig:
@@ -63,6 +78,8 @@ class SemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.eta_a) and math.isfinite(self.eta_b)):
+            raise ValueError(f"eta_a and eta_b must be finite, got [{self.eta_a}, {self.eta_b})")
         if not self.eta_a < self.eta_b:
             raise ValueError(f"eta_a must be < eta_b, got [{self.eta_a}, {self.eta_b})")
 
@@ -77,7 +94,7 @@ class MaskMatrix:
 
     @property
     def masked_fraction(self) -> float:
-        return float(np.count_nonzero(self.values == 0)) / self.values.size
+        return (self.values.size - np.count_nonzero(self.values)) / self.values.size
 
 
 @dataclass(frozen=True)
@@ -108,19 +125,78 @@ def _unit_uniform(seed: int, utterance_id: str, stream: str) -> float:
     return bits / (1 << 53)
 
 
+def _next_digit_order(prefix: list[int]) -> np.ndarray:
+    """The 16-bit digits that can follow `prefix` (the leading digits of a
+    float64's bits), in the order of the values they lead to."""
+    ascending = np.arange(_DIGIT_VALUES, dtype=np.uint16)
+    if not prefix:
+        # sign set (negative values) from the largest bits down, then +0.0 up
+        return np.concatenate((ascending[: _SIGN_DIGIT - 1 : -1], ascending[:_SIGN_DIGIT]))
+    return ascending[::-1] if prefix[0] & _SIGN_DIGIT else ascending
+
+
+def _prefix_chunks(flat: np.ndarray, digits: np.ndarray, prefix: list[int]):
+    """(values, digit rows, match) of flat, CHUNK_BINS entries at a time;
+    match marks the entries whose leading digits are prefix (None when
+    prefix is empty)."""
+    for start in range(0, flat.size, CHUNK_BINS):
+        rows = digits[start : start + CHUNK_BINS]
+        match = None
+        for level, digit in enumerate(prefix):
+            equal = rows[:, level] == digit
+            match = equal if match is None else match & equal
+        yield flat[start : start + CHUNK_BINS], rows, match
+
+
 def peak_energy(energies: EnergyMatrix) -> float:
     """Nearest-rank 95th percentile over all time-frequency bins.
 
     Sorted ascending, the element at index ceil(0.95 * n) - 1; the ceiling
     is taken in exact integer arithmetic.
+
+    np.partition(values.ravel(), index)[index] without its whole-matrix
+    copy: while more than CHUNK_BINS candidates are left, one counting pass
+    over the matrix fixes the next 16 bits of the wanted entry's float64
+    bits, and np.partition runs on the candidates that share them. An
+    utterance of at most CHUNK_BINS bins takes no pass. The same value as
+    that call for every matrix without NaN.
     """
     values = np.asarray(energies.values, dtype=np.float64)
-    n = values.size
-    if n == 0:
+    if values.size == 0:
         raise EmptyMatrix("peak_energy of an empty matrix")
-    index = (PEAK_PERCENTILE * n + 99) // 100 - 1
+    rank = (PEAK_PERCENTILE * values.size + 99) // 100 - 1
     flat = values.ravel()
-    return float(np.partition(flat, index)[index])
+    # each value's bits as four 16-bit digits, most significant first
+    digits = flat.view(np.uint16).reshape(-1, 4)
+    if sys.byteorder == "little":
+        digits = digits[:, ::-1]
+    prefix: list[int] = []
+    candidates = flat.size
+    while candidates > CHUNK_BINS and len(prefix) < 4:
+        counts = np.zeros(_DIGIT_VALUES, dtype=np.int64)
+        for _, rows, match in _prefix_chunks(flat, digits, prefix):
+            column = rows[:, len(prefix)]
+            if match is not None:
+                column = column[match]
+            counts += np.bincount(column, minlength=counts.size)
+        order = _next_digit_order(prefix)
+        below = counts[order]
+        np.cumsum(below, out=below)
+        place = int(np.searchsorted(below, rank, side="right"))
+        digit = int(order[place])
+        rank -= int(below[place]) - int(counts[digit])
+        candidates = int(counts[digit])
+        prefix.append(digit)
+    if len(prefix) == 4:
+        # all 64 bits fixed: the candidates are one value, however many
+        bits = 0
+        for digit in prefix:
+            bits = bits << 16 | digit
+        return float(np.array(bits, dtype=np.uint64).view(np.float64))
+    if prefix:
+        chunks = _prefix_chunks(flat, digits, prefix)
+        flat = np.concatenate([chunk[match] for chunk, _, match in chunks])
+    return float(np.partition(flat, rank)[rank])
 
 
 def eta(e_val, e_peak: float):
@@ -167,7 +243,8 @@ def binary_mask(
     energy domain.
     """
     values = np.asarray(energies.values, dtype=np.float64)
-    mask = (values >= e_th).astype(np.uint8)
+    mask = np.empty(values.shape, dtype=np.uint8)
+    np.greater_equal(values, e_th, out=mask.view(np.bool_))
     return MaskMatrix(values=mask, eta_th_used=float(eta_th), e_th_used=float(e_th))
 
 
@@ -183,18 +260,36 @@ def threshold_mask(energies: EnergyMatrix, eta_th: float) -> MaskMatrix | None:
     return binary_mask(energies, energy_threshold(e_peak, eta_th), eta_th=eta_th)
 
 
+def _masked_sum(x: np.ndarray, mu: np.ndarray, buffer: np.ndarray) -> float:
+    """float((x * mu).sum()) for flat x and mu, with no product of their size.
+
+    Splits where numpy's pairwise sum splits, at n / 2 rounded down to a
+    multiple of 8, so the partial sums add in its order; each leaf of at
+    most buffer.size elements is one product in buffer and its sum. The
+    product of C-ordered matrices (every command's) sums in this flat order.
+    """
+    n = x.size
+    if n <= buffer.size:
+        return float(np.multiply(x, mu, out=buffer[:n]).sum())
+    half = n // 2
+    half -= half % 8
+    return _masked_sum(x[:half], mu[:half], buffer) + _masked_sum(x[half:], mu[half:], buffer)
+
+
 def scaling_coefficient(x_raw: FeatureMatrix, mask: MaskMatrix) -> float:
     """Sum-preserving rescale factor r = sum(x) / sum(x * mu).
 
     Raises AllMaskedSignal when the surviving mass is numerically zero;
-    the caller decides the fallback.
+    the caller decides the fallback. The masked sum has the bits of
+    (x * mu).sum() and holds one CHUNK_BINS buffer, not the product.
     """
     if x_raw.values.shape != mask.values.shape:
         raise ShapeMismatch(
             f"features {x_raw.values.shape} vs mask {mask.values.shape}"
         )
     numerator = float(x_raw.values.sum())
-    denominator = float((x_raw.values * mask.values).sum())
+    leaf = min(x_raw.values.size, max(CHUNK_BINS, _PAIRWISE_BLOCK))
+    denominator = _masked_sum(x_raw.values.ravel(), mask.values.ravel(), np.empty(leaf))
     if denominator < MASKED_SUM_FLOOR:
         raise AllMaskedSignal(
             f"{x_raw.utterance_id}: masked feature sum {denominator!r} below floor"
@@ -280,6 +375,8 @@ def input_dropout(
     In place: the result's values are features.values, which must be a
     writable float64 matrix. Dropped entries become +0.0 whatever their sign
     (multiplying by a 0/1 mask would leave -0.0 where a value was negative).
+    The uniform draws come about CHUNK_BINS at a time, rows in order: the
+    same stream as one draw of the whole shape.
     """
     if not 0.0 <= rate < 1.0:
         raise InvalidRate(f"rate must be in [0, 1), got {rate}")
@@ -288,7 +385,10 @@ def input_dropout(
         return features
     child_seed = int.from_bytes(_stream_digest(seed, utterance_id, "dropout"), "little")
     rng = np.random.default_rng(child_seed)
-    dropped = rng.random(values.shape) < rate
-    values *= 1.0 / (1.0 - rate)
-    values[dropped] = 0.0
+    rows = max(1, CHUNK_BINS // max(1, values.shape[1]))
+    for start in range(0, values.shape[0], rows):
+        block = values[start : start + rows]
+        dropped = rng.random(block.shape) < rate
+        block *= 1.0 / (1.0 - rate)
+        block[dropped] = 0.0
     return features

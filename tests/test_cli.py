@@ -297,6 +297,24 @@ class TestMask:
             assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mode_flags",
+        [["dropout", "--rate", "1.5", "--seed", "1"], ["fixed", "--eta-th", "nan"],
+         ["sem", "--eta-b", "inf"]],
+        ids=["dropout-rate-1.5", "fixed-eta-th-nan", "sem-eta-b-inf"],
+    )
+    def test_invalid_flag_value_exits_2_before_any_work(
+        self, tmp_path, corpus_dir, featurized, mode_flags
+    ):
+        out = tmp_path / "m"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "mask", "--in", str(corpus_dir), "--stats", str(self._stats_path(featurized)),
+                "--mode", *mode_flags, "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_missing_stats_exits_2(self, tmp_path, corpus_dir):
         assert main([
             "mask", "--in", str(corpus_dir), "--stats", str(tmp_path / "nope.txt"),
@@ -360,17 +378,11 @@ class TestMask:
     )
     def test_memory_one_matrix_and_one_transient(self, tmp_path, monkeypatch, mode_flags):
         # From the energies on, every mode works in place on them: the peak is
-        # that matrix, one matrix-sized transient (the percentile's partition
-        # copy, r's masked product or dropout's uniform draws) and a few
-        # one-byte-per-bin masks.
+        # that matrix, at most three one-byte-per-bin masks and one chunk-sized
+        # transient at a time (the percentile's digit counts, r's leaf sums or
+        # dropout's draws); no matrix-sized float64 transient.
         shape = (60000, 40)
-
-        def energies_in_place(path, cfg, filterbank):
-            values = np.random.default_rng(3).uniform(-8.0, 3.0, size=shape)
-            np.power(10.0, values, out=values)
-            return EnergyMatrix(values, path.stem)
-
-        monkeypatch.setattr(cli, "_extract_energies", energies_in_place)
+        monkeypatch.setattr(cli, "_extract_energies", _random_energies(shape))
         wavs = tmp_path / "wavs"
         make_corpus(wavs, [synth_fixture("sine", 0.1, utterance_id="long")])
         stats = tmp_path / "stats.txt"
@@ -381,7 +393,19 @@ class TestMask:
         code, peak = traced_peak(lambda: main(argv))
         assert code == 0
         matrix = shape[0] * shape[1] * 8
-        assert peak <= 2 * matrix + 3 * (matrix // 8) + (1 << 20)
+        assert peak <= matrix + 3 * (matrix // 8) + (1 << 20)
+
+
+def _random_energies(shape):
+    """An _extract_energies stand-in: a wide-range random energy matrix of
+    `shape`, built in place, whatever the file."""
+
+    def extract(path, cfg, filterbank):
+        values = np.random.default_rng(3).uniform(-8.0, 3.0, size=shape)
+        np.power(10.0, values, out=values)
+        return EnergyMatrix(values, path.stem)
+
+    return extract
 
 
 class TestStatsCommand:
@@ -485,6 +509,25 @@ class TestRender:
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["render", "--in", str(tmp_path / "no.wav"), "--eta-th", "0",
                      "--out", str(tmp_path / "o.pgm")]) == 2
+
+    def test_non_finite_threshold_exits_2(self, tmp_path):
+        out = tmp_path / "o.pgm"
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--in", str(self._wav(tmp_path)), "--eta-th", "nan", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_memory_one_matrix_and_masks(self, tmp_path, monkeypatch):
+        # the energies scaled in place, the mask, the uint8 image and its
+        # flipped contiguous copy; no matrix-sized float64 transient
+        shape = (60000, 40)
+        monkeypatch.setattr(cli, "_extract_energies", _random_energies(shape))
+        out = tmp_path / "r.pgm"
+        argv = ["render", "--in", str(self._wav(tmp_path)), "--eta-th", "-30", "--out", str(out)]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
+        matrix = shape[0] * shape[1] * 8
+        assert peak <= matrix + 3 * (matrix // 8) + (1 << 20)
 
     def test_silence_renders_black(self, tmp_path):
         wavs = tmp_path / "w"

@@ -159,6 +159,15 @@ class TestStatsFile:
         with pytest.raises(FormatError):
             load_stats(path)
 
+    @pytest.mark.parametrize("line", ["x 1.0 abc", "1 abc 1.0", "1 0.0 1.0e", "7 0.0 1.0", "1 0.0"])
+    def test_rejects_malformed_channel_line(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"SEMSTATS v1 C=2 N=5\n0 0.0 1.0\n{line}\n")
+        with pytest.raises(FormatError) as exc:
+            load_stats(path)
+        assert str(path) in str(exc.value)
+        assert f"line 3 {line!r}" in str(exc.value)
+
     def test_rejects_wrong_line_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("SEMSTATS v1 C=2 N=5\n0 0.0 1.0\n")

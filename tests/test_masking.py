@@ -27,6 +27,7 @@ from semaug import (
     subtract_mean,
     synth_fixture,
 )
+from semaug import masking
 from semaug.audio_io import Waveform
 from semaug.errors import (
     AllMaskedSignal,
@@ -126,6 +127,13 @@ class TestSampleThreshold:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             SemConfig(eta_a=0.0, eta_b=0.0)
+
+    @pytest.mark.parametrize(
+        "bounds", [(-80.0, math.inf), (-math.inf, 0.0), (math.nan, 0.0), (-80.0, math.nan)]
+    )
+    def test_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            SemConfig(eta_a=bounds[0], eta_b=bounds[1])
 
 
 class TestEnergyThreshold:
@@ -283,15 +291,14 @@ class TestApplySem:
         assert np.array_equal(outcome.features.values, reference.features.values)
 
     def test_memory_one_output_and_mask(self):
-        # in place on the energies: above them, one matrix-sized transient
-        # (the percentile's partition copy, then r's masked product) and the mask
+        # in place on the energies: above them, the mask and a few chunk-sized
+        # buffers (the percentile's digit counts, then r's leaf sums)
         rng = np.random.default_rng(17)
         energies = EnergyMatrix(random_energy_matrix(rng, 60000, 40), "mem")
         stats = compute_global_stats([power_mel(fresh(energies), EXPONENT)])
         outcome, peak = traced_peak(lambda: apply_sem(energies, stats, SemConfig(seed=2), EXPONENT))
         assert not outcome.fallback_applied
-        bound = energies.values.nbytes + outcome.mask.values.nbytes + (1 << 20)
-        assert peak <= bound
+        assert peak <= outcome.mask.values.nbytes + 4 * 8 * masking.CHUNK_BINS
 
     def test_same_seed_same_outcome(self):
         _, energies, x_raw, stats = _pipeline_inputs(seed=6)

@@ -11,12 +11,19 @@ from semaug import (  # noqa: E402
     EnergyMatrix,
     EtaHistogramAccumulator,
     FeatureConfig,
+    FeatureMatrix,
     GlobalStats,
+    MaskMatrix,
+    StatsAccumulator,
     apply_fixed_sem,
     filterbank_energies,
+    input_dropout,
     mel_filterbank,
+    peak_energy,
     power_mel,
+    scaling_coefficient,
 )
+from semaug import masking  # noqa: E402
 from semaug.audio_io import PCM_SCALE, Waveform  # noqa: E402
 from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES  # noqa: E402
 from semaug.formats import load_features, load_stats, save_features, save_stats  # noqa: E402
@@ -171,3 +178,129 @@ def test_semstats_round_trip_is_exact(tmp_path_factory, num_channels, num_frames
     assert np.array_equal(loaded.mean.view(np.uint64), stats.mean.view(np.uint64))
     assert np.array_equal(loaded.std, stats.std)
     assert loaded.num_frames_seen == num_frames
+
+
+# CHUNK_BINS values for the chunked reductions below: tiny ones force many
+# passes, leaves and draws on small matrices
+chunk_sizes = st.sampled_from([1, 2, 7, 8, 64, 200])
+
+
+def sizes_near_chunks(chunk):
+    """Element counts at and around one to four chunks, or anything up to 300."""
+    near = st.builds(lambda k, d: max(1, k * chunk + d), st.integers(1, 4), st.integers(-1, 1))
+    return st.one_of(near, st.integers(1, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunk=chunk_sizes, data=st.data())
+def test_peak_selection_equals_partition(chunk, data):
+    size = data.draw(sizes_near_chunks(chunk))
+    kind = data.draw(st.sampled_from(["ties", "zeros", "constant", "close", "any"]))
+    if kind == "zeros":
+        flat = np.zeros(size)
+    elif kind == "constant":
+        flat = np.full(size, data.draw(st.floats(allow_nan=False)))
+    elif kind == "close":
+        # one sign and exponent, lower bits apart: selection reaches every digit
+        base = np.float64(data.draw(st.floats(-1e300, 1e300))).view(np.int64)
+        offsets = data.draw(hnp.arrays(np.int64, size, elements=st.integers(0, 3 << 16)))
+        flat = (base + offsets).view(np.float64)
+    else:
+        # "ties" draws from a few values of both signs, zeros of both signs among them
+        pool = (
+            st.sampled_from([0.0, -0.0, 1.0, 1.5, -2.0, 1e-300, np.inf])
+            if kind == "ties"
+            else st.floats(allow_nan=False)
+        )
+        flat = data.draw(hnp.arrays(np.float64, size, elements=pool))
+    columns = data.draw(st.sampled_from([c for c in (1, 2, 5) if size % c == 0]))
+    energies = EnergyMatrix(flat.reshape(-1, columns), "utt")
+    index = (95 * size + 99) // 100 - 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(masking, "CHUNK_BINS", chunk)
+        assert peak_energy(energies) == np.partition(flat, index)[index]
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunk=st.sampled_from([1, 128, 200, 1000]), data=st.data())
+def test_masked_sum_has_the_product_sum_bits(chunk, data):
+    size = data.draw(sizes_near_chunks(chunk))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = 10.0 ** rng.uniform(-3.0, 3.0, size=(size, 1))
+    mu = (rng.random((size, 1)) < data.draw(st.floats(0.05, 1.0))).astype(np.uint8)
+    mu[0] = 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(masking, "CHUNK_BINS", chunk)
+        r = scaling_coefficient(FeatureMatrix(x, "utt"), MaskMatrix(mu, 0.0, 0.0))
+    assert r == float(x.sum()) / float((x * mu).sum())
+
+
+def test_masked_sum_bits_for_every_small_size(monkeypatch):
+    # every size numpy's pairwise sum adds in one block, and its first splits
+    monkeypatch.setattr(masking, "CHUNK_BINS", 1)
+    rng = np.random.default_rng(8)
+    for size in range(1, 301):
+        x = rng.standard_normal((size, 1)) + 4.0
+        mu = (rng.random((size, 1)) < 0.5).astype(np.uint8)
+        mu[0] = 1
+        r = scaling_coefficient(FeatureMatrix(x, "utt"), MaskMatrix(mu, 0.0, 0.0))
+        assert r == float(x.sum()) / float((x * mu).sum()), size
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    chunk=chunk_sizes,
+    shape=st.tuples(st.integers(0, 60), st.integers(1, 9)),
+    rate=st.floats(0.0, 0.99),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_chunked_dropout_equals_one_whole_draw(chunk, shape, rate, seed):
+    values = np.random.default_rng(seed % 1000).standard_normal(shape)
+    # the whole-matrix reference: one draw of the full shape, scale, zero
+    child_seed = int.from_bytes(masking._stream_digest(seed, "utt", "dropout"), "little")
+    dropped = np.random.default_rng(child_seed).random(shape) < rate
+    expected = values * (1.0 / (1.0 - rate))
+    expected[dropped] = 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(masking, "CHUNK_BINS", chunk)
+        out = input_dropout(FeatureMatrix(values, "utt"), rate, seed, "utt").values
+    if rate == 0.0:
+        expected = values
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+def _merged_stats(partials):
+    total = StatsAccumulator()
+    for partial in partials:
+        total.merge(partial)
+    return total
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    corpus=st.lists(
+        st.tuples(st.integers(1, 30), st.just(3)).flatmap(
+            lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(-100.0, 100.0))
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_stats_merge_order_and_grouping_do_not_matter(corpus, data):
+    partials = []
+    for values in corpus:
+        acc = StatsAccumulator()
+        acc.update(FeatureMatrix(values, "utt"))
+        partials.append(acc)
+    forward = _merged_stats(partials).finalize()
+    order = data.draw(st.permutations(range(len(partials))))
+    split = data.draw(st.integers(0, len(partials)))
+    grouped = _merged_stats(partials[:split])
+    grouped.merge(_merged_stats(partials[split:]))
+    # Chan's merge rounds differently in each order: within float64 rounding
+    # of values up to 100 in magnitude
+    for other in (_merged_stats([partials[i] for i in order]).finalize(), grouped.finalize()):
+        assert other.num_frames_seen == forward.num_frames_seen
+        assert np.allclose(other.mean, forward.mean, rtol=1e-12, atol=1e-10)
+        assert np.allclose(other.std**2, forward.std**2, rtol=1e-9, atol=1e-9)

@@ -16,6 +16,7 @@ from semaug import (
     masked_fraction,
     peak_energy,
 )
+from semaug import masking
 from semaug import stats as stats_module
 from semaug.errors import EmptyCorpus, EmptyMatrix
 from semaug.masking import threshold_mask
@@ -84,12 +85,12 @@ class TestEtaHistogram:
             eta_histogram([EnergyMatrix(np.zeros((3, 5)), "s0"), EnergyMatrix(np.zeros((2, 5)), "s1")])
 
     def test_update_memory(self):
-        # one partition copy for the peak, then one chunk at a time
+        # the peak's digit counts, then one chunk of dB ratios at a time
         rng = np.random.default_rng(49)
         energies = EnergyMatrix(random_energy_matrix(rng, 60000, 40), "mem")
         acc = EtaHistogramAccumulator()
         _, peak = traced_peak(lambda: acc.update(energies))
-        assert peak <= energies.values.nbytes + (1 << 20)
+        assert peak <= 4 * 8 * masking.CHUNK_BINS
 
     @pytest.mark.parametrize("size", [1, 6, 7, 8, 17])
     def test_chunked_update_keeps_whole_matrix_bits(self, monkeypatch, size):

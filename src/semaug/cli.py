@@ -90,7 +90,10 @@ def _input_wavs(in_dir: str) -> list[Path]:
 
 
 def _worker_count(text: str) -> int:
-    count = int(text)
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
@@ -176,7 +179,7 @@ def _single_threaded_blas():
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # Above the largest temporary whose size does not grow with the utterance (the
-# 2048 x 257 float64 block power buffer, 4.2 MB), below the whole-utterance
+# 512 x 257 float64 block power buffer, 1.05 MB), below the whole-utterance
 # arrays of long files, which stay mmapped and go back to the OS when freed.
 _MMAP_THRESHOLD_BYTES = 8 << 20
 # Freed heap top kept resident between utterances, in every thread's arena.

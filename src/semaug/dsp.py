@@ -8,14 +8,16 @@ size) and sums it through triangular mel filters:
 
 No pre-emphasis and no dithering are applied.
 
-Frames are processed in blocks of BLOCK_FRAMES (2048) rows, each block's
+Frames are processed in blocks of BLOCK_FRAMES (512) rows, each block's
 energies written into the preallocated (M, C) result, so the peak memory
 of one utterance is O(block) above its output rather than O(utterance):
 no whole-utterance spectrum exists, and the samples of an open WAV file
 are read one block's span at a time into one reused buffer. Within a
 block the window and FFT run SUB_BLOCK_FRAMES (64) rows at a time through
 one zero-padded float64 workspace; only the block's power spectrum, the
-input of its mel matmul, is held at full block height.
+input of its mel matmul, is held at full block height. Every frame is
+read and transformed once: a final partial block reuses the power rows it
+shares with the block before it instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from .audio_io import WavReader, Waveform, read_wav
 from .errors import TooManyChannels, TooShort
 
 # Frames per block of the front end: the height of every mel matmul, which
-# fixes its bits, and of the block's 2048 x 257 float64 power spectrum (4.2 MB).
-BLOCK_FRAMES = 2048
+# fixes its bits, and of the block's 512 x 257 float64 power spectrum (1.05 MB).
+# With OpenBLAS every matmul height above 30 rows gives each row the bits of
+# a whole-utterance product; a final block shorter than this would not.
+BLOCK_FRAMES = 512
 
 # Frames per window + FFT pass inside a block: bounds the workspace and the
 # complex spectrum to 64 x 512 and 64 x 257 values (263 kB each); 64 is
@@ -154,13 +158,21 @@ def frame_signal(waveform: Waveform, cfg: FeatureConfig) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(samples, length)[::hop]
 
 
-def power_spectrum(frame: np.ndarray, fft_size: int) -> np.ndarray:
-    """Squared DFT magnitudes at bins 0..K/2 of a zero-padded frame."""
+def power_spectrum(
+    frame: np.ndarray, fft_size: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared DFT magnitudes at bins 0..K/2 of a zero-padded frame.
+
+    With `out`, a float64 array of the result's shape, the magnitudes are
+    written and squared there in place and `out` is returned; the bits are
+    those of np.abs(X) ** 2 either way.
+    """
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] > fft_size:
         raise ValueError(f"frame of {frame.shape[-1]} samples > fft_size {fft_size}")
     spectrum = np.fft.rfft(frame, n=fft_size, axis=-1)
-    return np.abs(spectrum) ** 2
+    magnitude = np.abs(spectrum, out=out)
+    return np.square(magnitude, out=magnitude)
 
 
 def mel_filterbank(cfg: FeatureConfig) -> FilterbankMatrix:
@@ -214,11 +226,13 @@ def filterbank_energies(
     is the final BLOCK_FRAMES frames, overlapping the one before it: every
     mel matmul then has the same height, so each row gets the same bits as
     from one whole-utterance matmul (BLAS may round a short block's rows
-    differently). Each block's power spectrum is filled SUB_BLOCK_FRAMES rows
-    at a time: the windowed frames are written, promoted to float64 exactly,
-    into the first L columns of a zeroed (sub-block, fft_size) workspace whose
-    other columns stay zero, so the FFT sees the zero-padded frames and needs
-    no padding copy of its own.
+    differently). That last block reads and transforms only its new frames:
+    the power rows it shares with the block before are moved to its head in
+    place, so every frame's spectrum is computed once. Power rows are
+    filled SUB_BLOCK_FRAMES at a time: the windowed frames are written,
+    promoted to float64 exactly, into the first L columns of a zeroed
+    (sub-block, fft_size) workspace whose other columns stay zero, so the
+    FFT sees the zero-padded frames and needs no padding copy of its own.
     """
     if filterbank is None:
         filterbank = mel_filterbank(cfg)
@@ -232,22 +246,29 @@ def filterbank_energies(
     span = (block_rows - 1) * hop + length
     streamed = isinstance(source, WavReader)
     samples = np.empty(span, dtype=np.float32) if streamed else None
-    power = np.empty((block_rows, cfg.fft_size // 2 + 1))
+    bins = cfg.fft_size // 2 + 1
+    power = np.empty((block_rows, bins))
+    # one flat view, so the overlapping row move below copies front to back
+    # in place (numpy buffers an overlapping 2-D assignment in a temporary)
+    power_flat = power.reshape(-1)
     workspace = np.zeros((min(block_rows, SUB_BLOCK_FRAMES), cfg.fft_size))
-    last_start = max(num_frames - BLOCK_FRAMES, 0)
     for start in range(0, num_frames, BLOCK_FRAMES):
-        start = min(start, last_start)
+        new = min(BLOCK_FRAMES, num_frames - start)
+        kept = block_rows - new
+        if kept:
+            power_flat[: kept * bins] = power_flat[new * bins :]
         lo = start * hop
+        hi = lo + (new - 1) * hop + length
         if streamed:
-            block = read_wav(source, lo, lo + span, out=samples)
+            block = read_wav(source, lo, hi, out=samples)
         else:
-            block = Waveform(
-                source.samples[lo : lo + span], source.sample_rate_hz, source.utterance_id
-            )
+            block = Waveform(source.samples[lo:hi], source.sample_rate_hz, source.utterance_id)
         frames = frame_signal(block, cfg)
-        for row in range(0, block_rows, SUB_BLOCK_FRAMES):
-            rows = min(SUB_BLOCK_FRAMES, block_rows - row)
+        for row in range(0, new, SUB_BLOCK_FRAMES):
+            rows = min(SUB_BLOCK_FRAMES, new - row)
             np.multiply(frames[row : row + rows], window, out=workspace[:rows, :length])
-            power[row : row + rows] = power_spectrum(workspace[:rows], cfg.fft_size)
-        np.matmul(power, weights_t, out=energies[start : start + block_rows])
+            tail = power[kept + row : kept + row + rows]
+            power_spectrum(workspace[:rows], cfg.fft_size, out=tail)
+        stop = start + new
+        np.matmul(power, weights_t, out=energies[stop - block_rows : stop])
     return EnergyMatrix(values=energies, utterance_id=source.utterance_id)

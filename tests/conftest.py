@@ -45,6 +45,14 @@ def mixed_corpus(cfg, filterbank):
     return pairs
 
 
+def assert_same_files(dir_a, dir_b):
+    """The two directories hold the same file names with the same bytes."""
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names == sorted(p.name for p in dir_b.iterdir())
+    for name in names:
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
 def fresh(energies):
     """A copy for an in-place transform to overwrite."""
     return EnergyMatrix(energies.values.copy(), energies.utterance_id)

@@ -220,7 +220,9 @@ def _wav_file_bytes(kind, ints):
 
 def _stream_cases():
     for kind in ("plain", "extensible", "odd_chunk", "truncated"):
-        for block in (16, dsp.BLOCK_FRAMES) if kind == "plain" else (16,):
+        # block sizes below, at and above the default for plain PCM
+        blocks = (16, dsp.BLOCK_FRAMES, 4 * dsp.BLOCK_FRAMES) if kind == "plain" else (16,)
+        for block in blocks:
             for num_frames in (1, block - 1, block, block + 1, 2 * block + 3):
                 yield kind, block, num_frames
 

@@ -27,20 +27,13 @@ from semaug import (
 from semaug import cli
 from semaug.cli import main
 from semaug.formats import load_features, load_stats, save_stats
-from conftest import mixed_waveforms, run_with_rusage, traced_peak
+from conftest import assert_same_files, mixed_waveforms, run_with_rusage, traced_peak
 
 
 def make_corpus(directory, waves):
     directory.mkdir(parents=True, exist_ok=True)
     for wave in waves:
         write_wav(directory / f"{wave.utterance_id}.wav", wave)
-
-
-def assert_same_files(dir_a, dir_b):
-    names = sorted(p.name for p in dir_a.iterdir())
-    assert names == sorted(p.name for p in dir_b.iterdir())
-    for name in names:
-        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
 def read_manifest(path):
@@ -179,6 +172,16 @@ class TestFeaturize:
             assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["abc", "1.5"])
+    def test_non_integer_workers_exit_2(self, tmp_path, corpus_dir, capsys, workers):
+        out = tmp_path / "f"
+        with pytest.raises(SystemExit) as exc:
+            main(["featurize", "--in", str(corpus_dir), "--out", str(out),
+                  "--workers", workers])
+        assert exc.value.code == 2
+        assert f"must be an integer, got '{workers}'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMask:
     def _stats_path(self, featurized):
@@ -295,6 +298,20 @@ class TestMask:
                     "--mode", "none", "--out", str(out), "--workers", workers,
                 ])
             assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["abc", "1.5"])
+    def test_non_integer_workers_exit_2(
+        self, tmp_path, corpus_dir, featurized, capsys, workers
+    ):
+        out = tmp_path / "m"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "mask", "--in", str(corpus_dir), "--stats", str(self._stats_path(featurized)),
+                "--mode", "none", "--out", str(out), "--workers", workers,
+            ])
+        assert exc.value.code == 2
+        assert f"must be an integer, got '{workers}'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from semaug import (
     synth_fixture,
     write_wav,
 )
+from semaug import dsp
 from semaug.audio_io import PCM_SCALE, WavReader, Waveform
 from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES, hz_to_mel, mel_to_hz
 from semaug.errors import TooManyChannels, TooShort
@@ -150,6 +151,16 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError):
             power_spectrum(np.zeros(600), 512)
 
+    def test_out_gives_the_same_bits(self):
+        rng = np.random.default_rng(11)
+        frames = rng.normal(size=(SUB_BLOCK_FRAMES, 400)) * 1e3
+        reference = np.abs(np.fft.rfft(frames, n=512)) ** 2
+        out = np.full((SUB_BLOCK_FRAMES, 257), np.nan)
+        returned = power_spectrum(frames, 512, out=out)
+        assert returned is out
+        assert np.array_equal(out, reference)
+        assert np.array_equal(power_spectrum(frames, 512), reference)
+
     def test_matches_direct_dft_small(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -240,11 +251,15 @@ class TestFilterbankEnergies:
             SUB_BLOCK_FRAMES - 1,
             SUB_BLOCK_FRAMES,
             SUB_BLOCK_FRAMES + 1,
-            BLOCK_FRAMES - 1,
-            BLOCK_FRAMES,
-            BLOCK_FRAMES + 1,
-            BLOCK_FRAMES + SUB_BLOCK_FRAMES + 1,
+            # at and around one and four whole blocks: the last block keeps
+            # from 0 to BLOCK_FRAMES - 1 rows of the block before it
+            *(
+                blocks * BLOCK_FRAMES + offset
+                for blocks in (1, 4)
+                for offset in (-1, 0, 1, SUB_BLOCK_FRAMES + 1)
+            ),
             2 * BLOCK_FRAMES + 3,
+            8 * BLOCK_FRAMES + 3,
         ],
     )
     def test_blocks_match_whole_utterance_bits(self, cfg, filterbank, num_frames):
@@ -258,7 +273,45 @@ class TestFilterbankEnergies:
         energies = filterbank_energies(wav, cfg, filterbank=filterbank).values
         assert np.array_equal(energies, reference)
 
-    @pytest.mark.parametrize("num_frames", [SUB_BLOCK_FRAMES + 1, BLOCK_FRAMES + 3])
+    @pytest.mark.parametrize(
+        "num_frames",
+        [
+            BLOCK_FRAMES - 1,
+            BLOCK_FRAMES,
+            BLOCK_FRAMES + 1,
+            2 * BLOCK_FRAMES + 3,
+            5 * BLOCK_FRAMES + 17,
+        ],
+    )
+    @pytest.mark.parametrize("streamed", [False, True], ids=["waveform", "reader"])
+    def test_each_frame_transformed_once(
+        self, cfg, filterbank, tmp_path, monkeypatch, num_frames, streamed
+    ):
+        transformed = []
+
+        def counting_power_spectrum(frame, fft_size, **kwargs):
+            transformed.append(np.asarray(frame).shape[0])
+            return power_spectrum(frame, fft_size, **kwargs)
+
+        monkeypatch.setattr(dsp, "power_spectrum", counting_power_spectrum)
+        num = (num_frames - 1) * cfg.hop_samples + cfg.window_samples
+        wav = Waveform(
+            np.random.default_rng(num_frames).integers(-3000, 3000, size=num) / PCM_SCALE,
+            cfg.sample_rate_hz,
+            "once",
+        )
+        if streamed:
+            write_wav(tmp_path / "once.wav", wav)
+            with WavReader(tmp_path / "once.wav") as reader:
+                energies = filterbank_energies(reader, cfg, filterbank=filterbank)
+        else:
+            energies = filterbank_energies(wav, cfg, filterbank=filterbank)
+        assert energies.num_frames == num_frames
+        assert sum(transformed) == num_frames
+
+    @pytest.mark.parametrize(
+        "num_frames", [SUB_BLOCK_FRAMES + 1, BLOCK_FRAMES + 3, 4 * BLOCK_FRAMES + 3]
+    )
     def test_float32_samples_give_float64_bits(self, cfg, filterbank, num_frames):
         # float32 holds every 16-bit PCM amplitude exactly, so the energies
         # must not depend on which of the two dtypes carries it
@@ -276,7 +329,7 @@ class TestFilterbankEnergies:
         # Read block by block, the peak above the energies is one block's
         # power spectrum (the mel matmul's input), one block's samples and
         # O(sub-block) temporaries: no samples-sized buffer, so it does not
-        # grow with the file.
+        # grow with the file, and no second power block for the overlap.
         def extra_peak(duration_s):
             path = tmp_path / f"long_{duration_s:.0f}.wav"
             write_wav(path, synth_fixture("white_noise", duration_s, seed=5))
@@ -290,7 +343,7 @@ class TestFilterbankEnergies:
 
         short, long = extra_peak(60.0), extra_peak(300.0)
         power_block = BLOCK_FRAMES * (cfg.fft_size // 2 + 1) * 8
-        assert long <= power_block + (4 << 20)
+        assert long <= power_block + (3 << 19)  # 1.5 MiB
         assert abs(long - short) <= 1 << 20
 
     def test_memory_does_not_grow_with_length(self, cfg, filterbank):

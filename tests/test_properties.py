@@ -22,9 +22,14 @@ from semaug import (  # noqa: E402
     peak_energy,
     power_mel,
     scaling_coefficient,
+    synth_fixture,
+    synth_speech_like,
+    write_wav,
 )
 from semaug import masking  # noqa: E402
 from semaug.audio_io import PCM_SCALE, Waveform  # noqa: E402
+from semaug.cli import main  # noqa: E402
+from conftest import assert_same_files  # noqa: E402
 from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES  # noqa: E402
 from semaug.formats import load_features, load_stats, save_features, save_stats  # noqa: E402
 from semaug.masking import threshold_mask  # noqa: E402
@@ -304,3 +309,53 @@ def test_stats_merge_order_and_grouping_do_not_matter(corpus, data):
         assert other.num_frames_seen == forward.num_frames_seen
         assert np.allclose(other.mean, forward.mean, rtol=1e-12, atol=1e-10)
         assert np.allclose(other.std**2, forward.std**2, rtol=1e-9, atol=1e-9)
+
+
+_MASK_MODES = (
+    ["sem", "--seed", "5"],
+    ["fixed", "--eta-th", "-30"],
+    ["dropout", "--rate", "0.2", "--seed", "5"],
+    ["none"],
+)
+
+
+def _utterances():
+    kinds = st.sampled_from(["sine", "white_noise", "chirp", "speech"])
+    utterance = st.tuples(kinds, st.floats(0.03, 0.6), st.integers(0, 2**16))
+    return st.tuples(st.lists(utterance, min_size=1, max_size=4), st.booleans())
+
+
+def _write_corpus(path, utterances, one_silent):
+    path.mkdir()
+    for i, (kind, duration_s, seed) in enumerate(utterances):
+        if one_silent and i == 0:
+            kind = "silence"
+        utterance_id = f"utt_{i}"
+        if kind == "speech":
+            wave = synth_speech_like(duration_s, seed=seed, utterance_id=utterance_id)
+        else:
+            wave = synth_fixture(kind, duration_s, seed=seed, utterance_id=utterance_id)
+        write_wav(path / f"{utterance_id}.wav", wave)
+
+
+@settings(max_examples=10, deadline=None)
+@given(corpus=_utterances())
+def test_outputs_do_not_depend_on_worker_count(tmp_path_factory, corpus):
+    root = tmp_path_factory.mktemp("workers")
+    wavs = root / "wavs"
+    _write_corpus(wavs, *corpus)
+    featurized = {}
+    for workers in ("1", "3"):
+        out = featurized[workers] = root / f"features_{workers}"
+        assert main(["featurize", "--in", str(wavs), "--out", str(out),
+                     "--workers", workers]) == 0
+    assert_same_files(featurized["1"], featurized["3"])
+    stats = str(featurized["1"] / "global_stats.txt")
+    for mode in _MASK_MODES:
+        outs = []
+        for workers in ("1", "3"):
+            outs.append(root / f"{mode[0]}_{workers}")
+            assert main(["mask", "--in", str(wavs), "--stats", stats, "--mode", *mode,
+                         "--out", str(outs[-1]), "--workers", workers]) == 0
+        assert (outs[0] / "manifest.csv").exists()
+        assert_same_files(*outs)

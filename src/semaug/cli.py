@@ -56,27 +56,6 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("front-end config")
-    group.add_argument("--window-ms", type=_finite, default=25.0)
-    group.add_argument("--hop-ms", type=_finite, default=10.0)
-    group.add_argument("--fft-size", type=int, default=512)
-    group.add_argument("--num-channels", type=int, default=40)
-    group.add_argument("--sample-rate", type=int, default=16000)
-    group.add_argument("--power-exponent", type=_finite, default=1.0 / 15.0)
-
-
-def _config_from_args(args: argparse.Namespace) -> FeatureConfig:
-    return FeatureConfig(
-        window_length_ms=args.window_ms,
-        hop_ms=args.hop_ms,
-        fft_size=args.fft_size,
-        num_channels=args.num_channels,
-        sample_rate_hz=args.sample_rate,
-        power_exponent=args.power_exponent,
-    )
-
-
 def _input_wavs(in_dir: str) -> list[Path]:
     """The directory's WAVs in utterance-id order; a usage error when the
     directory is missing or holds none."""
@@ -252,7 +231,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     wavs = _input_wavs(args.in_dir)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _config_from_args(args)
+    cfg = FeatureConfig()
     filterbank = mel_filterbank(cfg)
 
     def worker(path: Path):
@@ -304,10 +283,10 @@ def cmd_mask(args: argparse.Namespace) -> int:
         log.error("stats file %s does not exist", stats_path)
         return EXIT_USAGE
 
-    cfg = _config_from_args(args)
+    cfg = FeatureConfig()
     stats = formats.load_stats(stats_path)
     if stats.num_channels != cfg.num_channels:
-        log.error("stats file has %d channels, config has %d",
+        log.error("stats file has %d channels, the front end has %d",
                   stats.num_channels, cfg.num_channels)
         return EXIT_USAGE
 
@@ -347,7 +326,6 @@ def cmd_mask(args: argparse.Namespace) -> int:
         return row
 
     rows, failures = _run_utterances(wavs, worker, args.workers)
-    rows.sort(key=lambda row: row[0])
     manifest_path = out_dir / MANIFEST_NAME
     with formats.atomic_write(manifest_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -362,9 +340,9 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     wavs = _input_wavs(args.in_dir)
-    cfg = _config_from_args(args)
+    cfg = FeatureConfig()
     filterbank = mel_filterbank(cfg)
-    acc = EtaHistogramAccumulator(bin_width_db=args.bin_width)
+    acc = EtaHistogramAccumulator()
 
     def worker(path: Path) -> None:
         # returns nothing, so one utterance's arrays are freed before the next read
@@ -397,31 +375,34 @@ def cmd_render(args: argparse.Namespace) -> int:
     if not in_path.is_file():
         log.error("input file %s does not exist", in_path)
         return EXIT_USAGE
-    cfg = _config_from_args(args)
-    try:
-        energies = _extract_energies(in_path, cfg, mel_filterbank(cfg))
-    except (SemaugError, OSError) as exc:
-        log.error("failed on %s: %s", in_path.name, exc)
-        return EXIT_USAGE
+    cfg = FeatureConfig()
 
-    mask = threshold_mask(energies, args.eta_th)
-    values = power_mel(energies, cfg.power_exponent).values
-    lo, hi = float(values.min()), float(values.max())
-    if hi > lo:
-        # rint(255 * (values - lo) / (hi - lo)), in place: same steps, same bits
-        values -= lo
-        values *= 255.0
-        values /= hi - lo
-        np.rint(values, out=values)
-        scaled = values.astype(np.uint8)
-    else:
-        scaled = np.zeros(values.shape, dtype=np.uint8)
-    if mask is not None:
-        scaled *= mask.values
-    # width = frames, height = channels, channel 0 at the bottom row
-    image = scaled.T[::-1]
-    formats.write_pgm(args.out, np.ascontiguousarray(image))
-    log.info("rendered %s (%d x %d)", args.out, image.shape[1], image.shape[0])
+    def worker(path: Path):
+        energies = _extract_energies(path, cfg, mel_filterbank(cfg))
+        mask = threshold_mask(energies, args.eta_th)
+        values = power_mel(energies, cfg.power_exponent).values
+        lo, hi = float(values.min()), float(values.max())
+        # width = frames, height = channels, channel 0 at the bottom row: the
+        # image is cast straight into that layout, so no flipped copy is made
+        if hi > lo:
+            # rint(255 * (values - lo) / (hi - lo)), in place: same steps, same bits
+            values -= lo
+            values *= 255.0
+            values /= hi - lo
+            np.rint(values, out=values)
+            image = values.T[::-1].astype(np.uint8, order="C")
+        else:
+            image = np.zeros(values.T.shape, dtype=np.uint8)
+        if mask is not None:
+            image *= mask.values.T[::-1]
+        formats.write_pgm(args.out, image)
+        return image.shape
+
+    shapes, failures = _run_utterances([in_path], worker, 1)
+    if failures:
+        return EXIT_USAGE
+    height, width = shapes[0]
+    log.info("rendered %s (%d x %d)", args.out, width, height)
     return EXIT_OK
 
 
@@ -440,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument("--stats-out", default=None,
                         help=f"stats file path (default <out>/{DEFAULT_STATS_NAME})")
     p_feat.add_argument("--workers", type=_worker_count, default=1)
-    _add_config_flags(p_feat)
     p_feat.set_defaults(func=cmd_featurize)
 
     p_mask = sub.add_parser("mask", help="WAV dir + stats -> masked/normalized FMX1 files")
@@ -454,21 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_mask.add_argument("--seed", type=int, default=None)
     p_mask.add_argument("--out", dest="out_dir", required=True)
     p_mask.add_argument("--workers", type=_worker_count, default=1)
-    _add_config_flags(p_mask)
     p_mask.set_defaults(func=cmd_mask)
 
     p_stats = sub.add_parser("stats", help="WAV dir -> dB-ratio histogram CSV")
     p_stats.add_argument("--in", dest="in_dir", required=True)
-    p_stats.add_argument("--bin-width", type=_finite, default=1.0)
     p_stats.add_argument("--out", required=True)
-    _add_config_flags(p_stats)
     p_stats.set_defaults(func=cmd_stats)
 
     p_render = sub.add_parser("render", help="WAV -> masked power-mel spectrogram PGM")
     p_render.add_argument("--in", dest="in_path", required=True)
     p_render.add_argument("--eta-th", type=_finite, required=True)
     p_render.add_argument("--out", required=True)
-    _add_config_flags(p_render)
     p_render.set_defaults(func=cmd_render)
 
     return parser

@@ -56,8 +56,9 @@ MASKED_SUM_FLOOR = 1e-12
 
 PEAK_PERCENTILE = 95
 
-# bins per pass of the peak selection, per leaf of r's masked sum and per
-# dropout draw: 512 kB of float64 (a 600 s utterance has 2.4 M bins)
+# bins per pass of the peak selection, per leaf of r's masked sum, per
+# dropout draw and per dB-ratio pass of stats.EtaHistogramAccumulator.update:
+# 512 kB of float64 (a 600 s utterance has 2.4 M bins)
 CHUNK_BINS = 1 << 16
 
 # numpy's pairwise sum adds up to this many elements in one unrolled loop

@@ -2,9 +2,9 @@
 
 For each utterance, every time-frequency bin's energy is expressed in dB
 relative to that utterance's peak (95th-percentile) energy. The histogram
-accumulates those dB values into fixed-width bins, alongside the energy
-mass per bin, so both the empirical CDF and the below-threshold energy
-fraction
+accumulates those dB values into 1 dB bins over [-100, +10] dB (values
+outside clamp into the end bins), alongside the energy mass per bin, so
+both the empirical CDF and the below-threshold energy fraction
 
     r_e(eta_th) = sum_{eta < eta_th} e / sum e
 
@@ -18,16 +18,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import masking
 from .dsp import EnergyMatrix
 from .errors import EmptyCorpus
 from .masking import energy_threshold, eta, peak_energy, threshold_mask
 
-DEFAULT_RANGE_DB = (-100.0, 10.0)
-DEFAULT_BIN_WIDTH_DB = 1.0
-
-# bins per eta / bin-index pass of EtaHistogramAccumulator.update (512 kB
-# of float64 dB ratios and as much of int64 indices)
-UPDATE_CHUNK_BINS = 1 << 16
+# the histogram's bins: 1 dB wide, over [-100, +10] dB
+RANGE_DB = (-100.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -52,22 +49,13 @@ class EtaDistribution:
 
 
 class EtaHistogramAccumulator:
-    """Mergeable count/energy histogram over the dB ratio."""
+    """Mergeable count/energy histogram over the dB ratio, in RANGE_DB's bins."""
 
-    def __init__(
-        self,
-        bin_width_db: float = DEFAULT_BIN_WIDTH_DB,
-        range_db: tuple[float, float] = DEFAULT_RANGE_DB,
-    ):
-        lo, hi = range_db
-        if bin_width_db <= 0:
-            raise ValueError(f"bin_width_db must be > 0, got {bin_width_db}")
-        if not lo < hi:
-            raise ValueError(f"range must satisfy lo < hi, got [{lo}, {hi}]")
-        num_bins = max(1, int(round((hi - lo) / bin_width_db)))
-        self.bin_edges = lo + bin_width_db * np.arange(num_bins + 1)
-        self.counts = np.zeros(num_bins, dtype=np.int64)
-        self.energy = np.zeros(num_bins, dtype=np.float64)
+    def __init__(self):
+        lo, hi = RANGE_DB
+        self.bin_edges = np.arange(lo, hi + 1.0)
+        self.counts = np.zeros(self.bin_edges.size - 1, dtype=np.int64)
+        self.energy = np.zeros(self.bin_edges.size - 1, dtype=np.float64)
 
     def update(self, energies: EnergyMatrix) -> bool:
         """Add one utterance's bins; False, adding nothing, when it has no dB
@@ -79,12 +67,13 @@ class EtaHistogramAccumulator:
         if e_peak <= 0:
             return False
         energy = None
-        for start in range(0, values.size, UPDATE_CHUNK_BINS):
-            chunk = values[start : start + UPDATE_CHUNK_BINS]
-            # bin index floor((eta - lo) / width), in place on eta's fresh array
+        # a chunk of float64 dB ratios and as much of int64 indices at a time
+        for start in range(0, values.size, masking.CHUNK_BINS):
+            chunk = values[start : start + masking.CHUNK_BINS]
+            # bin index floor(eta - lo) (the bins are 1 dB wide), in place on
+            # eta's fresh array
             ratios_db = eta(chunk, e_peak)
             ratios_db -= self.bin_edges[0]
-            ratios_db /= self.bin_edges[1] - self.bin_edges[0]
             np.floor(ratios_db, out=ratios_db)
             idx = ratios_db.astype(np.int64)
             np.clip(idx, 0, self.counts.size - 1, out=idx)
@@ -99,8 +88,6 @@ class EtaHistogramAccumulator:
         return True
 
     def merge(self, other: "EtaHistogramAccumulator") -> None:
-        if not np.array_equal(self.bin_edges, other.bin_edges):
-            raise ValueError("cannot merge histograms with different binning")
         self.counts += other.counts
         self.energy += other.energy
 
@@ -123,13 +110,9 @@ class EtaHistogramAccumulator:
         )
 
 
-def eta_histogram(
-    corpus: Iterable[EnergyMatrix],
-    bin_width_db: float = DEFAULT_BIN_WIDTH_DB,
-    range_db: tuple[float, float] = DEFAULT_RANGE_DB,
-) -> EtaDistribution:
+def eta_histogram(corpus: Iterable[EnergyMatrix]) -> EtaDistribution:
     """Histogram of the dB energy ratio over a corpus of energy matrices."""
-    acc = EtaHistogramAccumulator(bin_width_db=bin_width_db, range_db=range_db)
+    acc = EtaHistogramAccumulator()
     for energies in corpus:
         acc.update(energies)
     return acc.finalize()

@@ -349,6 +349,18 @@ class TestMask:
         ]) == 2
         assert not list(out.glob("*.fmx"))
 
+    def test_stats_channel_mismatch_exits_2(self, tmp_path, corpus_dir, caplog):
+        # a stats file from another front end: 39 channels against the fixed 40
+        stats_path = tmp_path / "c39.txt"
+        save_stats(stats_path, GlobalStats(np.zeros(39), np.ones(39), 5))
+        out = tmp_path / "m"
+        assert main([
+            "mask", "--in", str(corpus_dir), "--stats", str(stats_path),
+            "--mode", "none", "--out", str(out),
+        ]) == 2
+        assert "stats file has 39 channels, the front end has 40" in caplog.text
+        assert not out.exists()
+
     def test_shuffled_input_ordering_identical(self, tmp_path, featurized):
         waves = mixed_waveforms(6)
         dir_a = tmp_path / "wa"
@@ -535,8 +547,9 @@ class TestRender:
         assert not out.exists()
 
     def test_memory_one_matrix_and_masks(self, tmp_path, monkeypatch):
-        # the energies scaled in place, the mask, the uint8 image and its
-        # flipped contiguous copy; no matrix-sized float64 transient
+        # the energies scaled in place, the mask and the uint8 image, cast
+        # straight into its flipped layout; no flipped copy and no
+        # matrix-sized float64 transient
         shape = (60000, 40)
         monkeypatch.setattr(cli, "_extract_energies", _random_energies(shape))
         out = tmp_path / "r.pgm"
@@ -544,7 +557,16 @@ class TestRender:
         code, peak = traced_peak(lambda: main(argv))
         assert code == 0
         matrix = shape[0] * shape[1] * 8
-        assert peak <= matrix + 3 * (matrix // 8) + (1 << 20)
+        assert peak <= matrix + 2 * (matrix // 8) + (1 << 20)
+
+    def test_unreadable_input_fails_like_other_commands(self, tmp_path, caplog):
+        path = tmp_path / "broken.wav"
+        path.write_bytes(b"not audio")
+        out = tmp_path / "o.pgm"
+        assert main(["render", "--in", str(path), "--eta-th", "-30", "--out", str(out)]) == 2
+        failed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("failed on")]
+        assert len(failed) == 1 and failed[0].startswith("failed on broken.wav: ")
+        assert not out.exists()
 
     def test_silence_renders_black(self, tmp_path):
         wavs = tmp_path / "w"
@@ -554,6 +576,35 @@ class TestRender:
                      "--out", str(out)]) == 0
         payload = out.read_bytes().split(b"\n", 3)[3]
         assert payload == bytes(len(payload))
+
+
+# the front-end and binning flags no command takes: the front end is fixed
+REMOVED_FLAGS = [
+    pytest.param(command, flag, value, id=f"{command}{flag}")
+    for command in ("featurize", "mask", "stats", "render")
+    for flag, value in (
+        ("--window-ms", "25"), ("--hop-ms", "10"), ("--fft-size", "512"),
+        ("--num-channels", "40"), ("--sample-rate", "16000"), ("--power-exponent", "0.5"),
+    )
+] + [pytest.param("stats", "--bin-width", "1", id="stats--bin-width")]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+def test_removed_flag_is_usage_error(tmp_path, corpus_dir, capsys, command, flag, value):
+    stats = tmp_path / "stats.txt"
+    save_stats(stats, GlobalStats(np.zeros(40), np.ones(40), 1))
+    out = tmp_path / "out"
+    inputs = {
+        "featurize": ["--in", str(corpus_dir)],
+        "mask": ["--in", str(corpus_dir), "--stats", str(stats), "--mode", "none"],
+        "stats": ["--in", str(corpus_dir)],
+        "render": ["--in", str(corpus_dir / "utt_000.wav"), "--eta-th", "-30"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 blas_controls = cli._openblas_thread_controls()

@@ -17,7 +17,6 @@ from semaug import (
     peak_energy,
 )
 from semaug import masking
-from semaug import stats as stats_module
 from semaug.errors import EmptyCorpus, EmptyMatrix
 from semaug.masking import threshold_mask
 from conftest import random_energy_matrix, traced_peak
@@ -28,6 +27,11 @@ def _matrices(rng, count=6):
 
 
 class TestEtaHistogram:
+    def test_fixed_one_db_bins(self):
+        acc = EtaHistogramAccumulator()
+        assert np.array_equal(acc.bin_edges, np.arange(-100.0, 11.0))
+        assert acc.counts.shape == acc.energy.shape == (110,)
+
     def test_constant_energies_fill_zero_db_bin(self):
         dist = eta_histogram([EnergyMatrix(np.full((5, 8), 2.0), "c")])
         zero_bin = int(np.searchsorted(dist.bin_edges, 0.0))  # bin [0, 1)
@@ -96,7 +100,7 @@ class TestEtaHistogram:
     def test_chunked_update_keeps_whole_matrix_bits(self, monkeypatch, size):
         # chunks of 7 bins: counts and the energy column equal one bincount
         # over the whole matrix, bit for bit
-        monkeypatch.setattr(stats_module, "UPDATE_CHUNK_BINS", 7)
+        monkeypatch.setattr(masking, "CHUNK_BINS", 7)
         values = random_energy_matrix(np.random.default_rng(size), size, 1)
         acc = EtaHistogramAccumulator()
         assert acc.update(EnergyMatrix(values, "c"))
@@ -123,12 +127,6 @@ class TestEtaHistogram:
         assert np.all(np.diff(dist.energy_ratio) >= 0)
         assert dist.energy_ratio[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(dist.energy_ratio <= dist.cdf + 1e-12)
-
-    def test_rejects_bad_binning(self):
-        with pytest.raises(ValueError):
-            EtaHistogramAccumulator(bin_width_db=0.0)
-        with pytest.raises(ValueError):
-            EtaHistogramAccumulator(range_db=(10.0, -100.0))
 
 
 class TestEnergyRatioCurve:

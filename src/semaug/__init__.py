@@ -1,55 +1,18 @@
-"""Small energy masking augmentation for power-mel speech features."""
+"""Small energy masking augmentation for power-mel speech features.
+
+The package namespace holds the pipeline: read a WAV, compute its mel
+filterbank energies, raise them to power-mel features, accumulate corpus
+stats, then mask and normalize. The steps inside it (framing, spectra,
+peak energy, thresholds, masks, the rescale factor) stay importable from
+their modules: semaug.dsp, semaug.masking, and so on.
+"""
 
 from . import errors
-from .audio_io import (
-    WavReader,
-    Waveform,
-    read_wav,
-    synth_fixture,
-    synth_speech_like,
-    write_wav,
-)
-from .dsp import (
-    EnergyMatrix,
-    FeatureConfig,
-    FilterbankMatrix,
-    filterbank_energies,
-    frame_signal,
-    hamming_window,
-    mel_filterbank,
-    power_spectrum,
-)
-from .features import (
-    FeatureMatrix,
-    GlobalStats,
-    StatsAccumulator,
-    compute_global_stats,
-    divide_std,
-    normalize,
-    power_mel,
-    subtract_mean,
-)
-from .masking import (
-    MaskMatrix,
-    SemConfig,
-    SemOutcome,
-    apply_fixed_sem,
-    apply_sem,
-    binary_mask,
-    energy_threshold,
-    eta,
-    input_dropout,
-    peak_energy,
-    sample_threshold,
-    scaling_coefficient,
-)
-from .stats import (
-    EtaDistribution,
-    EtaHistogramAccumulator,
-    energy_ratio_curve,
-    eta_histogram,
-    masked_fraction,
-)
+from .audio_io import WavReader, Waveform, read_wav
+from .dsp import EnergyMatrix, FeatureConfig, filterbank_energies, mel_filterbank
+from .features import FeatureMatrix, GlobalStats, StatsAccumulator, normalize, power_mel
+from .masking import SemConfig, apply_fixed_sem, apply_sem, input_dropout
+from .stats import EtaHistogramAccumulator
 
 __version__ = "0.1.0"
 
@@ -58,40 +21,18 @@ __all__ = [
     "Waveform",
     "WavReader",
     "read_wav",
-    "write_wav",
-    "synth_fixture",
-    "synth_speech_like",
     "FeatureConfig",
-    "FilterbankMatrix",
     "EnergyMatrix",
-    "hamming_window",
-    "frame_signal",
-    "power_spectrum",
     "mel_filterbank",
     "filterbank_energies",
     "FeatureMatrix",
     "GlobalStats",
     "StatsAccumulator",
-    "compute_global_stats",
     "power_mel",
     "normalize",
-    "subtract_mean",
-    "divide_std",
     "SemConfig",
-    "MaskMatrix",
-    "SemOutcome",
-    "peak_energy",
-    "eta",
-    "sample_threshold",
-    "energy_threshold",
-    "binary_mask",
-    "scaling_coefficient",
     "apply_sem",
     "apply_fixed_sem",
     "input_dropout",
-    "EtaDistribution",
     "EtaHistogramAccumulator",
-    "eta_histogram",
-    "energy_ratio_curve",
-    "masked_fraction",
 ]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyAudio, InvalidDuration, MalformedHeader, UnsupportedFormat
+from .errors import BadAudio
 
 # 16-bit PCM full scale; raw integers map to [-1.0, 1.0).
 PCM_SCALE = 32768.0
@@ -85,9 +85,9 @@ class WavReader:
             fmt, self._data_offset, data_size = self._parse_chunks()
             self.sample_rate_hz = self._check_fmt(fmt)
             if data_size == 0:
-                raise EmptyAudio(f"{self.path}: no audio samples")
+                raise BadAudio(f"{self.path}: no audio samples")
             if data_size % 2 != 0:
-                raise MalformedHeader(f"{self.path}: truncated sample data")
+                raise BadAudio(f"{self.path}: truncated sample data")
         except BaseException:
             self._handle.close()
             raise
@@ -100,23 +100,23 @@ class WavReader:
         file_size = os.fstat(handle.fileno()).st_size
         riff = handle.read(12)
         if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
-            raise MalformedHeader(f"{path}: not a RIFF/WAVE file")
+            raise BadAudio(f"{path}: not a RIFF/WAVE file")
         fmt = None
         while True:
             header = handle.read(8)
             if len(header) < 8:
-                raise MalformedHeader(f"{path}: truncated header, no data chunk")
+                raise BadAudio(f"{path}: truncated header, no data chunk")
             chunk_id, size = header[:4], int.from_bytes(header[4:], "little")
             if chunk_id == b"data":
                 if fmt is None:
-                    raise MalformedHeader(f"{path}: data chunk before fmt chunk")
+                    raise BadAudio(f"{path}: data chunk before fmt chunk")
                 offset = handle.tell()
                 return fmt, offset, min(size, file_size - offset)
             skip = size + size % 2
             if chunk_id == b"fmt ":
                 fmt = handle.read(min(size, _FMT_EXTENSIBLE_SIZE))
                 if len(fmt) < _FMT_PCM_SIZE:
-                    raise MalformedHeader(f"{path}: truncated fmt chunk")
+                    raise BadAudio(f"{path}: truncated fmt chunk")
                 skip -= len(fmt)
             handle.seek(skip, os.SEEK_CUR)
 
@@ -126,23 +126,23 @@ class WavReader:
         tag, num_channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
         if tag == WAVE_FORMAT_EXTENSIBLE:
             if len(fmt) < _FMT_EXTENSIBLE_SIZE:
-                raise MalformedHeader(f"{path}: truncated extensible fmt chunk")
+                raise BadAudio(f"{path}: truncated extensible fmt chunk")
             subformat = fmt[_FMT_EXTENSIBLE_SIZE - 16 : _FMT_EXTENSIBLE_SIZE]
             if subformat != KSDATAFORMAT_SUBTYPE_PCM:
-                raise UnsupportedFormat(
+                raise BadAudio(
                     f"{path}: extensible subformat {subformat.hex()} is not PCM"
                 )
         elif tag != WAVE_FORMAT_PCM:
-            raise UnsupportedFormat(f"{path}: format tag {tag:#06x} is not PCM")
+            raise BadAudio(f"{path}: format tag {tag:#06x} is not PCM")
         sample_width = (bits + 7) // 8
         if rate == 0 or num_channels == 0 or sample_width == 0:
-            raise MalformedHeader(
+            raise BadAudio(
                 f"{path}: {num_channels} channels of {bits}-bit samples at {rate} Hz"
             )
         if num_channels != 1:
-            raise UnsupportedFormat(f"{path}: expected mono, got {num_channels} channels")
+            raise BadAudio(f"{path}: expected mono, got {num_channels} channels")
         if sample_width != 2:
-            raise UnsupportedFormat(
+            raise BadAudio(
                 f"{path}: expected 16-bit samples, got {8 * sample_width}-bit"
             )
         return rate
@@ -155,7 +155,7 @@ class WavReader:
         pcm = self._pcm[: out.size]
         self._handle.seek(self._data_offset + 2 * start)
         if self._handle.readinto(pcm) != pcm.nbytes:
-            raise MalformedHeader(f"{self.path}: sample data ends early")
+            raise BadAudio(f"{self.path}: sample data ends early")
         np.divide(pcm, np.float32(PCM_SCALE), out=out)
 
     def close(self) -> None:
@@ -230,7 +230,7 @@ def synth_fixture(
     of (kind, duration_s, sample_rate_hz, seed).
     """
     if duration_s <= 0:
-        raise InvalidDuration(f"duration_s must be > 0, got {duration_s}")
+        raise ValueError(f"duration_s must be > 0, got {duration_s}")
     num = int(round(duration_s * sample_rate_hz))
     t = np.arange(num) / sample_rate_hz
 
@@ -272,7 +272,7 @@ def synth_speech_like(
     (duration_s, sample_rate_hz, seed).
     """
     if duration_s <= 0:
-        raise InvalidDuration(f"duration_s must be > 0, got {duration_s}")
+        raise ValueError(f"duration_s must be > 0, got {duration_s}")
     # Salted so the stream differs from synth_fixture("white_noise", seed=seed).
     rng = np.random.default_rng([seed, 0x5EE])
     num = int(round(duration_s * sample_rate_hz))

@@ -4,7 +4,7 @@ All commands are deterministic functions of (inputs, flags, seed):
 utterances are processed in sorted utterance-id order, per-utterance
 randomness comes from keyed hash streams, and output files carry no
 timestamps. Exit codes: 0 success, 1 partial per-file failure, 2
-usage/empty-input error.
+usage/empty-input error or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import formats
 from .audio_io import WavReader
 from .dsp import FeatureConfig, FilterbankMatrix, filterbank_energies, mel_filterbank
-from .errors import SemaugError
+from .errors import BadAudio, SemaugError
 from .features import StatsAccumulator, normalize, power_mel
 from .masking import SemConfig, apply_fixed_sem, apply_sem, input_dropout, threshold_mask
 from .stats import EtaHistogramAccumulator
@@ -219,7 +219,7 @@ def _extract_energies(path: Path, cfg: FeatureConfig, filterbank: FilterbankMatr
     """The file's energies, its samples read block by block (no whole-file array)."""
     with WavReader(path) as wav:
         if wav.sample_rate_hz != cfg.sample_rate_hz:
-            raise SemaugError(
+            raise BadAudio(
                 f"{path}: sample rate {wav.sample_rate_hz} != configured {cfg.sample_rate_hz}"
             )
         return filterbank_energies(wav, cfg, filterbank=filterbank)
@@ -456,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SemaugError, ValueError) as exc:
+    except (SemaugError, ValueError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
 

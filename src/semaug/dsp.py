@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import WavReader, Waveform, read_wav
-from .errors import TooManyChannels, TooShort
+from .errors import BadAudio
 
 # Frames per block of the front end: the height of every mel matmul, which
 # fixes its bits, and of the block's 512 x 257 float64 power spectrum (1.05 MB).
@@ -136,7 +136,7 @@ def hamming_window(length: int) -> np.ndarray:
 
 def _check_length(num_samples: int, cfg: FeatureConfig, utterance_id: str) -> None:
     if num_samples < cfg.window_samples:
-        raise TooShort(
+        raise BadAudio(
             f"{utterance_id}: {num_samples} samples < one window of {cfg.window_samples}"
         )
 
@@ -191,7 +191,7 @@ def mel_filterbank(cfg: FeatureConfig) -> FilterbankMatrix:
     grid_bins[0] = 0
     grid_bins[-1] = half
     if np.any(np.diff(grid_bins) < 1):
-        raise TooManyChannels(
+        raise ValueError(
             f"{cfg.num_channels} channels collapse adjacent centers onto one DFT bin "
             f"(fft_size={cfg.fft_size}, rate={cfg.sample_rate_hz})"
         )

@@ -1,67 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A SemaugError raised while one file is processed fails that file alone;
+the CLI tells no subclass apart. Checks that no command can reach (a
+non-default front end, a synthesis duration, a dropout rate, mismatched
+shapes) raise ValueError instead.
+"""
 
 
 class SemaugError(Exception):
     """Base class for all semaug errors."""
 
 
-# --- audio input ---------------------------------------------------------
-
-class UnsupportedFormat(SemaugError):
-    """Audio file is valid RIFF/WAVE but not 16-bit mono linear PCM."""
-
-
-class MalformedHeader(SemaugError):
-    """Audio file is not a parseable RIFF/WAVE container."""
+class BadAudio(SemaugError):
+    """Audio input the front end cannot use: not a parseable RIFF/WAVE file,
+    not 16-bit mono linear PCM, no samples, shorter than one analysis
+    window, or at another sample rate than the front end's."""
 
 
-class EmptyAudio(SemaugError):
-    """Audio file contains no samples."""
+class FormatError(SemaugError):
+    """Feature or stats file does not conform to its on-disk format."""
 
-
-class InvalidDuration(SemaugError):
-    """Requested fixture duration is not positive."""
-
-
-# --- feature extraction --------------------------------------------------
-
-class TooShort(SemaugError):
-    """Waveform shorter than one analysis window."""
-
-
-class TooManyChannels(SemaugError):
-    """Adjacent mel filter centers collapse onto the same DFT bin."""
-
-
-# --- statistics and transforms -------------------------------------------
 
 class EmptyCorpus(SemaugError):
-    """No frames seen while accumulating corpus statistics."""
-
-
-class EmptyMatrix(SemaugError):
-    """Operation requires at least one matrix entry."""
-
-
-class ShapeMismatch(SemaugError):
-    """Matrix shapes or channel counts do not line up."""
-
-
-# --- masking --------------------------------------------------------------
-
-class NonPositivePeak(SemaugError):
-    """Peak energy must be strictly positive to form a dB ratio."""
+    """No frames, bins or matrix entries to compute a statistic from."""
 
 
 class AllMaskedSignal(SemaugError):
     """Mask removed (numerically) all feature mass; no scaling possible."""
-
-
-class InvalidRate(SemaugError):
-    """Dropout rate outside [0, 1)."""
-
-
-# --- file formats ----------------------------------------------------------
-
-class FormatError(SemaugError):
-    """Feature or stats file does not conform to its on-disk format."""

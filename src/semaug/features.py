@@ -7,12 +7,11 @@ any masking, so every utterance is normalized against unmasked data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .dsp import EnergyMatrix
-from .errors import EmptyCorpus, ShapeMismatch
+from .errors import EmptyCorpus
 
 # std floor keeps divide_std total on degenerate constant channels
 STD_FLOOR = 1e-8
@@ -87,7 +86,7 @@ class StatsAccumulator:
             self._m2 = m2.copy()
             return
         if mean.shape != self._mean.shape:
-            raise ShapeMismatch(
+            raise ValueError(
                 f"channel count changed mid-corpus: {mean.shape[0]} vs {self._mean.shape[0]}"
             )
         total = self.count + count
@@ -160,18 +159,10 @@ def power_mel(energies: EnergyMatrix, exponent: float) -> FeatureMatrix:
     return FeatureMatrix(values=values, utterance_id=energies.utterance_id)
 
 
-def compute_global_stats(corpus: Iterable[FeatureMatrix]) -> GlobalStats:
-    """Per-channel mean and population std over all frames of all utterances."""
-    acc = StatsAccumulator()
-    for features in corpus:
-        acc.update(features)
-    return acc.finalize()
-
-
 def check_channels(matrix: FeatureMatrix | EnergyMatrix, stats: GlobalStats) -> None:
-    """ShapeMismatch unless the matrix has the stats' channel count."""
+    """ValueError unless the matrix has the stats' channel count."""
     if matrix.num_channels != stats.num_channels:
-        raise ShapeMismatch(
+        raise ValueError(
             f"{matrix.utterance_id}: {matrix.num_channels} channels vs "
             f"stats with {stats.num_channels}"
         )

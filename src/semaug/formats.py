@@ -46,12 +46,14 @@ def atomic_write(path: str | Path, mode: str = "wb", **open_kwargs):
 
     The temporary file is in the same directory, so os.replace swaps it in
     atomically: `path` holds either its previous content or the complete new
-    file, never a partial one. On an error the temporary file is removed.
+    file, never a partial one. On an error the temporary file is removed;
+    when it could not be created, open's error propagates alone.
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    handle = open(temp, mode, **open_kwargs)
     try:
-        with open(temp, mode, **open_kwargs) as handle:
+        with handle:
             yield handle
         os.replace(temp, path)
     except BaseException:

@@ -32,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import EnergyMatrix
-from .errors import (
-    AllMaskedSignal,
-    EmptyMatrix,
-    InvalidRate,
-    NonPositivePeak,
-    ShapeMismatch,
-)
+from .errors import AllMaskedSignal, EmptyCorpus
 from .features import (
     FeatureMatrix,
     GlobalStats,
@@ -164,7 +158,7 @@ def peak_energy(energies: EnergyMatrix) -> float:
     """
     values = np.asarray(energies.values, dtype=np.float64)
     if values.size == 0:
-        raise EmptyMatrix("peak_energy of an empty matrix")
+        raise EmptyCorpus("peak_energy of an empty matrix")
     rank = (PEAK_PERCENTILE * values.size + 99) // 100 - 1
     flat = values.ravel()
     # each value's bits as four 16-bit digits, most significant first
@@ -207,7 +201,7 @@ def eta(e_val, e_peak: float):
     scalars or arrays; an array result is one fresh array, computed in place.
     """
     if e_peak <= 0:
-        raise NonPositivePeak(f"e_peak must be > 0, got {e_peak}")
+        raise ValueError(f"e_peak must be > 0, got {e_peak}")
     values = np.asarray(e_val, dtype=np.float64)
     result = np.maximum(values, ETA_FLOOR, out=np.empty(values.shape))
     result /= e_peak
@@ -229,7 +223,7 @@ def sample_threshold(cfg: SemConfig, utterance_id: str) -> float:
 def energy_threshold(e_peak: float, eta_th: float) -> float:
     """Convert a dB ratio threshold back to an absolute energy threshold."""
     if e_peak <= 0:
-        raise NonPositivePeak(f"e_peak must be > 0, got {e_peak}")
+        raise ValueError(f"e_peak must be > 0, got {e_peak}")
     return e_peak * 10.0 ** (eta_th / 10.0)
 
 
@@ -285,9 +279,7 @@ def scaling_coefficient(x_raw: FeatureMatrix, mask: MaskMatrix) -> float:
     (x * mu).sum() and holds one CHUNK_BINS buffer, not the product.
     """
     if x_raw.values.shape != mask.values.shape:
-        raise ShapeMismatch(
-            f"features {x_raw.values.shape} vs mask {mask.values.shape}"
-        )
+        raise ValueError(f"features {x_raw.values.shape} vs mask {mask.values.shape}")
     numerator = float(x_raw.values.sum())
     leaf = min(x_raw.values.size, max(CHUNK_BINS, _PAIRWISE_BLOCK))
     denominator = _masked_sum(x_raw.values.ravel(), mask.values.ravel(), np.empty(leaf))
@@ -380,7 +372,7 @@ def input_dropout(
     same stream as one draw of the whole shape.
     """
     if not 0.0 <= rate < 1.0:
-        raise InvalidRate(f"rate must be in [0, 1), got {rate}")
+        raise ValueError(f"rate must be in [0, 1), got {rate}")
     values = writable_values(features)
     if rate == 0.0:
         return features

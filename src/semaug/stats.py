@@ -14,14 +14,13 @@ come out of one pass. Per-utterance partial histograms merge associatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import masking
 from .dsp import EnergyMatrix
 from .errors import EmptyCorpus
-from .masking import energy_threshold, eta, peak_energy, threshold_mask
+from .masking import eta, peak_energy
 
 # the histogram's bins: 1 dB wide, over [-100, +10] dB
 RANGE_DB = (-100.0, 10.0)
@@ -108,60 +107,3 @@ class EtaHistogramAccumulator:
             energy_ratio=energy_ratio,
             total_bins_counted=total,
         )
-
-
-def eta_histogram(corpus: Iterable[EnergyMatrix]) -> EtaDistribution:
-    """Histogram of the dB energy ratio over a corpus of energy matrices."""
-    acc = EtaHistogramAccumulator()
-    for energies in corpus:
-        acc.update(energies)
-    return acc.finalize()
-
-
-def energy_ratio_curve(
-    corpus: Iterable[EnergyMatrix],
-    thresholds: Sequence[float],
-) -> np.ndarray:
-    """Fraction of total corpus energy held by bins below each dB threshold.
-
-    Bin by bin, "below" is the comparison threshold_mask makes: energy under
-    energy_threshold(e_peak, threshold), the bins the mask drops. Peaks are
-    per utterance; thresholds must be given in ascending order.
-    An utterance with no bins or a zero peak (all silence) has no dB ratios
-    and is left out, as in EtaHistogramAccumulator.update; EmptyCorpus when
-    no utterance is left.
-    """
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    if thresholds.size == 0:
-        raise ValueError("at least one threshold required")
-    if np.any(np.diff(thresholds) < 0):
-        raise ValueError("thresholds must be sorted ascending")
-
-    numerators = np.zeros(thresholds.size)
-    total_energy = 0.0
-    for energies in corpus:
-        if energies.values.size == 0:
-            continue
-        e_peak = peak_energy(energies)
-        if e_peak <= 0:
-            continue
-        sorted_energy = np.sort(np.asarray(energies.values, dtype=np.float64), axis=None)
-        cum_energy = np.concatenate(([0.0], np.cumsum(sorted_energy)))
-        e_th = [energy_threshold(e_peak, threshold) for threshold in thresholds.tolist()]
-        positions = np.searchsorted(sorted_energy, e_th, side="left")
-        numerators += cum_energy[positions]
-        # same accumulation as the numerators, so "above everything" is exactly 1
-        total_energy += cum_energy[-1]
-    # a counted utterance has a positive peak, so a positive energy sum
-    if total_energy == 0.0:
-        raise EmptyCorpus("no utterance with a positive peak energy")
-    return numerators / total_energy
-
-
-def masked_fraction(energies: EnergyMatrix, eta_th: float) -> float:
-    """Share of bins threshold_mask(energies, eta_th) drops.
-
-    0.0 for a zero peak (all silence): the mask passes it through whole.
-    """
-    mask = threshold_mask(energies, eta_th)
-    return 0.0 if mask is None else mask.masked_fraction

@@ -1,14 +1,26 @@
-"""Shared fixtures: a default front-end config, small mixed corpora, and
-memory and page-fault probes."""
+"""Shared fixtures: a default front-end config, small mixed corpora, corpus
+statistics through the accumulators, the energy-ratio oracle, and memory
+and page-fault probes."""
 
 import os
 import subprocess
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from semaug import EnergyMatrix, FeatureConfig, filterbank_energies, mel_filterbank, power_mel
-from semaug import synth_fixture, synth_speech_like
+from semaug import (
+    EnergyMatrix,
+    EtaHistogramAccumulator,
+    FeatureConfig,
+    StatsAccumulator,
+    filterbank_energies,
+    mel_filterbank,
+    power_mel,
+)
+from semaug.audio_io import synth_fixture, synth_speech_like
+from semaug.errors import EmptyCorpus
+from semaug.masking import energy_threshold, peak_energy
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +68,60 @@ def assert_same_files(dir_a, dir_b):
 def fresh(energies):
     """A copy for an in-place transform to overwrite."""
     return EnergyMatrix(energies.values.copy(), energies.utterance_id)
+
+
+def accumulated_stats(matrices):
+    """GlobalStats of the feature matrices, through one StatsAccumulator."""
+    acc = StatsAccumulator()
+    for features in matrices:
+        acc.update(features)
+    return acc.finalize()
+
+
+def accumulated_histogram(matrices):
+    """EtaDistribution of the energy matrices, through one EtaHistogramAccumulator."""
+    acc = EtaHistogramAccumulator()
+    for energies in matrices:
+        acc.update(energies)
+    return acc.finalize()
+
+
+def energy_ratio_curve(corpus, thresholds):
+    """Oracle of r_e: the fraction of total corpus energy held by bins below
+    each dB threshold, computed from sorted energies rather than binned.
+
+    Bin by bin, "below" is the comparison threshold_mask makes: energy under
+    energy_threshold(e_peak, threshold), the bins the mask drops. Peaks are
+    per utterance; thresholds must be given in ascending order.
+    An utterance with no bins or a zero peak (all silence) has no dB ratios
+    and is left out, as in EtaHistogramAccumulator.update; EmptyCorpus when
+    no utterance is left.
+    """
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    if thresholds.size == 0:
+        raise ValueError("at least one threshold required")
+    if np.any(np.diff(thresholds) < 0):
+        raise ValueError("thresholds must be sorted ascending")
+
+    numerators = np.zeros(thresholds.size)
+    total_energy = 0.0
+    for energies in corpus:
+        if energies.values.size == 0:
+            continue
+        e_peak = peak_energy(energies)
+        if e_peak <= 0:
+            continue
+        sorted_energy = np.sort(np.asarray(energies.values, dtype=np.float64), axis=None)
+        cum_energy = np.concatenate(([0.0], np.cumsum(sorted_energy)))
+        e_th = [energy_threshold(e_peak, threshold) for threshold in thresholds.tolist()]
+        positions = np.searchsorted(sorted_energy, e_th, side="left")
+        numerators += cum_energy[positions]
+        # same accumulation as the numerators, so "above everything" is exactly 1
+        total_energy += cum_energy[-1]
+    # a counted utterance has a positive peak, so a positive energy sum
+    if total_energy == 0.0:
+        raise EmptyCorpus("no utterance with a positive peak energy")
+    return numerators / total_energy
 
 
 def random_energy_matrix(rng, num_frames=None, num_channels=None):

@@ -20,23 +20,15 @@ from semaug import (
     Waveform,
     apply_fixed_sem,
     apply_sem,
-    binary_mask,
-    compute_global_stats,
-    energy_ratio_curve,
-    energy_threshold,
-    eta_histogram,
     filterbank_energies,
     input_dropout,
-    masked_fraction,
     mel_filterbank,
-    peak_energy,
     power_mel,
-    power_spectrum,
-    synth_fixture,
-    synth_speech_like,
-    write_wav,
 )
-from conftest import fresh
+from semaug.audio_io import synth_fixture, synth_speech_like, write_wav
+from semaug.dsp import power_spectrum
+from semaug.masking import binary_mask, energy_threshold, peak_energy, threshold_mask
+from conftest import accumulated_histogram, accumulated_stats, energy_ratio_curve, fresh
 from semaug.cli import main
 from semaug.features import FeatureMatrix
 from semaug.formats import load_features, load_stats, save_features, save_stats
@@ -106,7 +98,8 @@ def test_criterion_2_mask_cdf_identity():
             ]
             for eta_th in grid:
                 count = sum(1 for ratio_db in brute_etas if ratio_db < eta_th)
-                assert masked_fraction(energies, float(eta_th)) == count / len(brute_etas)
+                mask = threshold_mask(energies, float(eta_th))
+                assert mask.masked_fraction == count / len(brute_etas)
 
 
 def test_criterion_3_gain_invariance():
@@ -118,7 +111,7 @@ def test_criterion_3_gain_invariance():
             for gain in (0.1, 1.0, 10.0, 100.0):
                 scaled = Waveform(base.samples * gain, base.sample_rate_hz, base.utterance_id)
                 energies, x_raw = extract(scaled)
-                stats = compute_global_stats([x_raw])
+                stats = accumulated_stats([x_raw])
                 outcome = apply_sem(energies, stats, sem_cfg, CFG.power_exponent)
                 if reference is None:
                     reference = outcome.mask.values
@@ -129,7 +122,7 @@ def test_criterion_3_gain_invariance():
 def test_criterion_4_monotonicity_suite():
     with criterion(4, "cdf and r_e nondecreasing, r_e <= cdf, masks nest"):
         corpus = [extract(fixture_utterance(i, duration_s=0.5))[0] for i in range(12)]
-        dist = eta_histogram(corpus)
+        dist = accumulated_histogram(corpus)
         assert np.all(np.diff(dist.cdf) >= 0)
         assert np.all(np.diff(dist.energy_ratio) >= 0)
         ratio = energy_ratio_curve(corpus, dist.bin_edges[1:])
@@ -155,7 +148,7 @@ def test_criterion_5_distribution_reproduction():
             corpus.append(filterbank_energies(wave, CFG, filterbank=FILTERBANK))
 
         raw_min, raw_max = math.inf, -math.inf
-        from semaug import eta as eta_fn
+        from semaug.masking import eta as eta_fn
 
         for energies in corpus:
             ratios = eta_fn(energies.values, peak_energy(energies))
@@ -164,13 +157,13 @@ def test_criterion_5_distribution_reproduction():
         assert raw_min >= -100.0, f"eta min {raw_min:.2f} below -100 dB"
         assert raw_max <= 10.0, f"eta max {raw_max:.2f} above +10 dB"
 
-        dist = eta_histogram(corpus)
+        dist = accumulated_histogram(corpus)
         in_window = (dist.bin_edges[:-1] >= -90.0) & (dist.bin_edges[1:] <= 10.0)
         assert dist.pdf[in_window].sum() >= 0.99
 
         # No recorded speech is bundled: the 74.3%-masked-at--20dB figure
         # holds for real speech corpora, so this is informational only here.
-        fractions = [masked_fraction(energies, -20.0) for energies in corpus]
+        fractions = [threshold_mask(energies, -20.0).masked_fraction for energies in corpus]
         print(
             f"\n  [info] synthetic corpus masked_fraction at -20 dB: "
             f"mean {np.mean(fractions):.3f}, range [{min(fractions):.3f}, {max(fractions):.3f}] "

@@ -13,19 +13,16 @@ from semaug import (
     filterbank_energies,
     mel_filterbank,
     read_wav,
+)
+from semaug import cli, dsp
+from semaug.audio_io import (
+    KSDATAFORMAT_SUBTYPE_PCM,
+    WAVE_FORMAT_EXTENSIBLE,
     synth_fixture,
     synth_speech_like,
     write_wav,
 )
-from semaug import cli, dsp
-from semaug.audio_io import KSDATAFORMAT_SUBTYPE_PCM, WAVE_FORMAT_EXTENSIBLE
-from semaug.errors import (
-    EmptyAudio,
-    InvalidDuration,
-    MalformedHeader,
-    SemaugError,
-    UnsupportedFormat,
-)
+from semaug.errors import BadAudio, SemaugError
 
 # KSDATAFORMAT_SUBTYPE_IEEE_FLOAT, as stored in the file
 FLOAT_SUBFORMAT = bytes.fromhex("0300000000001000800000aa00389b71")
@@ -86,7 +83,7 @@ class TestReadWav:
     def test_rejects_stereo(self, tmp_path):
         path = tmp_path / "stereo.wav"
         _write_pcm(path, np.zeros(200, dtype=np.int16), channels=2)
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(BadAudio, match="expected mono"):
             read_wav(path)
 
     def test_rejects_8bit(self, tmp_path):
@@ -96,7 +93,7 @@ class TestReadWav:
             handle.setsampwidth(1)
             handle.setframerate(16000)
             handle.writeframes(bytes(100))
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(BadAudio, match="expected 16-bit"):
             read_wav(path)
 
     def test_rejects_non_pcm(self, tmp_path):
@@ -107,7 +104,7 @@ class TestReadWav:
         body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
         body += b"data" + struct.pack("<I", len(data)) + data
         path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(BadAudio, match="format tag 0x0003 is not PCM"):
             read_wav(path)
 
     def test_extensible_pcm_reads_like_plain_pcm(self, tmp_path):
@@ -130,7 +127,7 @@ class TestReadWav:
             _riff(_chunk(b"fmt ", _extensible_fmt(FLOAT_SUBFORMAT, bits=32)),
                   _chunk(b"data", bytes(16)))
         )
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(BadAudio, match="extensible subformat .* is not PCM"):
             read_wav(path)
 
     def test_rejects_extensible_stereo(self, tmp_path):
@@ -139,14 +136,14 @@ class TestReadWav:
             _riff(_chunk(b"fmt ", _extensible_fmt(KSDATAFORMAT_SUBTYPE_PCM, channels=2)),
                   _chunk(b"data", bytes(16)))
         )
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(BadAudio, match="expected mono"):
             read_wav(path)
 
     def test_rejects_truncated_extensible_fmt(self, tmp_path):
         path = tmp_path / "short.wav"
         fmt = _extensible_fmt(KSDATAFORMAT_SUBTYPE_PCM)[:24]
         path.write_bytes(_riff(_chunk(b"fmt ", fmt), _chunk(b"data", bytes(16))))
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(BadAudio, match="truncated extensible fmt chunk"):
             read_wav(path)
 
     def test_skips_odd_sized_unknown_chunks(self, tmp_path):
@@ -167,14 +164,14 @@ class TestReadWav:
         )
         path = tmp_path / "zero.wav"
         path.write_bytes(_riff(_chunk(b"fmt ", fmt), _chunk(b"data", bytes(8))))
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(BadAudio, match="channels of .*-bit samples at"):
             read_wav(path)
 
     def test_rejects_data_before_fmt(self, tmp_path):
         fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
         path = tmp_path / "order.wav"
         path.write_bytes(_riff(_chunk(b"data", bytes(8)), _chunk(b"fmt ", fmt)))
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(BadAudio, match="data chunk before fmt chunk"):
             read_wav(path)
 
     @pytest.mark.parametrize("size", [4, 12, 20, 30])
@@ -182,19 +179,19 @@ class TestReadWav:
         path = tmp_path / "cut.wav"
         _write_pcm(path, np.zeros(10, dtype=np.int16))
         path.write_bytes(path.read_bytes()[:size])
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(BadAudio):
             read_wav(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "garbage.wav"
         path.write_bytes(b"this is not a wav file at all")
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(BadAudio, match="not a RIFF/WAVE file"):
             read_wav(path)
 
     def test_rejects_empty_audio(self, tmp_path):
         path = tmp_path / "empty.wav"
         _write_pcm(path, np.zeros(0, dtype=np.int16))
-        with pytest.raises(EmptyAudio):
+        with pytest.raises(BadAudio, match="no audio samples"):
             read_wav(path)
 
 
@@ -314,8 +311,8 @@ class TestWavReader:
             read_wav(path)
         with pytest.raises(SemaugError) as from_cli:
             cli._extract_energies(path, cfg, mel_filterbank(cfg))
-        assert type(from_cli.value) is type(from_read_wav.value)
-        assert type(from_cli.value) in (MalformedHeader, UnsupportedFormat, EmptyAudio)
+        assert type(from_cli.value) is type(from_read_wav.value) is BadAudio
+        assert str(from_cli.value) == str(from_read_wav.value)
 
 
 class TestWriteWav:
@@ -360,9 +357,9 @@ class TestSynthFixture:
         assert not np.array_equal(a.samples, b.samples)
 
     def test_invalid_duration(self):
-        with pytest.raises(InvalidDuration):
+        with pytest.raises(ValueError, match="duration_s must be > 0"):
             synth_fixture("sine", 0.0)
-        with pytest.raises(InvalidDuration):
+        with pytest.raises(ValueError, match="duration_s must be > 0"):
             synth_fixture("sine", -1.0)
 
     def test_unknown_kind(self):
@@ -392,7 +389,7 @@ class TestSpeechLike:
         assert np.max(np.abs(wav.samples)) > 0.05
 
     def test_invalid_duration(self):
-        with pytest.raises(InvalidDuration):
+        with pytest.raises(ValueError, match="duration_s must be > 0"):
             synth_speech_like(0.0)
 
 

@@ -1,12 +1,17 @@
 """The names and code the benchmark in perfbench/ runs against semaug.
 
-perfbench/child.py wraps the functions its TRACED table names, and
-perfbench/run.py times SETUP_CODE as `setup_s`; both fail only when the
-benchmark runs. These tests load the two scripts (stdlib-only at import)
-by path, unchanged, and check those hooks against the current sources.
+perfbench/child.py wraps the functions its TRACED table names,
+perfbench/run.py times SETUP_CODE as `setup_s`, and perfbench/corpus.py
+imports its synthesis functions inside the worker that writes each WAV;
+all of these fail only when the benchmark runs. These tests load the
+scripts (stdlib-only at import) by path, unchanged, check those hooks
+against the current sources, and run the benchmark once at its self-test
+size.
 """
 
+import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -32,11 +37,11 @@ def _load_script(name):
     return module
 
 
-def _run_python(code):
-    env = dict(os.environ)
+def _run_python(*args, timeout=120):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -52,7 +57,7 @@ def test_traced_name_resolves(module_name, attr_path):
 
 
 def test_setup_code_runs():
-    run = _run_python(_load_script("run").SETUP_CODE)
+    run = _run_python("-c", _load_script("run").SETUP_CODE)
     assert run.returncode == 0, run.stderr
 
 
@@ -66,5 +71,30 @@ def test_cli_import_builds_no_filterbank():
         "import semaug.cli\n"
         "assert not calls, calls\n"
     )
-    run = _run_python(code)
+    run = _run_python("-c", code)
     assert run.returncode == 0, run.stderr
+
+
+def test_corpus_imports_resolve():
+    tree = ast.parse((ROOT / "perfbench" / "corpus.py").read_text(encoding="utf-8"))
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("semaug")
+    ]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert callable(getattr(module, alias.name)), f"{node.module}.{alias.name}"
+
+
+def test_tiny_benchmark_run():
+    # featurize, all four mask modes and stats on three 1 s files, each
+    # round's artifacts checked by perfbench/verify.py
+    run = _run_python(
+        str(ROOT / "perfbench" / "run.py"), "--workload", "parallel_modes",
+        "--seed", "0", "--seconds", "1", "--tiny", timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, run.stdout + run.stderr

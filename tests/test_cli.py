@@ -15,15 +15,12 @@ from semaug import (
     EnergyMatrix,
     FeatureConfig,
     GlobalStats,
-    divide_std,
     filterbank_energies,
     power_mel,
     read_wav,
-    subtract_mean,
-    synth_fixture,
-    synth_speech_like,
-    write_wav,
 )
+from semaug.audio_io import synth_fixture, synth_speech_like, write_wav
+from semaug.features import divide_std, subtract_mean
 from semaug import cli
 from semaug.cli import main
 from semaug.formats import load_features, load_stats, save_stats
@@ -605,6 +602,61 @@ def test_removed_flag_is_usage_error(tmp_path, corpus_dir, capsys, command, flag
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# an output path blocked by the existing file {file}: as the output itself, or
+# as a directory on the way to it
+BLOCKED_OUTPUTS = [
+    pytest.param(["featurize", "--in", "{wavs}", "--out", "{file}"], id="featurize-out"),
+    pytest.param(
+        ["featurize", "--in", "{wavs}", "--out", "{tmp}/f", "--stats-out", "{file}/s.txt"],
+        id="featurize-stats-out",
+    ),
+    pytest.param(["stats", "--in", "{wavs}", "--out", "{file}/x.csv"], id="stats-out"),
+    pytest.param(
+        ["mask", "--in", "{wavs}", "--stats", "{stats}", "--mode", "none", "--out", "{file}"],
+        id="mask-out",
+    ),
+    pytest.param(
+        ["render", "--in", "{wavs}/utt.wav", "--eta-th", "-30", "--out", "{file}/x.pgm"],
+        id="render-out",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", BLOCKED_OUTPUTS)
+def test_unwritable_output_exits_2(tmp_path, argv):
+    wavs = tmp_path / "wavs"
+    make_corpus(wavs, [synth_fixture("white_noise", 0.3, seed=1, utterance_id="utt")])
+    stats = tmp_path / "stats.txt"
+    save_stats(stats, GlobalStats(np.zeros(40), np.ones(40), 1))
+    blocker = tmp_path / "afile"
+    blocker.write_text("in the way\n")
+    args = [arg.format(wavs=wavs, tmp=tmp_path, file=blocker, stats=stats) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(semaug.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "semaug.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    errors = [line for line in run.stderr.splitlines() if line.startswith("ERROR ")]
+    assert len(errors) == 1, run.stderr
+    assert str(blocker) in errors[0]
+    assert blocker.read_text() == "in the way\n"
+
+
+def test_unwritable_output_of_one_file_fails_that_file(tmp_path, corpus_dir, caplog):
+    # a directory where one utterance's .fmx goes: os.replace fails for that
+    # file alone, the run goes on and exits 1
+    out = tmp_path / "f"
+    (out / "utt_001.fmx").mkdir(parents=True)
+    assert main(["featurize", "--in", str(corpus_dir), "--out", str(out)]) == 1
+    failed = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(failed) == 1 and failed[0].startswith("failed on utt_001.wav: ")
+    expected = {f"utt_{i:03d}.fmx" for i in range(6)} | {"global_stats.txt"}
+    assert {p.name for p in out.iterdir()} == expected
+    assert (out / "utt_001.fmx").is_dir()
 
 
 blas_controls = cli._openblas_thread_controls()

@@ -5,20 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from semaug import (
-    FeatureConfig,
-    filterbank_energies,
+from semaug import FeatureConfig, filterbank_energies, mel_filterbank
+from semaug import dsp
+from semaug.audio_io import PCM_SCALE, WavReader, Waveform, synth_fixture, write_wav
+from semaug.dsp import (
+    BLOCK_FRAMES,
+    SUB_BLOCK_FRAMES,
     frame_signal,
     hamming_window,
-    mel_filterbank,
+    hz_to_mel,
+    mel_to_hz,
     power_spectrum,
-    synth_fixture,
-    write_wav,
 )
-from semaug import dsp
-from semaug.audio_io import PCM_SCALE, WavReader, Waveform
-from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES, hz_to_mel, mel_to_hz
-from semaug.errors import TooManyChannels, TooShort
+from semaug.errors import BadAudio
 from conftest import traced_peak
 
 
@@ -90,7 +89,7 @@ class TestFrameSignal:
 
     def test_too_short(self):
         wav = Waveform(np.zeros(399), 16000, "short")
-        with pytest.raises(TooShort):
+        with pytest.raises(BadAudio, match="< one window"):
             frame_signal(wav, _cfg_for(400, 160))
 
     def test_frame_count_formula_randomized(self):
@@ -213,7 +212,7 @@ class TestMelFilterbank:
         cfg = FeatureConfig(
             window_length_ms=16.0, fft_size=256, num_channels=128
         )
-        with pytest.raises(TooManyChannels):
+        with pytest.raises(ValueError, match="collapse adjacent centers"):
             mel_filterbank(cfg)
 
 
@@ -362,7 +361,7 @@ class TestFilterbankEnergies:
 
     def test_propagates_too_short(self, cfg):
         wav = Waveform(np.zeros(100), 16000, "tiny")
-        with pytest.raises(TooShort):
+        with pytest.raises(BadAudio, match="< one window"):
             filterbank_energies(wav, cfg)
 
 

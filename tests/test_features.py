@@ -10,16 +10,13 @@ from semaug import (
     SemConfig,
     StatsAccumulator,
     apply_sem,
-    compute_global_stats,
-    divide_std,
     input_dropout,
     normalize,
     power_mel,
-    subtract_mean,
 )
-from semaug.features import STATS_CHUNK_ROWS, STD_FLOOR
-from conftest import traced_peak
-from semaug.errors import EmptyCorpus, ShapeMismatch
+from semaug.features import STATS_CHUNK_ROWS, STD_FLOOR, divide_std, subtract_mean
+from conftest import accumulated_stats, traced_peak
+from semaug.errors import EmptyCorpus
 from semaug.formats import load_features, save_features
 
 
@@ -114,12 +111,12 @@ class TestInPlaceContract:
 class TestGlobalStats:
     def test_constant_corpus_floors_std(self):
         frames = feat(np.full((10, 3), 7.5))
-        stats = compute_global_stats([frames])
+        stats = accumulated_stats([frames])
         assert np.allclose(stats.mean, 7.5)
         assert np.all(stats.std == STD_FLOOR)
 
     def test_two_point_population_std(self):
-        stats = compute_global_stats([feat([[0.0], [2.0]])])
+        stats = accumulated_stats([feat([[0.0], [2.0]])])
         assert stats.mean[0] == pytest.approx(1.0)
         assert stats.std[0] == pytest.approx(1.0)
         assert stats.num_frames_seen == 2
@@ -127,7 +124,7 @@ class TestGlobalStats:
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(17)
         matrices = [rng.normal(3.0, 2.0, size=(rng.integers(50, 150), 5)) for _ in range(10)]
-        stats = compute_global_stats([feat(m, uid=str(i)) for i, m in enumerate(matrices)])
+        stats = accumulated_stats([feat(m, uid=str(i)) for i, m in enumerate(matrices)])
         stacked = np.vstack(matrices)
         mean = stacked.sum(axis=0) / stacked.shape[0]
         std = np.sqrt(((stacked - mean) ** 2).sum(axis=0) / stacked.shape[0])
@@ -137,7 +134,7 @@ class TestGlobalStats:
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            compute_global_stats([])
+            accumulated_stats([])
 
     def test_merge_matches_single_accumulator(self):
         rng = np.random.default_rng(23)
@@ -180,7 +177,7 @@ class TestGlobalStats:
     def test_mismatched_channels(self):
         acc = StatsAccumulator()
         acc.update(feat(np.ones((2, 3))))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="channel count changed"):
             acc.update(feat(np.ones((2, 4))))
 
     def test_stats_reject_nonpositive_std(self):
@@ -232,9 +229,9 @@ class TestNormalization:
     def test_shape_mismatch(self):
         x = feat(np.zeros((4, 2)))
         stats = GlobalStats(np.zeros(3), np.ones(3), 4)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="channels vs stats"):
             subtract_mean(x, stats)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="channels vs stats"):
             divide_std(x, stats)
 
     def test_steps_keep_utterance_id(self):
@@ -255,12 +252,12 @@ class TestNormalization:
 
     def test_normalize_shape_mismatch(self):
         stats = GlobalStats(np.zeros(3), np.ones(3), 1)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="channels vs stats"):
             normalize(feat(np.ones((2, 4))), stats)
 
     def test_self_normalization_gives_zero_mean_unit_std(self, mixed_corpus):
         raws = [x for _, x in mixed_corpus]
-        stats = compute_global_stats(raws)
+        stats = accumulated_stats(raws)
         normalized = np.vstack(
             [divide_std(subtract_mean(x, stats), stats).values for x in raws]
         )

@@ -96,6 +96,18 @@ class TestAtomicWrite:
         assert path.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_uncreatable_temp_raises_open_error_alone(self, tmp_path):
+        # the target's parent is a file: open fails, and no cleanup error
+        # is chained onto it
+        blocker = tmp_path / "afile"
+        blocker.write_text("in the way\n")
+        with pytest.raises(NotADirectoryError) as exc:
+            with atomic_write(blocker / "x", "w") as handle:
+                handle.write("never")
+        assert exc.value.__context__ is None
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "in the way\n"
+
     def test_success_replaces_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_text("old\n")

@@ -13,26 +13,31 @@ from semaug import (  # noqa: E402
     FeatureConfig,
     FeatureMatrix,
     GlobalStats,
-    MaskMatrix,
     StatsAccumulator,
     apply_fixed_sem,
     filterbank_energies,
     input_dropout,
     mel_filterbank,
-    peak_energy,
     power_mel,
-    scaling_coefficient,
+)
+from semaug import masking  # noqa: E402
+from semaug.audio_io import (  # noqa: E402
+    PCM_SCALE,
+    Waveform,
     synth_fixture,
     synth_speech_like,
     write_wav,
 )
-from semaug import masking  # noqa: E402
-from semaug.audio_io import PCM_SCALE, Waveform  # noqa: E402
 from semaug.cli import main  # noqa: E402
 from conftest import assert_same_files  # noqa: E402
 from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES  # noqa: E402
 from semaug.formats import load_features, load_stats, save_features, save_stats  # noqa: E402
-from semaug.masking import threshold_mask  # noqa: E402
+from semaug.masking import (  # noqa: E402
+    MaskMatrix,
+    peak_energy,
+    scaling_coefficient,
+    threshold_mask,
+)
 
 CFG = FeatureConfig()
 FILTERBANK = mel_filterbank(CFG)

@@ -1,25 +1,22 @@
-"""Histogram, energy-ratio curve, and masked-fraction analytics."""
+"""The dB-ratio histogram, the energy-ratio oracle it is checked against, and
+the masked fraction of threshold_mask."""
 
 import math
 
 import numpy as np
 import pytest
 
-from semaug import (
-    EnergyMatrix,
-    EtaHistogramAccumulator,
-    binary_mask,
-    energy_ratio_curve,
-    energy_threshold,
-    eta,
-    eta_histogram,
-    masked_fraction,
-    peak_energy,
-)
+from semaug import EnergyMatrix, EtaHistogramAccumulator
+from semaug.masking import binary_mask, energy_threshold, eta, peak_energy
 from semaug import masking
-from semaug.errors import EmptyCorpus, EmptyMatrix
+from semaug.errors import EmptyCorpus
 from semaug.masking import threshold_mask
-from conftest import random_energy_matrix, traced_peak
+from conftest import (
+    accumulated_histogram,
+    energy_ratio_curve,
+    random_energy_matrix,
+    traced_peak,
+)
 
 
 def _matrices(rng, count=6):
@@ -33,7 +30,7 @@ class TestEtaHistogram:
         assert acc.counts.shape == acc.energy.shape == (110,)
 
     def test_constant_energies_fill_zero_db_bin(self):
-        dist = eta_histogram([EnergyMatrix(np.full((5, 8), 2.0), "c")])
+        dist = accumulated_histogram([EnergyMatrix(np.full((5, 8), 2.0), "c")])
         zero_bin = int(np.searchsorted(dist.bin_edges, 0.0))  # bin [0, 1)
         assert dist.pdf[zero_bin] == 1.0
         assert dist.pdf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -56,7 +53,7 @@ class TestEtaHistogram:
         assert np.allclose(left.energy, merged.energy, rtol=1e-12)
 
     def test_pdf_normalized_on_mixtures(self, mixed_corpus):
-        dist = eta_histogram([e for e, _ in mixed_corpus])
+        dist = accumulated_histogram([e for e, _ in mixed_corpus])
         assert dist.pdf.sum() == pytest.approx(1.0, abs=1e-9)
         assert dist.cdf[-1] == pytest.approx(1.0, abs=1e-9)
 
@@ -64,17 +61,17 @@ class TestEtaHistogram:
         # one bin at 1e-30 of the peak lands far below -100 dB
         values = np.full((2, 4), 5.0)
         values[0, 0] = 5e-30
-        dist = eta_histogram([EnergyMatrix(values, "clamp")])
+        dist = accumulated_histogram([EnergyMatrix(values, "clamp")])
         assert dist.pdf[0] == pytest.approx(1.0 / 8.0)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            eta_histogram([])
+            accumulated_histogram([])
 
     def test_zero_peak_utterance_adds_no_bins(self):
         rng = np.random.default_rng(47)
         matrices = _matrices(rng, 3)
-        expected = eta_histogram(matrices)
+        expected = accumulated_histogram(matrices)
         acc = EtaHistogramAccumulator()
         assert acc.update(EnergyMatrix(np.zeros((6, 4)), "silent")) is False
         assert acc.counts.sum() == 0 and acc.energy.sum() == 0.0
@@ -86,7 +83,9 @@ class TestEtaHistogram:
 
     def test_all_silent_corpus_is_empty(self):
         with pytest.raises(EmptyCorpus):
-            eta_histogram([EnergyMatrix(np.zeros((3, 5)), "s0"), EnergyMatrix(np.zeros((2, 5)), "s1")])
+            accumulated_histogram(
+                [EnergyMatrix(np.zeros((3, 5)), "s0"), EnergyMatrix(np.zeros((2, 5)), "s1")]
+            )
 
     def test_update_memory(self):
         # the peak's digit counts, then one chunk of dB ratios at a time
@@ -116,17 +115,25 @@ class TestEtaHistogram:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(43)
         matrices = _matrices(rng, 5)
-        forward = eta_histogram(matrices)
-        backward = eta_histogram(matrices[::-1])
+        forward = accumulated_histogram(matrices)
+        backward = accumulated_histogram(matrices[::-1])
         assert np.array_equal(forward.pdf, backward.pdf)
         assert np.array_equal(forward.cdf, backward.cdf)
 
     def test_cdf_nondecreasing_and_ratio_bounded(self, mixed_corpus):
-        dist = eta_histogram([e for e, _ in mixed_corpus])
+        dist = accumulated_histogram([e for e, _ in mixed_corpus])
         assert np.all(np.diff(dist.cdf) >= 0)
         assert np.all(np.diff(dist.energy_ratio) >= 0)
         assert dist.energy_ratio[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(dist.energy_ratio <= dist.cdf + 1e-12)
+
+    def test_energy_ratio_matches_oracle(self, mixed_corpus):
+        # the histogram's r_e, the one `stats` writes, against the sorted-energy
+        # oracle at every interior bin edge: equal but for summation order
+        corpus = [e for e, _ in mixed_corpus]
+        dist = accumulated_histogram(corpus)
+        oracle = energy_ratio_curve(corpus, dist.bin_edges[1:-1])
+        assert np.allclose(dist.energy_ratio[:-1], oracle, rtol=0.0, atol=1e-12)
 
 
 class TestEnergyRatioCurve:
@@ -192,19 +199,18 @@ class TestEnergyRatioCurve:
 class TestMaskedFraction:
     def test_huge_threshold(self):
         values = np.random.default_rng(3).uniform(0.1, 1, size=(5, 5))
-        assert masked_fraction(EnergyMatrix(values, "x"), 100.0) == 1.0
+        assert threshold_mask(EnergyMatrix(values, "x"), 100.0).masked_fraction == 1.0
 
     def test_tiny_threshold(self):
         values = np.random.default_rng(4).uniform(0.1, 1, size=(5, 5))
-        assert masked_fraction(EnergyMatrix(values, "x"), -500.0) == 0.0
+        assert threshold_mask(EnergyMatrix(values, "x"), -500.0).masked_fraction == 0.0
 
     def test_empty(self):
-        with pytest.raises(EmptyMatrix):
-            masked_fraction(EnergyMatrix(np.zeros((0, 2)), "e"), -20.0)
+        with pytest.raises(EmptyCorpus):
+            threshold_mask(EnergyMatrix(np.zeros((0, 2)), "e"), -20.0)
 
     def test_zero_peak_masks_nothing(self):
         silent = EnergyMatrix(np.zeros((3, 4)), "silent")
-        assert masked_fraction(silent, -20.0) == 0.0
         assert threshold_mask(silent, -20.0) is None
 
     def test_equals_brute_force_count(self):
@@ -218,7 +224,7 @@ class TestMaskedFraction:
                 ratio_db = 10.0 * math.log10(max(entry, 1e-30) / sort_peak)
                 if ratio_db < threshold:
                     count += 1
-            frac = masked_fraction(EnergyMatrix(values, "bf"), threshold)
+            frac = threshold_mask(EnergyMatrix(values, "bf"), threshold).masked_fraction
             assert frac == count / values.size
 
     def test_matches_binary_mask_zero_fraction(self, mixed_corpus):
@@ -226,4 +232,4 @@ class TestMaskedFraction:
             e_peak = peak_energy(energies)
             for threshold in (-60.0, -20.0, -5.0, 0.0, 5.0):
                 mask = binary_mask(energies, energy_threshold(e_peak, threshold))
-                assert masked_fraction(energies, threshold) == mask.masked_fraction
+                assert threshold_mask(energies, threshold).masked_fraction == mask.masked_fraction

@@ -68,6 +68,14 @@ def _input_wavs(in_dir: str) -> list[Path]:
     return wavs
 
 
+def _check_output_dir(path: str | Path) -> None:
+    """A usage error naming path when its directory is missing or not a
+    directory; called before any input is read."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise SemaugError(f"cannot write {path}: {directory} is not a directory")
+
+
 def _worker_count(text: str) -> int:
     try:
         count = int(text)
@@ -231,6 +239,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     wavs = _input_wavs(args.in_dir)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    stats_path = Path(args.stats_out) if args.stats_out else out_dir / DEFAULT_STATS_NAME
+    _check_output_dir(stats_path)
     cfg = FeatureConfig()
     filterbank = mel_filterbank(cfg)
 
@@ -249,7 +259,6 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     if corpus_acc.count == 0:
         log.error("no utterance produced features")
         return EXIT_USAGE
-    stats_path = Path(args.stats_out) if args.stats_out else out_dir / DEFAULT_STATS_NAME
     formats.save_stats(stats_path, corpus_acc.finalize())
     log.info("featurized %d utterances (%d failed), stats at %s",
              len(accumulators), failures, stats_path)
@@ -340,6 +349,8 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     wavs = _input_wavs(args.in_dir)
+    out_path = Path(args.out)
+    _check_output_dir(out_path)
     cfg = FeatureConfig()
     filterbank = mel_filterbank(cfg)
     acc = EtaHistogramAccumulator()
@@ -356,7 +367,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     dist = acc.finalize()
-    out_path = Path(args.out)
     with formats.atomic_write(out_path, "w", encoding="ascii", newline="") as handle:
         handle.write("eta_db,pdf,cdf,energy_ratio\n")
         for i in range(dist.num_bins):
@@ -375,6 +385,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     if not in_path.is_file():
         log.error("input file %s does not exist", in_path)
         return EXIT_USAGE
+    _check_output_dir(args.out)
     cfg = FeatureConfig()
 
     def worker(path: Path):

@@ -18,15 +18,15 @@ pass-through with a flag instead of failing the batch.
 Steps 3-5 run in place on the energy matrix: the mask is built from the
 energies, which then become x_raw and then the output, so an utterance
 holds one (M, C) float64 array plus its uint8 mask, never two. The peak
-percentile, r's masked sum and dropout's draws work CHUNK_BINS bins at a
-time, with the bits of their whole-matrix forms.
+percentile keeps the largest 5% of the bins seen so far and takes in
+CHUNK_BINS more at a time; r's masked sum and dropout's draws work
+CHUNK_BINS bins at a time, with the bits of their whole-matrix forms.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +57,6 @@ CHUNK_BINS = 1 << 16
 
 # numpy's pairwise sum adds up to this many elements in one unrolled loop
 _PAIRWISE_BLOCK = 128
-
-# peak_energy fixes one 16-bit digit of a float64's bits per counting pass;
-# the sign bit is the leading digit's top bit
-_DIGIT_VALUES = 1 << 16
-_SIGN_DIGIT = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -120,29 +115,6 @@ def _unit_uniform(seed: int, utterance_id: str, stream: str) -> float:
     return bits / (1 << 53)
 
 
-def _next_digit_order(prefix: list[int]) -> np.ndarray:
-    """The 16-bit digits that can follow `prefix` (the leading digits of a
-    float64's bits), in the order of the values they lead to."""
-    ascending = np.arange(_DIGIT_VALUES, dtype=np.uint16)
-    if not prefix:
-        # sign set (negative values) from the largest bits down, then +0.0 up
-        return np.concatenate((ascending[: _SIGN_DIGIT - 1 : -1], ascending[:_SIGN_DIGIT]))
-    return ascending[::-1] if prefix[0] & _SIGN_DIGIT else ascending
-
-
-def _prefix_chunks(flat: np.ndarray, digits: np.ndarray, prefix: list[int]):
-    """(values, digit rows, match) of flat, CHUNK_BINS entries at a time;
-    match marks the entries whose leading digits are prefix (None when
-    prefix is empty)."""
-    for start in range(0, flat.size, CHUNK_BINS):
-        rows = digits[start : start + CHUNK_BINS]
-        match = None
-        for level, digit in enumerate(prefix):
-            equal = rows[:, level] == digit
-            match = equal if match is None else match & equal
-        yield flat[start : start + CHUNK_BINS], rows, match
-
-
 def peak_energy(energies: EnergyMatrix) -> float:
     """Nearest-rank 95th percentile over all time-frequency bins.
 
@@ -150,48 +122,29 @@ def peak_energy(energies: EnergyMatrix) -> float:
     is taken in exact integer arithmetic.
 
     np.partition(values.ravel(), index)[index] without its whole-matrix
-    copy: while more than CHUNK_BINS candidates are left, one counting pass
-    over the matrix fixes the next 16 bits of the wanted entry's float64
-    bits, and np.partition runs on the candidates that share them. An
-    utterance of at most CHUNK_BINS bins takes no pass. The same value as
-    that call for every matrix without NaN.
+    copy: a pool holds the n - index largest entries seen so far behind a
+    CHUNK_BINS slot; each further chunk of the matrix goes into the slot and
+    one partition of slot and pool puts the largest back in the pool. The
+    wanted entry is then the pool's smallest. An utterance of at most
+    CHUNK_BINS bins takes that call itself. The same value as that call for
+    every matrix without NaN.
     """
     values = np.asarray(energies.values, dtype=np.float64)
     if values.size == 0:
         raise EmptyCorpus("peak_energy of an empty matrix")
     rank = (PEAK_PERCENTILE * values.size + 99) // 100 - 1
     flat = values.ravel()
-    # each value's bits as four 16-bit digits, most significant first
-    digits = flat.view(np.uint16).reshape(-1, 4)
-    if sys.byteorder == "little":
-        digits = digits[:, ::-1]
-    prefix: list[int] = []
-    candidates = flat.size
-    while candidates > CHUNK_BINS and len(prefix) < 4:
-        counts = np.zeros(_DIGIT_VALUES, dtype=np.int64)
-        for _, rows, match in _prefix_chunks(flat, digits, prefix):
-            column = rows[:, len(prefix)]
-            if match is not None:
-                column = column[match]
-            counts += np.bincount(column, minlength=counts.size)
-        order = _next_digit_order(prefix)
-        below = counts[order]
-        np.cumsum(below, out=below)
-        place = int(np.searchsorted(below, rank, side="right"))
-        digit = int(order[place])
-        rank -= int(below[place]) - int(counts[digit])
-        candidates = int(counts[digit])
-        prefix.append(digit)
-    if len(prefix) == 4:
-        # all 64 bits fixed: the candidates are one value, however many
-        bits = 0
-        for digit in prefix:
-            bits = bits << 16 | digit
-        return float(np.array(bits, dtype=np.uint64).view(np.float64))
-    if prefix:
-        chunks = _prefix_chunks(flat, digits, prefix)
-        flat = np.concatenate([chunk[match] for chunk, _, match in chunks])
-    return float(np.partition(flat, rank)[rank])
+    if flat.size <= CHUNK_BINS:
+        return float(np.partition(flat, rank)[rank])
+    keep = flat.size - rank
+    pool = np.empty(CHUNK_BINS + keep)
+    pool[CHUNK_BINS:] = flat[:keep]
+    for start in range(keep, flat.size, CHUNK_BINS):
+        chunk = flat[start : start + CHUNK_BINS]
+        view = pool[CHUNK_BINS - chunk.size :]
+        view[: chunk.size] = chunk
+        view.partition(chunk.size)
+    return float(pool[CHUNK_BINS])
 
 
 def eta(e_val, e_peak: float):

@@ -65,7 +65,10 @@ class EtaHistogramAccumulator:
         e_peak = peak_energy(energies)
         if e_peak <= 0:
             return False
-        energy = None
+        # this utterance's energy per bin, added in element order from 0.0
+        # as one weighted bincount over the utterance adds them (summed
+        # per-chunk bincounts would not)
+        energy = np.zeros(self.energy.size)
         # a chunk of float64 dB ratios and as much of int64 indices at a time
         for start in range(0, values.size, masking.CHUNK_BINS):
             chunk = values[start : start + masking.CHUNK_BINS]
@@ -77,12 +80,7 @@ class EtaHistogramAccumulator:
             idx = ratios_db.astype(np.int64)
             np.clip(idx, 0, self.counts.size - 1, out=idx)
             self.counts += np.bincount(idx, minlength=self.counts.size)
-            # in element order from 0.0 across chunks, as one weighted bincount
-            # over the utterance adds them; summed per-chunk bincounts would not
-            if energy is None:
-                energy = np.bincount(idx, weights=chunk, minlength=self.counts.size)
-            else:
-                np.add.at(energy, idx, chunk)
+            np.add.at(energy, idx, chunk)
         self.energy += energy
         return True
 

@@ -405,8 +405,8 @@ class TestMask:
     def test_memory_one_matrix_and_one_transient(self, tmp_path, monkeypatch, mode_flags):
         # From the energies on, every mode works in place on them: the peak is
         # that matrix, at most three one-byte-per-bin masks and one chunk-sized
-        # transient at a time (the percentile's digit counts, r's leaf sums or
-        # dropout's draws); no matrix-sized float64 transient.
+        # transient at a time (the percentile's pool of a chunk and the top 5%,
+        # r's leaf sums or dropout's draws); no matrix-sized float64 transient.
         shape = (60000, 40)
         monkeypatch.setattr(cli, "_extract_energies", _random_energies(shape))
         wavs = tmp_path / "wavs"
@@ -604,8 +604,9 @@ def test_removed_flag_is_usage_error(tmp_path, corpus_dir, capsys, command, flag
     assert not out.exists()
 
 
-# an output path blocked by the existing file {file}: as the output itself, or
-# as a directory on the way to it
+# an output path (always the last argument) blocked by the existing file
+# {file}, as the output itself or as a directory on the way to it, or under
+# the missing directory {tmp}/nodir
 BLOCKED_OUTPUTS = [
     pytest.param(["featurize", "--in", "{wavs}", "--out", "{file}"], id="featurize-out"),
     pytest.param(
@@ -620,6 +621,15 @@ BLOCKED_OUTPUTS = [
     pytest.param(
         ["render", "--in", "{wavs}/utt.wav", "--eta-th", "-30", "--out", "{file}/x.pgm"],
         id="render-out",
+    ),
+    pytest.param(
+        ["featurize", "--in", "{wavs}", "--out", "{tmp}/f", "--stats-out", "{tmp}/nodir/s.txt"],
+        id="featurize-stats-out-nodir",
+    ),
+    pytest.param(["stats", "--in", "{wavs}", "--out", "{tmp}/nodir/x.csv"], id="stats-out-nodir"),
+    pytest.param(
+        ["render", "--in", "{wavs}/utt.wav", "--eta-th", "-30", "--out", "{tmp}/nodir/x.pgm"],
+        id="render-out-nodir",
     ),
 ]
 
@@ -642,8 +652,22 @@ def test_unwritable_output_exits_2(tmp_path, argv):
     assert "Traceback" not in run.stderr
     errors = [line for line in run.stderr.splitlines() if line.startswith("ERROR ")]
     assert len(errors) == 1, run.stderr
-    assert str(blocker) in errors[0]
+    # the path as given, not a temporary beside it
+    assert args[-1] in errors[0]
+    assert ".tmp" not in errors[0]
     assert blocker.read_text() == "in the way\n"
+    assert not (tmp_path / "nodir").exists()
+    # the output is checked before any input is read
+    assert not list(tmp_path.rglob("*.fmx"))
+
+
+def test_stats_out_in_the_new_out_dir(tmp_path, corpus_dir):
+    # the output directory is made before the stats file's directory is checked
+    out = tmp_path / "f"
+    argv = ["featurize", "--in", str(corpus_dir), "--out", str(out),
+            "--stats-out", str(out / "s.txt")]
+    assert main(argv) == 0
+    assert load_stats(out / "s.txt").num_channels == 40
 
 
 def test_unwritable_output_of_one_file_fails_that_file(tmp_path, corpus_dir, caplog):

@@ -64,6 +64,22 @@ class TestPeakEnergy:
             values = random_energy_matrix(rng)
             assert peak_energy(EnergyMatrix(values, "o")) == sort_oracle_percentile(values)
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_around_one_chunk(self, offset):
+        # one partition call up to CHUNK_BINS bins, the pool above
+        rng = np.random.default_rng(offset + 5)
+        values = random_energy_matrix(rng, masking.CHUNK_BINS + offset, 1)
+        assert peak_energy(EnergyMatrix(values, "c")) == sort_oracle_percentile(values)
+
+    def test_long_utterance_value_and_memory(self):
+        # 60000 x 40 bins: 35 chunks through the pool, which alone is allocated
+        rng = np.random.default_rng(23)
+        values = random_energy_matrix(rng, 60000, 40)
+        peak, traced = traced_peak(lambda: peak_energy(EnergyMatrix(values, "l")))
+        assert peak == sort_oracle_percentile(values)
+        rank = (95 * values.size + 99) // 100 - 1
+        assert traced <= 8 * (values.size - rank + masking.CHUNK_BINS) + 4096
+
 
 class TestEta:
     def test_ratio_of_one(self):
@@ -286,7 +302,8 @@ class TestApplySem:
 
     def test_memory_one_output_and_mask(self):
         # in place on the energies: above them, the mask and a few chunk-sized
-        # buffers (the percentile's digit counts, then r's leaf sums)
+        # buffers (the percentile's pool of a chunk and the top 5%, then r's
+        # leaf sums)
         rng = np.random.default_rng(17)
         energies = EnergyMatrix(random_energy_matrix(rng, 60000, 40), "mem")
         stats = accumulated_stats([power_mel(fresh(energies), EXPONENT)])

@@ -205,16 +205,23 @@ def sizes_near_chunks(chunk):
 @given(chunk=chunk_sizes, data=st.data())
 def test_peak_selection_equals_partition(chunk, data):
     size = data.draw(sizes_near_chunks(chunk))
-    kind = data.draw(st.sampled_from(["ties", "zeros", "constant", "close", "any"]))
+    kind = data.draw(
+        st.sampled_from(["ties", "zeros", "constant", "close", "any", "ascending", "descending"])
+    )
     if kind == "zeros":
         flat = np.zeros(size)
     elif kind == "constant":
         flat = np.full(size, data.draw(st.floats(allow_nan=False)))
     elif kind == "close":
-        # one sign and exponent, lower bits apart: selection reaches every digit
+        # one sign and exponent, lower bits apart: values that differ by a few ulps
         base = np.float64(data.draw(st.floats(-1e300, 1e300))).view(np.int64)
         offsets = data.draw(hnp.arrays(np.int64, size, elements=st.integers(0, 3 << 16)))
         flat = (base + offsets).view(np.float64)
+    elif kind in ("ascending", "descending"):
+        # sorted: in ascending order every chunk displaces the whole pool
+        flat = np.sort(data.draw(hnp.arrays(np.float64, size, elements=st.floats(allow_nan=False))))
+        if kind == "descending":
+            flat = flat[::-1].copy()
     else:
         # "ties" draws from a few values of both signs, zeros of both signs among them
         pool = (

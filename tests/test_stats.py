@@ -88,7 +88,8 @@ class TestEtaHistogram:
             )
 
     def test_update_memory(self):
-        # the peak's digit counts, then one chunk of dB ratios at a time
+        # the peak's pool of a chunk and the top 5%, then one chunk of dB
+        # ratios at a time
         rng = np.random.default_rng(49)
         energies = EnergyMatrix(random_energy_matrix(rng, 60000, 40), "mem")
         acc = EtaHistogramAccumulator()

@@ -5,6 +5,10 @@ utterances are processed in sorted utterance-id order, per-utterance
 randomness comes from keyed hash streams, and output files carry no
 timestamps. Exit codes: 0 success, 1 partial per-file failure, 2
 usage/empty-input error or an output that cannot be written.
+
+A run's record, featurize's stats file or mask's manifest.csv, is removed
+before the run writes its first feature file and written last, so an
+interrupted run leaves none that would describe its outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import formats
 from .audio_io import WavReader
-from .dsp import FeatureConfig, FilterbankMatrix, filterbank_energies, mel_filterbank
+from .dsp import FeatureConfig, filterbank_energies
 from .errors import BadAudio, SemaugError
 from .features import StatsAccumulator, normalize, power_mel
 from .masking import SemConfig, apply_fixed_sem, apply_sem, input_dropout, threshold_mask
@@ -223,14 +227,14 @@ def _run_utterances(paths, worker, num_workers: int):
     return results, len(paths) - len(results)
 
 
-def _extract_energies(path: Path, cfg: FeatureConfig, filterbank: FilterbankMatrix):
+def _extract_energies(path: Path, cfg: FeatureConfig):
     """The file's energies, its samples read block by block (no whole-file array)."""
     with WavReader(path) as wav:
         if wav.sample_rate_hz != cfg.sample_rate_hz:
             raise BadAudio(
                 f"{path}: sample rate {wav.sample_rate_hz} != configured {cfg.sample_rate_hz}"
             )
-        return filterbank_energies(wav, cfg, filterbank=filterbank)
+        return filterbank_energies(wav, cfg)
 
 
 # --- featurize -------------------------------------------------------------
@@ -241,12 +245,12 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stats_path = Path(args.stats_out) if args.stats_out else out_dir / DEFAULT_STATS_NAME
     _check_output_dir(stats_path)
+    # the stats of an earlier run must not outlive this one's first output
+    stats_path.unlink(missing_ok=True)
     cfg = FeatureConfig()
-    filterbank = mel_filterbank(cfg)
 
     def worker(path: Path):
-        energies = _extract_energies(path, cfg, filterbank)
-        x_raw = power_mel(energies, cfg.power_exponent)
+        x_raw = power_mel(_extract_energies(path, cfg))
         formats.save_features(out_dir / (path.stem + FEATURE_SUFFIX), x_raw.values)
         acc = StatsAccumulator()
         acc.update(x_raw)
@@ -289,7 +293,8 @@ def cmd_mask(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     stats_path = Path(args.stats)
     if not stats_path.is_file():
-        log.error("stats file %s does not exist", stats_path)
+        problem = "is not a file" if stats_path.exists() else "does not exist"
+        log.error("stats file %s %s", stats_path, problem)
         return EXIT_USAGE
 
     cfg = FeatureConfig()
@@ -302,17 +307,19 @@ def cmd_mask(args: argparse.Namespace) -> int:
     # after _mode_flags, the flags given to sem are SemConfig fields
     sem_cfg = SemConfig(**given) if args.mode == "sem" else None
     out_dir.mkdir(parents=True, exist_ok=True)
-    filterbank = mel_filterbank(cfg)
+    manifest_path = out_dir / MANIFEST_NAME
+    # an earlier run's manifest must not describe this run's outputs
+    manifest_path.unlink(missing_ok=True)
 
     def worker(path: Path):
         # every mode turns the energies into its output in place
-        energies = _extract_energies(path, cfg, filterbank)
+        energies = _extract_energies(path, cfg)
         uid = energies.utterance_id
         if args.mode == "sem" or args.mode == "fixed":
             if args.mode == "sem":
-                outcome = apply_sem(energies, stats, sem_cfg, cfg.power_exponent)
+                outcome = apply_sem(energies, stats, sem_cfg)
             else:
-                outcome = apply_fixed_sem(energies, stats, args.eta_th, cfg.power_exponent)
+                outcome = apply_fixed_sem(energies, stats, args.eta_th)
             final = outcome.features.values
             row = (
                 uid,
@@ -323,10 +330,10 @@ def cmd_mask(args: argparse.Namespace) -> int:
                 str(int(outcome.fallback_applied)),
             )
         else:
-            normalized = normalize(power_mel(energies, cfg.power_exponent), stats)
+            normalized = normalize(power_mel(energies), stats)
             final = normalized.values
             if args.mode == "dropout":
-                final = input_dropout(normalized, args.rate, given.get("seed", 0), uid).values
+                final = input_dropout(normalized, args.rate, given.get("seed", 0)).values
                 zero_fraction = (final.size - np.count_nonzero(final)) / final.size
                 row = (uid, "", "", _fmt(zero_fraction), _fmt(1.0 / (1.0 - args.rate)), "0")
             else:  # none
@@ -335,7 +342,6 @@ def cmd_mask(args: argparse.Namespace) -> int:
         return row
 
     rows, failures = _run_utterances(wavs, worker, args.workers)
-    manifest_path = out_dir / MANIFEST_NAME
     with formats.atomic_write(manifest_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(MANIFEST_COLUMNS)
@@ -352,12 +358,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     _check_output_dir(out_path)
     cfg = FeatureConfig()
-    filterbank = mel_filterbank(cfg)
     acc = EtaHistogramAccumulator()
 
     def worker(path: Path) -> None:
         # returns nothing, so one utterance's arrays are freed before the next read
-        if not acc.update(_extract_energies(path, cfg, filterbank)):
+        if not acc.update(_extract_energies(path, cfg)):
             log.info("%s has zero peak energy (silence): no bins added", path.name)
 
     # one worker: the histogram is shared
@@ -389,9 +394,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     cfg = FeatureConfig()
 
     def worker(path: Path):
-        energies = _extract_energies(path, cfg, mel_filterbank(cfg))
+        energies = _extract_energies(path, cfg)
         mask = threshold_mask(energies, args.eta_th)
-        values = power_mel(energies, cfg.power_exponent).values
+        values = power_mel(energies).values
         lo, hi = float(values.min()), float(values.max())
         # width = frames, height = channels, channel 0 at the bottom row: the
         # image is cast straight into that layout, so no flipped copy is made

@@ -6,7 +6,9 @@ size) and sums it through triangular mel filters:
 
     energy[m, c] = sum_k |X[m, k]|^2 * W[c, k],   k = 0 .. K/2
 
-No pre-emphasis and no dithering are applied.
+No pre-emphasis and no dithering are applied. There is one front end,
+FeatureConfig: its values are constants, so mel_filterbank builds one
+filterbank per process and every call shares it.
 
 Frames are processed in blocks of BLOCK_FRAMES (512) rows, each block's
 energies written into the preallocated (M, C) result, so the peak memory
@@ -22,6 +24,7 @@ shares with the block before it instead of recomputing them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,46 +55,18 @@ def mel_to_hz(mel):
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Front-end configuration: 25 ms Hamming windows, 10 ms hop, 40 mel
-    channels on 16 kHz audio, power-law exponent 1/15."""
+    """The one front end: 25 ms Hamming windows, 10 ms hop, 40 mel channels
+    on 16 kHz audio, power-law exponent 1/15.
 
-    window_length_ms: float = 25.0
-    hop_ms: float = 10.0
-    fft_size: int = 512
-    num_channels: int = 40
-    sample_rate_hz: int = 16000
-    power_exponent: float = 1.0 / 15.0
+    Its values are class constants; every instance compares and hashes equal.
+    """
 
-    def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1) != 0:
-            raise ValueError(f"fft_size must be a power of two >= 2, got {self.fft_size}")
-        if self.window_samples < 2:
-            raise ValueError("window shorter than 2 samples")
-        if self.fft_size < self.window_samples:
-            raise ValueError(
-                f"fft_size {self.fft_size} smaller than window of "
-                f"{self.window_samples} samples"
-            )
-        if not 0 < self.num_channels <= self.fft_size // 2:
-            raise ValueError(
-                f"num_channels must be in (0, fft_size/2], got {self.num_channels}"
-            )
-        if self.hop_ms > self.window_length_ms:
-            raise ValueError("hop_ms must not exceed window_length_ms")
-        if self.hop_ms <= 0:
-            raise ValueError("hop_ms must be > 0")
-        if self.power_exponent <= 0:
-            raise ValueError("power_exponent must be > 0")
-
-    @property
-    def window_samples(self) -> int:
-        return int(round(self.window_length_ms * self.sample_rate_hz / 1000.0))
-
-    @property
-    def hop_samples(self) -> int:
-        return int(round(self.hop_ms * self.sample_rate_hz / 1000.0))
+    window_samples = 400
+    hop_samples = 160
+    fft_size = 512
+    num_channels = 40
+    sample_rate_hz = 16000
+    power_exponent = 1.0 / 15.0
 
 
 @dataclass(frozen=True)
@@ -175,13 +150,15 @@ def power_spectrum(
     return np.square(magnitude, out=magnitude)
 
 
+@functools.cache
 def mel_filterbank(cfg: FeatureConfig) -> FilterbankMatrix:
     """Build triangular mel filters with centers equally spaced on the mel
     scale between 0 Hz and Nyquist.
 
     Centers snap to the nearest DFT bin so every triangle peaks at exactly
     1.0; triangle c spans from center c-1 to center c+1 (band edges for the
-    first and last).
+    first and last). Built once per process and shared: its arrays are
+    read-only.
     """
     half = cfg.fft_size // 2
     nyquist = cfg.sample_rate_hz / 2.0
@@ -190,11 +167,6 @@ def mel_filterbank(cfg: FeatureConfig) -> FilterbankMatrix:
     grid_bins = np.rint(grid_hz * cfg.fft_size / cfg.sample_rate_hz).astype(np.int64)
     grid_bins[0] = 0
     grid_bins[-1] = half
-    if np.any(np.diff(grid_bins) < 1):
-        raise ValueError(
-            f"{cfg.num_channels} channels collapse adjacent centers onto one DFT bin "
-            f"(fft_size={cfg.fft_size}, rate={cfg.sample_rate_hz})"
-        )
 
     weights = np.zeros((cfg.num_channels, half + 1))
     bins = np.arange(half + 1, dtype=np.float64)
@@ -205,22 +177,19 @@ def mel_filterbank(cfg: FeatureConfig) -> FilterbankMatrix:
         weights[c, rising] = (bins[rising] - left) / (center - left)
         weights[c, falling] = (right - bins[falling]) / (right - center)
 
-    center_freqs = grid_bins[1:-1] * cfg.sample_rate_hz / cfg.fft_size
-    return FilterbankMatrix(weights=weights, center_freqs_hz=center_freqs.astype(np.float64))
+    center_freqs = (grid_bins[1:-1] * cfg.sample_rate_hz / cfg.fft_size).astype(np.float64)
+    weights.flags.writeable = False
+    center_freqs.flags.writeable = False
+    return FilterbankMatrix(weights=weights, center_freqs_hz=center_freqs)
 
 
-def filterbank_energies(
-    source: Waveform | WavReader,
-    cfg: FeatureConfig,
-    filterbank: FilterbankMatrix | None = None,
-) -> EnergyMatrix:
+def filterbank_energies(source: Waveform | WavReader, cfg: FeatureConfig) -> EnergyMatrix:
     """Full front end: framing, Hamming windowing, power spectrum, mel sum.
 
     source is a Waveform, or an open WavReader whose samples are read one
     block's span at a time (read_wav into one reused float32 buffer), so no
     whole-utterance sample array exists; both give the same bits for the
-    same samples. A precomputed FilterbankMatrix may be shared read-only
-    across calls.
+    same samples.
 
     Runs BLOCK_FRAMES frames at a time. When M > BLOCK_FRAMES the last block
     is the final BLOCK_FRAMES frames, overlapping the one before it: every
@@ -234,8 +203,7 @@ def filterbank_energies(
     (sub-block, fft_size) workspace whose other columns stay zero, so the
     FFT sees the zero-padded frames and needs no padding copy of its own.
     """
-    if filterbank is None:
-        filterbank = mel_filterbank(cfg)
+    filterbank = mel_filterbank(cfg)
     length, hop = cfg.window_samples, cfg.hop_samples
     _check_length(source.num_samples, cfg, source.utterance_id)
     num_frames = 1 + (source.num_samples - length) // hop

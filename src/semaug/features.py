@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import EnergyMatrix
+from .dsp import EnergyMatrix, FeatureConfig
 from .errors import EmptyCorpus
 
 # std floor keeps divide_std total on degenerate constant channels
@@ -48,6 +48,8 @@ class GlobalStats:
     def __post_init__(self):
         if not np.all((self.std > 0) & np.isfinite(self.std)):
             raise ValueError("std must be finite and strictly positive (flooring failed?)")
+        if self.num_frames_seen < 1:
+            raise ValueError(f"num_frames_seen must be >= 1, got {self.num_frames_seen}")
 
     @property
     def num_channels(self) -> int:
@@ -148,14 +150,13 @@ def writable_values(matrix: FeatureMatrix | EnergyMatrix) -> np.ndarray:
     return values
 
 
-def power_mel(energies: EnergyMatrix, exponent: float) -> FeatureMatrix:
+def power_mel(energies: EnergyMatrix) -> FeatureMatrix:
     """Elementwise power-law compression of filterbank energies, in place:
     the result's values are energies.values, with the bits of
-    energies.values ** exponent. Needs a writable float64 matrix."""
-    if exponent <= 0:
-        raise ValueError(f"exponent must be > 0, got {exponent}")
+    energies.values ** FeatureConfig.power_exponent. Needs a writable
+    float64 matrix."""
     values = writable_values(energies)
-    values **= exponent
+    values **= FeatureConfig.power_exponent
     return FeatureMatrix(values=values, utterance_id=energies.utterance_id)
 
 

@@ -8,9 +8,10 @@ FMX1 layout (little-endian):
     chans   u32      C
     payload M*C float32, row-major (frame-major)
 
-The stats file is text: a header line "SEMSTATS v1 C=<channels> N=<frames>"
-followed by C lines of "<channel> <mean> <std>". Floats are written with
-repr so a write/read/write cycle is byte-identical.
+The stats file is text: a header line "SEMSTATS v1 C=<channels> N=<frames>",
+both counts at least 1 and nothing else on the line, followed by C lines of
+"<channel> <mean> <std>". Floats are written with repr so a
+write/read/write cycle is byte-identical.
 
 Every writer goes through atomic_write, so a file at its final path is
 always complete.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import struct
 import threading
 from pathlib import Path
@@ -34,6 +36,7 @@ FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sHII")
 
 STATS_HEADER_PREFIX = "SEMSTATS v1"
+_STATS_HEADER = re.compile(rf"{STATS_HEADER_PREFIX} C=([1-9][0-9]*) N=([1-9][0-9]*)")
 
 # FMX1 payload bytes converted to float32 per write call
 _WRITE_CHUNK_BYTES = 1 << 18
@@ -114,14 +117,14 @@ def load_stats(path: str | Path) -> GlobalStats:
     """Parse a SEMSTATS file back into GlobalStats."""
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
-    if not lines or not lines[0].startswith(STATS_HEADER_PREFIX):
-        raise FormatError(f"{path}: missing '{STATS_HEADER_PREFIX}' header")
-    fields = lines[0].split()
-    try:
-        channels = int(fields[2].removeprefix("C="))
-        frames = int(fields[3].removeprefix("N="))
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed header {lines[0]!r}") from exc
+    first = lines[0] if lines else ""
+    header = _STATS_HEADER.fullmatch(first)
+    if header is None:
+        raise FormatError(
+            f"{path}: header {first!r} is not "
+            f"'{STATS_HEADER_PREFIX} C=<channels> N=<frames>', both at least 1"
+        )
+    channels, frames = int(header[1]), int(header[2])
     body = lines[1:]
     if len(body) != channels:
         raise FormatError(f"{path}: expected {channels} channel lines, got {len(body)}")

@@ -256,11 +256,10 @@ def _mask_and_normalize(
     energies: EnergyMatrix,
     stats: GlobalStats,
     eta_th: float,
-    exponent: float,
 ) -> SemOutcome:
     check_channels(energies, stats)
     mask = threshold_mask(energies, eta_th)
-    x_raw = power_mel(energies, exponent)
+    x_raw = power_mel(energies)
     fallback = mask is None
     if not fallback:
         try:
@@ -284,39 +283,33 @@ def apply_sem(
     energies: EnergyMatrix,
     stats: GlobalStats,
     cfg: SemConfig,
-    exponent: float,
 ) -> SemOutcome:
     """Full small-energy-masking pipeline with a per-utterance random threshold.
 
     In place: the energies, a writable float64 matrix, become the output
     features (outcome.features.values is energies.values), by way of
-    power_mel with `exponent`. Pass a copy to keep the energies.
+    power_mel. Pass a copy to keep the energies.
     """
     eta_th = sample_threshold(cfg, energies.utterance_id)
-    return _mask_and_normalize(energies, stats, eta_th, exponent)
+    return _mask_and_normalize(energies, stats, eta_th)
 
 
 def apply_fixed_sem(
     energies: EnergyMatrix,
     stats: GlobalStats,
     eta_th_fixed: float,
-    exponent: float,
 ) -> SemOutcome:
     """Masking pipeline with a constant dB threshold (the non-random ablation).
 
     In place, as apply_sem.
     """
-    return _mask_and_normalize(energies, stats, eta_th_fixed, exponent)
+    return _mask_and_normalize(energies, stats, eta_th_fixed)
 
 
-def input_dropout(
-    features: FeatureMatrix,
-    rate: float,
-    seed: int,
-    utterance_id: str,
-) -> FeatureMatrix:
+def input_dropout(features: FeatureMatrix, rate: float, seed: int) -> FeatureMatrix:
     """Inverted input dropout: zero each element with probability `rate`,
-    scale survivors by 1/(1 - rate). Deterministic per (seed, utterance_id).
+    scale survivors by 1/(1 - rate). Deterministic per (seed,
+    features.utterance_id).
 
     In place: the result's values are features.values, which must be a
     writable float64 matrix. Dropped entries become +0.0 whatever their sign
@@ -329,7 +322,7 @@ def input_dropout(
     values = writable_values(features)
     if rate == 0.0:
         return features
-    child_seed = int.from_bytes(_stream_digest(seed, utterance_id, "dropout"), "little")
+    child_seed = int.from_bytes(_stream_digest(seed, features.utterance_id, "dropout"), "little")
     rng = np.random.default_rng(child_seed)
     rows = max(1, CHUNK_BINS // max(1, values.shape[1]))
     for start in range(0, values.shape[0], rows):

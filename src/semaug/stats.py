@@ -8,7 +8,7 @@ both the empirical CDF and the below-threshold energy fraction
 
     r_e(eta_th) = sum_{eta < eta_th} e / sum e
 
-come out of one pass. Per-utterance partial histograms merge associatively.
+come out of one pass.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class EtaDistribution:
     pdf: np.ndarray
     cdf: np.ndarray
     energy_ratio: np.ndarray
-    total_bins_counted: int
 
     @property
     def num_bins(self) -> int:
@@ -48,7 +47,7 @@ class EtaDistribution:
 
 
 class EtaHistogramAccumulator:
-    """Mergeable count/energy histogram over the dB ratio, in RANGE_DB's bins."""
+    """Count/energy histogram over the dB ratio, in RANGE_DB's bins."""
 
     def __init__(self):
         lo, hi = RANGE_DB
@@ -84,10 +83,6 @@ class EtaHistogramAccumulator:
         self.energy += energy
         return True
 
-    def merge(self, other: "EtaHistogramAccumulator") -> None:
-        self.counts += other.counts
-        self.energy += other.energy
-
     def finalize(self) -> EtaDistribution:
         total = int(self.counts.sum())
         if total == 0:
@@ -103,5 +98,4 @@ class EtaHistogramAccumulator:
             pdf=pdf,
             cdf=cdf,
             energy_ratio=energy_ratio,
-            total_bins_counted=total,
         )

@@ -48,12 +48,12 @@ def mixed_waveforms(num=8, duration_s=1.0):
 
 
 @pytest.fixture(scope="session")
-def mixed_corpus(cfg, filterbank):
+def mixed_corpus(cfg):
     """(energies, raw features) pairs for a small mixed fixture corpus."""
     pairs = []
     for wave in mixed_waveforms(8):
-        energies = filterbank_energies(wave, cfg, filterbank=filterbank)
-        pairs.append((energies, power_mel(fresh(energies), cfg.power_exponent)))
+        energies = filterbank_energies(wave, cfg)
+        pairs.append((energies, power_mel(fresh(energies))))
     return pairs
 
 

@@ -11,7 +11,6 @@ from semaug import (
     Waveform,
     WavReader,
     filterbank_energies,
-    mel_filterbank,
     read_wav,
 )
 from semaug import cli, dsp
@@ -291,13 +290,12 @@ class TestWavReader:
         if block < dsp.SUB_BLOCK_FRAMES:
             monkeypatch.setattr(dsp, "SUB_BLOCK_FRAMES", 5)
         cfg = FeatureConfig()
-        filterbank = mel_filterbank(cfg)
         num = (num_frames - 1) * cfg.hop_samples + cfg.window_samples + 77
         ints = np.random.default_rng(num_frames).integers(-32768, 32768, size=num)
         path = tmp_path / f"{kind}.wav"
         path.write_bytes(_wav_file_bytes(kind, ints))
-        whole = filterbank_energies(read_wav(path), cfg, filterbank=filterbank)
-        energies = cli._extract_energies(path, cfg, filterbank)
+        whole = filterbank_energies(read_wav(path), cfg)
+        energies = cli._extract_energies(path, cfg)
         assert whole.num_frames == num_frames
         assert energies.utterance_id == kind
         assert np.array_equal(energies.values, whole.values)
@@ -306,11 +304,10 @@ class TestWavReader:
     def test_cli_reader_raises_what_read_wav_raises(self, tmp_path, name, content):
         path = tmp_path / f"{name}.wav"
         path.write_bytes(content)
-        cfg = FeatureConfig()
         with pytest.raises(SemaugError) as from_read_wav:
             read_wav(path)
         with pytest.raises(SemaugError) as from_cli:
-            cli._extract_energies(path, cfg, mel_filterbank(cfg))
+            cli._extract_energies(path, FeatureConfig())
         assert type(from_cli.value) is type(from_read_wav.value) is BadAudio
         assert str(from_cli.value) == str(from_read_wav.value)
 

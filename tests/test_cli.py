@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 
 import csv
+import itertools
 import logging
 import os
 import subprocess
@@ -21,7 +22,7 @@ from semaug import (
 )
 from semaug.audio_io import synth_fixture, synth_speech_like, write_wav
 from semaug.features import divide_std, subtract_mean
-from semaug import cli
+from semaug import cli, formats
 from semaug.cli import main
 from semaug.formats import load_features, load_stats, save_stats
 from conftest import assert_same_files, mixed_waveforms, run_with_rusage, traced_peak
@@ -51,6 +52,20 @@ def featurized(tmp_path, corpus_dir):
     code = main(["featurize", "--in", str(corpus_dir), "--out", str(out)])
     assert code == 0
     return out
+
+
+def interrupt_third_save(monkeypatch):
+    """Make the third formats.save_features call raise KeyboardInterrupt, as
+    a Ctrl-C in the middle of a run would."""
+    save = formats.save_features
+    calls = itertools.count(1)  # next() is atomic, so one worker thread sees 3
+
+    def save_or_interrupt(path, values):
+        if next(calls) == 3:
+            raise KeyboardInterrupt
+        save(path, values)
+
+    monkeypatch.setattr(formats, "save_features", save_or_interrupt)
 
 
 MODE_FLAGS = {
@@ -127,11 +142,29 @@ class TestFeaturize:
         assert (out / "utt_000.fmx").exists()
         assert "zero_rate.wav" in caplog.text
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_interrupted_rerun_leaves_no_stats(self, tmp_path, corpus_dir, monkeypatch, workers):
+        def run(out_dir):
+            argv = ["featurize", "--in", str(corpus_dir), "--out", str(out_dir)]
+            return main(argv + ["--workers", workers])
+
+        out = tmp_path / "f"
+        assert run(out) == 0
+        interrupt_third_save(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run(out)
+        assert not (out / "global_stats.txt").exists()
+        monkeypatch.undo()
+        assert run(out) == 0
+        clean = tmp_path / "clean"
+        assert run(clean) == 0
+        assert_same_files(out, clean)
+
     def test_raw_features_match_library(self, corpus_dir, featurized):
         cfg = FeatureConfig()
         wav = read_wav(corpus_dir / "utt_000.wav")
         energies = filterbank_energies(wav, cfg)
-        expected = power_mel(energies, cfg.power_exponent).values.astype(np.float32)
+        expected = power_mel(energies).values.astype(np.float32)
         assert np.array_equal(load_features(featurized / "utt_000.fmx"), expected)
 
     def test_workers_do_not_change_bytes(self, tmp_path, corpus_dir):
@@ -194,7 +227,7 @@ class TestMask:
         cfg = FeatureConfig()
         stats = load_stats(self._stats_path(featurized))
         wav = read_wav(corpus_dir / "utt_001.wav")
-        x_raw = power_mel(filterbank_energies(wav, cfg), cfg.power_exponent)
+        x_raw = power_mel(filterbank_energies(wav, cfg))
         expected = divide_std(subtract_mean(x_raw, stats), stats).values.astype(np.float32)
         assert np.array_equal(load_features(out / "utt_001.fmx"), expected)
         rows = read_manifest(out / "manifest.csv")
@@ -240,7 +273,7 @@ class TestMask:
         cfg = FeatureConfig()
         stats = load_stats(stats_path)
         wav = read_wav(corpus_dir / "utt_002.wav")
-        x_raw = power_mel(filterbank_energies(wav, cfg), cfg.power_exponent)
+        x_raw = power_mel(filterbank_energies(wav, cfg))
         normalized = divide_std(subtract_mean(x_raw, stats), stats).values
         scaled = (normalized * (1.0 / 0.9)).astype(np.float32)
         kept = dropped != 0.0
@@ -329,11 +362,37 @@ class TestMask:
         assert exc.value.code == 2
         assert not out.exists()
 
-    def test_missing_stats_exits_2(self, tmp_path, corpus_dir):
+    def test_missing_stats_exits_2(self, tmp_path, corpus_dir, caplog):
+        stats_path = tmp_path / "nope.txt"
         assert main([
-            "mask", "--in", str(corpus_dir), "--stats", str(tmp_path / "nope.txt"),
+            "mask", "--in", str(corpus_dir), "--stats", str(stats_path),
             "--mode", "none", "--out", str(tmp_path / "m"),
         ]) == 2
+        assert f"stats file {stats_path} does not exist" in caplog.text
+
+    def test_stats_directory_exits_2(self, tmp_path, corpus_dir, caplog):
+        out = tmp_path / "m"
+        assert main([
+            "mask", "--in", str(corpus_dir), "--stats", str(tmp_path),
+            "--mode", "none", "--out", str(out),
+        ]) == 2
+        assert f"stats file {tmp_path} is not a file" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", [
+        "SEMSTATS v12 C=40 N=5", "SEMSTATS v1 C=40 N=-7", "SEMSTATS v1 C=40 N=0",
+        "SEMSTATS v1 C=40 N=5 junk",
+    ])
+    def test_malformed_stats_header_exits_2(self, tmp_path, corpus_dir, caplog, header):
+        stats_path = tmp_path / "bad.txt"
+        stats_path.write_text("\n".join([header] + [f"{c} 0.0 1.0" for c in range(40)]) + "\n")
+        out = tmp_path / "m"
+        assert main([
+            "mask", "--in", str(corpus_dir), "--stats", str(stats_path),
+            "--mode", "none", "--out", str(out),
+        ]) == 2
+        assert f"header {header!r}" in caplog.text
+        assert not out.exists()
 
     def test_non_finite_stats_exits_2(self, tmp_path, corpus_dir):
         stats_path = tmp_path / "nan.txt"
@@ -357,6 +416,28 @@ class TestMask:
         ]) == 2
         assert "stats file has 39 channels, the front end has 40" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_interrupted_rerun_leaves_no_manifest(
+        self, tmp_path, corpus_dir, featurized, monkeypatch, workers
+    ):
+        def run(out_dir, seed):
+            return main([
+                "mask", "--in", str(corpus_dir), "--stats", str(self._stats_path(featurized)),
+                "--mode", "sem", "--seed", seed, "--out", str(out_dir), "--workers", workers,
+            ])
+
+        out = tmp_path / "m"
+        assert run(out, "1") == 0
+        interrupt_third_save(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run(out, "2")
+        assert not (out / "manifest.csv").exists()
+        monkeypatch.undo()
+        assert run(out, "2") == 0
+        clean = tmp_path / "clean"
+        assert run(clean, "2") == 0
+        assert_same_files(out, clean)
 
     def test_shuffled_input_ordering_identical(self, tmp_path, featurized):
         waves = mixed_waveforms(6)
@@ -426,7 +507,7 @@ def _random_energies(shape):
     """An _extract_energies stand-in: a wide-range random energy matrix of
     `shape`, built in place, whatever the file."""
 
-    def extract(path, cfg, filterbank):
+    def extract(path, cfg):
         values = np.random.default_rng(3).uniform(-8.0, 3.0, size=shape)
         np.power(10.0, values, out=values)
         return EnergyMatrix(values, path.stem)

@@ -156,6 +156,26 @@ class TestStatsFile:
         with pytest.raises(FormatError):
             load_stats(path)
 
+    @pytest.mark.parametrize("header", [
+        "SEMSTATS v12 C=2 N=-7 junk",
+        "SEMSTATS v12 C=2 N=5",
+        "SEMSTATS v1 C=2 N=-7",
+        "SEMSTATS v1 C=2 N=5 junk",
+        "SEMSTATS v1 C=0 N=5",
+        "SEMSTATS v1 C=2 N=0",
+        "SEMSTATS v1 C=+2 N=5",
+        "SEMSTATS v1 C=2",
+        "SEMSTATS v1 N=5 C=2",
+        "SEMSTATS v1  C=2 N=5",
+        "",
+    ])
+    def test_rejects_malformed_header(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n0 0.0 1.0\n1 0.0 1.0\n")
+        with pytest.raises(FormatError) as exc:
+            load_stats(path)
+        assert f"header {header!r}" in str(exc.value)
+
     def test_rejects_nonpositive_std(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("SEMSTATS v1 C=1 N=5\n0 0.0 0.0\n")

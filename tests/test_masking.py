@@ -219,14 +219,11 @@ class TestScalingCoefficient:
             assert scaling_coefficient(x, mask) >= 1.0
 
 
-EXPONENT = FeatureConfig().power_exponent
-
-
 def _pipeline_inputs(seed=0, kind="white_noise", duration=0.5):
     cfg_feat = FeatureConfig()
     wav = synth_fixture(kind, duration, seed=seed, utterance_id=f"pipe_{kind}_{seed}")
     energies = filterbank_energies(wav, cfg_feat)
-    x_raw = power_mel(fresh(energies), cfg_feat.power_exponent)
+    x_raw = power_mel(fresh(energies))
     stats = accumulated_stats([x_raw])
     return wav, energies, x_raw, stats
 
@@ -235,7 +232,7 @@ class TestApplySem:
     def test_no_masking_limit_matches_plain_normalization(self):
         _, energies, x_raw, stats = _pipeline_inputs()
         cfg = SemConfig(eta_a=-10000.0, eta_b=-9999.0, seed=1)
-        outcome = apply_sem(energies, stats, cfg, EXPONENT)
+        outcome = apply_sem(energies, stats, cfg)
         assert outcome.scaling_r == 1.0
         assert not outcome.fallback_applied
         assert np.all(outcome.mask.values == 1)
@@ -247,7 +244,7 @@ class TestApplySem:
         _, energies, x_raw, stats = _pipeline_inputs(seed=5)
         for _ in range(25):
             eta_th = rng.uniform(-80, 0)
-            outcome = apply_fixed_sem(fresh(energies), stats, eta_th, EXPONENT)
+            outcome = apply_fixed_sem(fresh(energies), stats, eta_th)
             if outcome.fallback_applied:
                 continue
             masked_sum = (outcome.scaling_r * outcome.mask.values * x_raw.values).sum()
@@ -262,9 +259,9 @@ class TestApplySem:
         for gain in (0.1, 1.0, 10.0):
             scaled = Waveform(wav.samples * gain, wav.sample_rate_hz, wav.utterance_id)
             energies = filterbank_energies(scaled, cfg_feat)
-            x_raw = power_mel(fresh(energies), cfg_feat.power_exponent)
+            x_raw = power_mel(fresh(energies))
             stats = accumulated_stats([x_raw])
-            outcome = apply_sem(energies, stats, sem, EXPONENT)
+            outcome = apply_sem(energies, stats, sem)
             masks.append(outcome.mask.values)
         assert np.array_equal(masks[0], masks[1])
         assert np.array_equal(masks[1], masks[2])
@@ -272,8 +269,8 @@ class TestApplySem:
     def test_fallback_on_silence(self):
         _, _, x_ref, stats = _pipeline_inputs()
         silent = EnergyMatrix(np.zeros_like(x_ref.values), x_ref.utterance_id)
-        x_raw = power_mel(fresh(silent), 1 / 15)
-        outcome = apply_sem(silent, stats, SemConfig(seed=3), 1 / 15)
+        x_raw = power_mel(fresh(silent))
+        outcome = apply_sem(silent, stats, SemConfig(seed=3))
         assert outcome.fallback_applied
         assert outcome.scaling_r == 1.0
         assert np.all(outcome.mask.values == 1)
@@ -282,7 +279,7 @@ class TestApplySem:
 
     def test_masked_bins_are_exactly_zero(self):
         _, energies, _, stats = _pipeline_inputs(seed=4, kind="chirp")
-        outcome = apply_fixed_sem(energies, stats, -20.0, EXPONENT)
+        outcome = apply_fixed_sem(energies, stats, -20.0)
         assert np.any(outcome.mask.values == 0)
         assert np.all(outcome.features.values[outcome.mask.values == 0] == 0.0)
 
@@ -290,13 +287,13 @@ class TestApplySem:
         _, energies, _, stats = _pipeline_inputs()
         bad = EnergyMatrix(energies.values[:, :-1].copy(), energies.utterance_id)
         with pytest.raises(ValueError, match="channels vs stats"):
-            apply_sem(bad, stats, SemConfig(), EXPONENT)
+            apply_sem(bad, stats, SemConfig())
         assert np.array_equal(bad.values, energies.values[:, :-1])
 
     def test_output_overwrites_energies(self):
         _, energies, x_raw, stats = _pipeline_inputs(seed=7)
-        reference = apply_sem(fresh(energies), stats, SemConfig(seed=4), EXPONENT)
-        outcome = apply_sem(energies, stats, SemConfig(seed=4), EXPONENT)
+        reference = apply_sem(fresh(energies), stats, SemConfig(seed=4))
+        outcome = apply_sem(energies, stats, SemConfig(seed=4))
         assert outcome.features.values is energies.values
         assert np.array_equal(outcome.features.values, reference.features.values)
 
@@ -306,16 +303,16 @@ class TestApplySem:
         # leaf sums)
         rng = np.random.default_rng(17)
         energies = EnergyMatrix(random_energy_matrix(rng, 60000, 40), "mem")
-        stats = accumulated_stats([power_mel(fresh(energies), EXPONENT)])
-        outcome, peak = traced_peak(lambda: apply_sem(energies, stats, SemConfig(seed=2), EXPONENT))
+        stats = accumulated_stats([power_mel(fresh(energies))])
+        outcome, peak = traced_peak(lambda: apply_sem(energies, stats, SemConfig(seed=2)))
         assert not outcome.fallback_applied
         assert peak <= outcome.mask.values.nbytes + 4 * 8 * masking.CHUNK_BINS
 
     def test_same_seed_same_outcome(self):
         _, energies, x_raw, stats = _pipeline_inputs(seed=6)
         cfg = SemConfig(seed=123)
-        a = apply_sem(fresh(energies), stats, cfg, EXPONENT)
-        b = apply_sem(fresh(energies), stats, cfg, EXPONENT)
+        a = apply_sem(fresh(energies), stats, cfg)
+        b = apply_sem(fresh(energies), stats, cfg)
         assert a.mask.eta_th_used == b.mask.eta_th_used
         assert np.array_equal(a.features.values, b.features.values)
 
@@ -324,18 +321,18 @@ class TestApplyFixedSem:
     def test_very_low_threshold_masks_nothing(self):
         for kind in ("sine", "white_noise", "chirp"):
             _, energies, _, stats = _pipeline_inputs(seed=2, kind=kind)
-            outcome = apply_fixed_sem(energies, stats, -200.0, EXPONENT)
+            outcome = apply_fixed_sem(energies, stats, -200.0)
             assert not outcome.fallback_applied
             assert np.all(outcome.mask.values == 1)
             assert outcome.scaling_r == 1.0
 
     def test_hand_chain(self):
         energies = EnergyMatrix(np.array([[4.0, 1.0], [2.0, 8.0]]), "hand")
-        x_raw = power_mel(fresh(energies), 1 / 15)
+        x_raw = power_mel(fresh(energies))
         stats = GlobalStats(np.zeros(2), np.ones(2), 2)
         # e_peak = 8; eta_th puts e_th exactly at 2.5
         eta_th = 10.0 * math.log10(2.5 / 8.0)
-        outcome = apply_fixed_sem(energies, stats, eta_th, 1 / 15)
+        outcome = apply_fixed_sem(energies, stats, eta_th)
         assert outcome.mask.e_th_used == pytest.approx(2.5, rel=1e-12)
         assert np.array_equal(outcome.mask.values, [[1, 0], [0, 1]])
         expected_r = x_raw.values.sum() / (x_raw.values[0, 0] + x_raw.values[1, 1])
@@ -343,16 +340,16 @@ class TestApplyFixedSem:
 
     def test_minus_twenty_on_hand_matrix_keeps_all(self):
         energies = EnergyMatrix(np.array([[4.0, 1.0], [2.0, 8.0]]), "hand")
-        x_raw = power_mel(fresh(energies), 1 / 15)
+        x_raw = power_mel(fresh(energies))
         stats = GlobalStats(np.zeros(2), np.ones(2), 2)
-        outcome = apply_fixed_sem(energies, stats, -20.0, 1 / 15)
+        outcome = apply_fixed_sem(energies, stats, -20.0)
         # e_th = 0.08, below every entry
         assert np.all(outcome.mask.values == 1)
 
     def test_repeated_calls_identical(self):
         _, energies, _, stats = _pipeline_inputs(seed=9)
-        a = apply_fixed_sem(fresh(energies), stats, -30.0, EXPONENT)
-        b = apply_fixed_sem(fresh(energies), stats, -30.0, EXPONENT)
+        a = apply_fixed_sem(fresh(energies), stats, -30.0)
+        b = apply_fixed_sem(fresh(energies), stats, -30.0)
         assert np.array_equal(a.features.values, b.features.values)
         assert a.scaling_r == b.scaling_r
 
@@ -361,54 +358,54 @@ class TestApplyFixedSem:
         for seed in range(4):
             wav = synth_speech_like(1.0, seed=seed, utterance_id=f"cdf_{seed}")
             energies = filterbank_energies(wav, cfg_feat)
-            x_raw = power_mel(fresh(energies), cfg_feat.power_exponent)
+            x_raw = power_mel(fresh(energies))
             stats = accumulated_stats([x_raw])
             expected = threshold_mask(energies, -20.0).masked_fraction
-            outcome = apply_fixed_sem(energies, stats, -20.0, cfg_feat.power_exponent)
+            outcome = apply_fixed_sem(energies, stats, -20.0)
             assert outcome.mask.masked_fraction == expected
 
 
 class TestInputDropout:
     def test_rate_zero_is_identity(self):
         x = raw_feat(np.random.default_rng(0).normal(size=(5, 4)))
-        out = input_dropout(x, 0.0, seed=1, utterance_id="u")
+        out = input_dropout(x, 0.0, seed=1)
         assert np.array_equal(out.values, x.values)
 
     def test_survivor_scale_exact(self):
         values = np.random.default_rng(1).uniform(1, 2, size=(50, 20))
-        out = input_dropout(raw_feat(values.copy()), 0.1, seed=2, utterance_id="u")
+        out = input_dropout(raw_feat(values.copy()), 0.1, seed=2)
         kept = out.values != 0.0
         assert np.array_equal(out.values[kept], values[kept] * (1.0 / 0.9))
 
     def test_empirical_rate(self):
         x = raw_feat(np.ones((1000, 1000)))
-        out = input_dropout(x, 0.2, seed=3, utterance_id="u")
+        out = input_dropout(x, 0.2, seed=3)
         dropped = np.count_nonzero(out.values == 0.0) / out.values.size
         assert abs(dropped - 0.2) <= 3.0 * math.sqrt(0.2 * 0.8 / 1e6)
 
     def test_unbiased_mean(self):
         values = np.random.default_rng(4).uniform(0.5, 1.5, size=(1000, 1000))
-        out = input_dropout(raw_feat(values.copy()), 0.2, seed=5, utterance_id="u")
+        out = input_dropout(raw_feat(values.copy()), 0.2, seed=5)
         assert abs(out.values.mean() - values.mean()) / values.mean() < 0.01
 
     def test_deterministic_per_utterance(self):
-        a = input_dropout(raw_feat(np.ones((10, 10))), 0.5, seed=6, utterance_id="u1")
-        b = input_dropout(raw_feat(np.ones((10, 10))), 0.5, seed=6, utterance_id="u1")
-        c = input_dropout(raw_feat(np.ones((10, 10))), 0.5, seed=6, utterance_id="u2")
+        a = input_dropout(raw_feat(np.ones((10, 10)), "u1"), 0.5, seed=6)
+        b = input_dropout(raw_feat(np.ones((10, 10)), "u1"), 0.5, seed=6)
+        c = input_dropout(raw_feat(np.ones((10, 10)), "u2"), 0.5, seed=6)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
     @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
     def test_invalid_rate(self, rate):
         with pytest.raises(ValueError, match="rate must be in"):
-            input_dropout(raw_feat(np.ones((2, 2))), rate, seed=0, utterance_id="u")
+            input_dropout(raw_feat(np.ones((2, 2))), rate, seed=0)
 
     def test_in_place_with_positive_zeros(self):
         # dropped entries are +0.0 even where the value was negative; a 0/1
         # multiply would write -0.0, which changes FMX1 bytes
         values = -np.random.default_rng(7).uniform(0.5, 1.5, size=(40, 30))
         x = raw_feat(values.copy())
-        out = input_dropout(x, 0.3, seed=8, utterance_id="u")
+        out = input_dropout(x, 0.3, seed=8)
         assert out.values is x.values
         dropped = out.values == 0.0
         assert np.any(dropped)

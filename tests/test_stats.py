@@ -34,23 +34,6 @@ class TestEtaHistogram:
         zero_bin = int(np.searchsorted(dist.bin_edges, 0.0))  # bin [0, 1)
         assert dist.pdf[zero_bin] == 1.0
         assert dist.pdf.sum() == pytest.approx(1.0, abs=1e-12)
-        assert dist.total_bins_counted == 40
-
-    def test_merge_is_count_weighted(self):
-        rng = np.random.default_rng(41)
-        first, second = _matrices(rng, 3), _matrices(rng, 4)
-        merged = EtaHistogramAccumulator()
-        for m in first + second:
-            merged.update(m)
-        left = EtaHistogramAccumulator()
-        right = EtaHistogramAccumulator()
-        for m in first:
-            left.update(m)
-        for m in second:
-            right.update(m)
-        left.merge(right)
-        assert np.array_equal(left.counts, merged.counts)
-        assert np.allclose(left.energy, merged.energy, rtol=1e-12)
 
     def test_pdf_normalized_on_mixtures(self, mixed_corpus):
         dist = accumulated_histogram([e for e, _ in mixed_corpus])

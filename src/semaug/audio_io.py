@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,8 +74,9 @@ class WavReader:
     whole-utterance sample array. Chunks other than `fmt ` and `data` are
     skipped, with the pad byte that follows an odd-sized chunk. A data chunk
     cut short by the end of the file holds the samples that are there; no
-    header read asks for more than the file holds. Close it, or use it as a
-    context manager.
+    header read asks for more than the file holds. Span reads may come from
+    several threads at once: each one's seek and read run under the
+    reader's lock. Close it, or use it as a context manager.
     """
 
     def __init__(self, path: str | Path):
@@ -93,6 +95,7 @@ class WavReader:
             raise
         self.num_samples = data_size // 2
         self._pcm = np.empty(0, dtype="<i2")
+        self._lock = threading.Lock()
 
     def _parse_chunks(self) -> tuple[bytes, int, int]:
         """The `fmt ` chunk, and the offset and readable size of the data chunk."""
@@ -149,14 +152,19 @@ class WavReader:
 
     def _read_into(self, start: int, out: np.ndarray) -> None:
         """Fill float32 `out` with the samples from `start` on: one seek and one
-        readinto of the raw integers into a buffer kept for the next read."""
-        if self._pcm.size < out.size:
-            self._pcm = np.empty(out.size, dtype="<i2")
-        pcm = self._pcm[: out.size]
-        self._handle.seek(self._data_offset + 2 * start)
-        if self._handle.readinto(pcm) != pcm.nbytes:
-            raise BadAudio(f"{self.path}: sample data ends early")
-        np.divide(pcm, np.float32(PCM_SCALE), out=out)
+        readinto of the raw integers into a buffer kept for the next read.
+
+        The handle's position and that buffer are shared, so a read holds
+        the reader's lock until its samples are in `out`.
+        """
+        with self._lock:
+            if self._pcm.size < out.size:
+                self._pcm = np.empty(out.size, dtype="<i2")
+            pcm = self._pcm[: out.size]
+            self._handle.seek(self._data_offset + 2 * start)
+            if self._handle.readinto(pcm) != pcm.nbytes:
+                raise BadAudio(f"{self.path}: sample data ends early")
+            np.divide(pcm, np.float32(PCM_SCALE), out=out)
 
     def close(self) -> None:
         self._handle.close()

@@ -8,7 +8,17 @@ usage/empty-input error or an output that cannot be written.
 
 A run's record, featurize's stats file or mask's manifest.csv, is removed
 before the run writes its first feature file and written last, so an
-interrupted run leaves none that would describe its outputs.
+interrupted run leaves none that would describe its outputs. featurize and
+mask first remove the atomic-write temporaries that processes no longer
+running left in their output directories.
+
+Every command runs its utterances on threads it owns: --workers N threads
+take whole utterances (one worker, as stats and render have, is the calling
+thread), and each computes an utterance of two or more front-end blocks on
+T = max(1, C // N) threads, itself and T - 1 helpers, C being the CPUs in
+the process's affinity mask. OpenBLAS is held to one thread for the whole
+run. Neither count changes an output byte, and no thread outlives the
+command.
 """
 
 from __future__ import annotations
@@ -151,8 +161,8 @@ def _openblas_thread_controls():
 def _single_threaded_blas():
     """Hold OpenBLAS to one thread inside the block; restore its count on exit.
 
-    With two or more utterance workers, OpenBLAS's own helper thread only
-    spins and takes a core from them. The count is process-wide, so this
+    A command's own threads fill the CPUs; OpenBLAS's helper thread would
+    only spin and take a core from them. The count is process-wide, so this
     must not overlap another such block in another thread.
     """
     controls = _openblas_thread_controls()
@@ -201,23 +211,46 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_utterances(paths, worker, num_workers: int):
-    """Run `worker` on each path; (results in input order, failure count).
+    """Run `worker(path, energies)` on each path's energies; (results in
+    input order, failure count).
 
-    A SemaugError or OSError fails only its file, which is logged after the
-    run and yields no result. Input order holds whatever the pool size.
+    num_workers threads take whole utterances (one worker is the calling
+    thread), and each computes an utterance's front end on
+    T = max(1, C // num_workers) threads (see the module docstring), with
+    OpenBLAS held to one thread. Every thread has ended when this returns
+    or raises. A SemaugError or OSError fails only its file, which is
+    logged after the run and yields no result. Input order holds whatever
+    the thread counts.
     """
-    def attempt(path):
-        try:
-            return worker(path)
-        except (SemaugError, OSError) as exc:
-            return exc
+    cfg = FeatureConfig()
+    threads = max(1, _cpu_count() // num_workers)
+    # a pool starts no thread before it is given work
+    with (
+        _single_threaded_blas(),
+        ThreadPoolExecutor(max(1, num_workers * (threads - 1)), "semaug-range") as helpers,
+    ):
+        def attempt(path):
+            try:
+                return worker(path, _extract_energies(path, cfg, helpers, threads))
+            except (SemaugError, OSError) as exc:
+                return exc
 
-    if num_workers > 1:
-        with _single_threaded_blas(), ThreadPoolExecutor(max_workers=num_workers) as pool:
-            outcomes = list(pool.map(attempt, paths))
-    else:
-        outcomes = [attempt(path) for path in paths]
+        if num_workers > 1:
+            with ThreadPoolExecutor(num_workers, "semaug-utterance") as pool:
+                outcomes = list(pool.map(attempt, paths))
+        else:
+            # on the calling thread: a pool thread would bring a malloc arena
+            # of its own, 0.7 MB more peak RSS over 200 short files
+            outcomes = [attempt(path) for path in paths]
     results = []
     for path, outcome in zip(paths, outcomes):
         if isinstance(outcome, Exception):
@@ -227,14 +260,24 @@ def _run_utterances(paths, worker, num_workers: int):
     return results, len(paths) - len(results)
 
 
-def _extract_energies(path: Path, cfg: FeatureConfig):
-    """The file's energies, its samples read block by block (no whole-file array)."""
+def _extract_energies(path: Path, cfg: FeatureConfig, pool=None, threads: int = 1):
+    """The file's energies, its samples read block by block (no whole-file
+    array), on up to `threads` threads: the calling thread and the pool's
+    (see filterbank_energies)."""
     with WavReader(path) as wav:
         if wav.sample_rate_hz != cfg.sample_rate_hz:
             raise BadAudio(
                 f"{path}: sample rate {wav.sample_rate_hz} != configured {cfg.sample_rate_hz}"
             )
-        return filterbank_energies(wav, cfg)
+        return filterbank_energies(wav, cfg, pool, threads)
+
+
+def _sweep_stale_temporaries(*directories: Path) -> None:
+    """Remove the temporaries that dead processes' atomic writes left in
+    each directory (see formats.sweep_stale_temporaries)."""
+    for directory in sorted(set(directories)):
+        for path in formats.sweep_stale_temporaries(directory):
+            log.info("removed %s, left by a process that no longer runs", path)
 
 
 # --- featurize -------------------------------------------------------------
@@ -245,12 +288,12 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stats_path = Path(args.stats_out) if args.stats_out else out_dir / DEFAULT_STATS_NAME
     _check_output_dir(stats_path)
+    _sweep_stale_temporaries(out_dir, stats_path.parent)
     # the stats of an earlier run must not outlive this one's first output
     stats_path.unlink(missing_ok=True)
-    cfg = FeatureConfig()
 
-    def worker(path: Path):
-        x_raw = power_mel(_extract_energies(path, cfg))
+    def worker(path: Path, energies):
+        x_raw = power_mel(energies)
         formats.save_features(out_dir / (path.stem + FEATURE_SUFFIX), x_raw.values)
         acc = StatsAccumulator()
         acc.update(x_raw)
@@ -307,13 +350,13 @@ def cmd_mask(args: argparse.Namespace) -> int:
     # after _mode_flags, the flags given to sem are SemConfig fields
     sem_cfg = SemConfig(**given) if args.mode == "sem" else None
     out_dir.mkdir(parents=True, exist_ok=True)
+    _sweep_stale_temporaries(out_dir)
     manifest_path = out_dir / MANIFEST_NAME
     # an earlier run's manifest must not describe this run's outputs
     manifest_path.unlink(missing_ok=True)
 
-    def worker(path: Path):
+    def worker(path: Path, energies):
         # every mode turns the energies into its output in place
-        energies = _extract_energies(path, cfg)
         uid = energies.utterance_id
         if args.mode == "sem" or args.mode == "fixed":
             if args.mode == "sem":
@@ -357,12 +400,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     wavs = _input_wavs(args.in_dir)
     out_path = Path(args.out)
     _check_output_dir(out_path)
-    cfg = FeatureConfig()
     acc = EtaHistogramAccumulator()
 
-    def worker(path: Path) -> None:
+    def worker(path: Path, energies) -> None:
         # returns nothing, so one utterance's arrays are freed before the next read
-        if not acc.update(_extract_energies(path, cfg)):
+        if not acc.update(energies):
             log.info("%s has zero peak energy (silence): no bins added", path.name)
 
     # one worker: the histogram is shared
@@ -391,10 +433,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         log.error("input file %s does not exist", in_path)
         return EXIT_USAGE
     _check_output_dir(args.out)
-    cfg = FeatureConfig()
 
-    def worker(path: Path):
-        energies = _extract_energies(path, cfg)
+    def worker(path: Path, energies):
         mask = threshold_mask(energies, args.eta_th)
         values = power_mel(energies).values
         lo, hi = float(values.min()), float(values.max())

@@ -20,11 +20,19 @@ one zero-padded float64 workspace; only the block's power spectrum, the
 input of its mel matmul, is held at full block height. Every frame is
 read and transformed once: a final partial block reuses the power rows it
 shares with the block before it instead of recomputing them.
+
+Given a thread pool, an utterance of two or more whole blocks is cut into
+contiguous ranges of blocks computed on several threads, each range with
+its own block buffers (about 1.6 MB); every block is computed as it would
+be serially, so the bits do not depend on the split. Called without a
+pool, as a library call is, the front end runs serially.
 """
 
 from __future__ import annotations
 
 import functools
+from concurrent import futures
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,11 +191,16 @@ def mel_filterbank(cfg: FeatureConfig) -> FilterbankMatrix:
     return FilterbankMatrix(weights=weights, center_freqs_hz=center_freqs)
 
 
-def filterbank_energies(source: Waveform | WavReader, cfg: FeatureConfig) -> EnergyMatrix:
+def filterbank_energies(
+    source: Waveform | WavReader,
+    cfg: FeatureConfig,
+    pool: Executor | None = None,
+    threads: int = 1,
+) -> EnergyMatrix:
     """Full front end: framing, Hamming windowing, power spectrum, mel sum.
 
     source is a Waveform, or an open WavReader whose samples are read one
-    block's span at a time (read_wav into one reused float32 buffer), so no
+    block's span at a time (read_wav into a reused float32 buffer), so no
     whole-utterance sample array exists; both give the same bits for the
     same samples.
 
@@ -202,17 +215,49 @@ def filterbank_energies(source: Waveform | WavReader, cfg: FeatureConfig) -> Ene
     promoted to float64 exactly, into the first L columns of a zeroed
     (sub-block, fft_size) workspace whose other columns stay zero, so the
     FFT sees the zero-padded frames and needs no padding copy of its own.
+
+    With a pool and threads > 1, the blocks are cut into up to `threads`
+    contiguous ranges of whole blocks, the last range ending with the final
+    overlapping block. The calling thread computes the first range and pool
+    threads the others, each range with its own buffers; the calling thread
+    waits for them all, then raises the error of the earliest range that
+    failed, the error a serial run would raise. Without a pool, or with
+    fewer than two whole blocks, all runs on the calling thread.
     """
     filterbank = mel_filterbank(cfg)
-    length, hop = cfg.window_samples, cfg.hop_samples
     _check_length(source.num_samples, cfg, source.utterance_id)
-    num_frames = 1 + (source.num_samples - length) // hop
-    window = hamming_window(length)
-    weights_t = filterbank.weights.T
+    num_frames = 1 + (source.num_samples - cfg.window_samples) // cfg.hop_samples
     energies = np.empty((num_frames, filterbank.num_channels))
-    block_rows = min(num_frames, BLOCK_FRAMES)
-    span = (block_rows - 1) * hop + length
+    ranges = 1 if pool is None else max(1, min(threads, num_frames // BLOCK_FRAMES))
+    # every range but the last is whole blocks, so the final overlapping block
+    # stays with the block before it
+    edges = [r * num_frames // (ranges * BLOCK_FRAMES) * BLOCK_FRAMES for r in range(ranges)]
+    jobs = [
+        _range_job(source, cfg, energies, first, stop)
+        for first, stop in zip(edges, edges[1:] + [num_frames])
+    ]
+    helpers = [pool.submit(job) for job in jobs[1:]]
+    try:
+        jobs[0]()
+    finally:
+        futures.wait(helpers)
+    for helper in helpers:
+        helper.result()
+    return EnergyMatrix(values=energies, utterance_id=source.utterance_id)
+
+
+def _range_job(source, cfg: FeatureConfig, energies: np.ndarray, first: int, stop: int):
+    """A call that fills energies[first:stop], block by block from `first`.
+
+    Its power block, workspace and sample buffer are allocated here, on the
+    thread that calls filterbank_energies, and belong to that call alone.
+    """
+    length, hop = cfg.window_samples, cfg.hop_samples
+    window = hamming_window(length)
+    weights_t = mel_filterbank(cfg).weights.T
+    block_rows = min(stop - first, BLOCK_FRAMES)
     streamed = isinstance(source, WavReader)
+    span = (block_rows - 1) * hop + length
     samples = np.empty(span, dtype=np.float32) if streamed else None
     bins = cfg.fft_size // 2 + 1
     power = np.empty((block_rows, bins))
@@ -220,23 +265,26 @@ def filterbank_energies(source: Waveform | WavReader, cfg: FeatureConfig) -> Ene
     # in place (numpy buffers an overlapping 2-D assignment in a temporary)
     power_flat = power.reshape(-1)
     workspace = np.zeros((min(block_rows, SUB_BLOCK_FRAMES), cfg.fft_size))
-    for start in range(0, num_frames, BLOCK_FRAMES):
-        new = min(BLOCK_FRAMES, num_frames - start)
-        kept = block_rows - new
-        if kept:
-            power_flat[: kept * bins] = power_flat[new * bins :]
-        lo = start * hop
-        hi = lo + (new - 1) * hop + length
-        if streamed:
-            block = read_wav(source, lo, hi, out=samples)
-        else:
-            block = Waveform(source.samples[lo:hi], source.sample_rate_hz, source.utterance_id)
-        frames = frame_signal(block, cfg)
-        for row in range(0, new, SUB_BLOCK_FRAMES):
-            rows = min(SUB_BLOCK_FRAMES, new - row)
-            np.multiply(frames[row : row + rows], window, out=workspace[:rows, :length])
-            tail = power[kept + row : kept + row + rows]
-            power_spectrum(workspace[:rows], cfg.fft_size, out=tail)
-        stop = start + new
-        np.matmul(power, weights_t, out=energies[stop - block_rows : stop])
-    return EnergyMatrix(values=energies, utterance_id=source.utterance_id)
+
+    def run() -> None:
+        for start in range(first, stop, BLOCK_FRAMES):
+            new = min(BLOCK_FRAMES, stop - start)
+            kept = block_rows - new
+            if kept:
+                power_flat[: kept * bins] = power_flat[new * bins :]
+            lo = start * hop
+            hi = lo + (new - 1) * hop + length
+            if streamed:
+                block = read_wav(source, lo, hi, out=samples)
+            else:
+                block = Waveform(source.samples[lo:hi], source.sample_rate_hz, source.utterance_id)
+            frames = frame_signal(block, cfg)
+            for row in range(0, new, SUB_BLOCK_FRAMES):
+                rows = min(SUB_BLOCK_FRAMES, new - row)
+                np.multiply(frames[row : row + rows], window, out=workspace[:rows, :length])
+                tail = power[kept + row : kept + row + rows]
+                power_spectrum(workspace[:rows], cfg.fft_size, out=tail)
+            end = start + new
+            np.matmul(power, weights_t, out=energies[end - block_rows : end])
+
+    return run

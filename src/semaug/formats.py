@@ -14,7 +14,8 @@ both counts at least 1 and nothing else on the line, followed by C lines of
 write/read/write cycle is byte-identical.
 
 Every writer goes through atomic_write, so a file at its final path is
-always complete.
+always complete. Its temporary is named `.<name>.<pid>.<tid>.tmp`;
+sweep_stale_temporaries removes those of processes that no longer run.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .features import GlobalStats
 FEATURE_MAGIC = b"FMX1"
 FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sHII")
+
+# atomic_write's temporary: .<name>.<pid>.<thread id>.tmp
+_TEMP_NAME = re.compile(r"\.(.+)\.([1-9][0-9]*)\.([0-9]+)\.tmp")
 
 STATS_HEADER_PREFIX = "SEMSTATS v1"
 _STATS_HEADER = re.compile(rf"{STATS_HEADER_PREFIX} C=([1-9][0-9]*) N=([1-9][0-9]*)")
@@ -63,6 +67,39 @@ def atomic_write(path: str | Path, mode: str = "wb", **open_kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temp)
         raise
+
+
+def _pid_is_gone(pid: int) -> bool:
+    """True only when no process `pid` exists; False when it runs or cannot
+    be checked (another user's process, a pid out of range, or not POSIX,
+    where os.kill would end the process)."""
+    if os.name != "posix":
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):
+        pass
+    return False
+
+
+def sweep_stale_temporaries(directory: str | Path) -> list[Path]:
+    """Remove the atomic_write temporaries in `directory` whose writing
+    process no longer runs; return the paths removed.
+
+    A temporary of a live process, or of one whose pid cannot be checked,
+    is kept, as is every file not named exactly like a temporary.
+    """
+    removed = []
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            match = _TEMP_NAME.fullmatch(entry.name)
+            if match and entry.is_file(follow_symlinks=False) and _pid_is_gone(int(match[2])):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(entry.path)
+                removed.append(Path(entry.path))
+    return removed
 
 
 def save_features(path: str | Path, values: np.ndarray) -> None:

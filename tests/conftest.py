@@ -1,10 +1,12 @@
 """Shared fixtures: a default front-end config, small mixed corpora, corpus
-statistics through the accumulators, the energy-ratio oracle, and memory
-and page-fault probes."""
+statistics through the accumulators, the energy-ratio oracle, every command
+run at a chosen thread count, and memory and page-fault probes."""
 
 import os
 import subprocess
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from semaug import (
     mel_filterbank,
     power_mel,
 )
+from semaug import cli
 from semaug.audio_io import synth_fixture, synth_speech_like
 from semaug.errors import EmptyCorpus
 from semaug.masking import energy_threshold, peak_energy
@@ -55,6 +58,48 @@ def mixed_corpus(cfg):
         energies = filterbank_energies(wave, cfg)
         pairs.append((energies, power_mel(fresh(energies))))
     return pairs
+
+
+# utterances of two whole front-end blocks, of two and a final overlapping
+# block, and of five and a final overlapping block
+MULTI_BLOCK_FRAMES = (1024, 1027, 2577)
+
+
+def waveform_of_frames(num_frames, seed, utterance_id):
+    """A speech-like waveform of exactly num_frames front-end frames."""
+    cfg = FeatureConfig()
+    num = (num_frames - 1) * cfg.hop_samples + cfg.window_samples
+    return synth_speech_like(num / cfg.sample_rate_hz, seed=seed, utterance_id=utterance_id)
+
+
+def run_every_command(wavs, out, workers, cpus, mask_modes, render_ids):
+    """Run featurize, mask in each of mask_modes (a mode and its flags), stats,
+    and render of each utterance in render_ids on the WAVs in wavs, at
+    --workers `workers`, with cli seeing `cpus` CPUs; each command's output
+    goes in its own directory under out."""
+    run = cli.main
+    with mock.patch.object(cli, "_cpu_count", return_value=cpus):
+        features = out / "featurize"
+        assert run(["featurize", "--in", str(wavs), "--out", str(features),
+                    "--workers", str(workers)]) == 0
+        stats = str(features / "global_stats.txt")
+        for mode in mask_modes:
+            assert run(["mask", "--in", str(wavs), "--stats", stats, "--mode", *mode,
+                        "--out", str(out / f"mask_{mode[0]}"), "--workers", str(workers)]) == 0
+        (out / "stats").mkdir()
+        assert run(["stats", "--in", str(wavs), "--out", str(out / "stats" / "dist.csv")]) == 0
+        (out / "render").mkdir()
+        for uid in render_ids:
+            assert run(["render", "--in", str(wavs / f"{uid}.wav"), "--eta-th", "-30",
+                        "--out", str(out / "render" / f"{uid}.pgm")]) == 0
+
+
+def assert_same_trees(dir_a, dir_b):
+    """Each directory under dir_a has a namesake under dir_b with the same files."""
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names == sorted(p.name for p in dir_b.iterdir())
+    for name in names:
+        assert_same_files(dir_a / name, dir_b / name)
 
 
 def assert_same_files(dir_a, dir_b):
@@ -143,6 +188,14 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - before
+
+
+def reaped_pid():
+    """The pid of a child process that has exited and been reaped: no
+    process runs under it (until the system hands it out again)."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
 
 
 def run_with_rusage(argv, **popen_kwargs):

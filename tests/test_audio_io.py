@@ -1,6 +1,8 @@
 """WAV parsing, the fixture writer, and deterministic synthesis."""
 
 import struct
+import sys
+import threading
 import wave
 
 import numpy as np
@@ -272,6 +274,48 @@ class TestWavReader:
             assert np.shares_memory(view, out)
             assert np.array_equal(view, whole[100:400])
         assert np.array_equal(read_wav(path, 7, 9).samples, whole[7:9])
+
+    def test_interleaved_reads_from_two_threads_match_serial(self, tmp_path):
+        # each thread reads its own spans into its own buffer through the one
+        # reader, as the front end's ranges do; switching threads every few
+        # microseconds interleaves one thread's seek with the other's read
+        ints = np.random.default_rng(12).integers(-32768, 32768, size=20000)
+        path = tmp_path / "shared.wav"
+        path.write_bytes(_wav_file_bytes("plain", ints))
+        whole = read_wav(path).samples
+        rng = np.random.default_rng(13)
+        starts = rng.integers(0, ints.size - 2000, size=5000)
+        spans = list(zip(starts, starts + rng.integers(0, 2000, size=starts.size)))
+        barrier = threading.Barrier(2, timeout=30)
+        mismatches = []
+
+        def read_spans(reader, order):
+            out = np.empty(ints.size, dtype=np.float32)
+            barrier.wait()
+            for start, stop in spans[::order]:
+                try:
+                    got = read_wav(reader, start, stop, out=out).samples
+                except BadAudio as exc:  # a read from another thread's position
+                    got = exc
+                if not np.array_equal(got, whole[start:stop]):
+                    mismatches.append((start, stop))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WavReader(path) as reader:
+                threads = [
+                    threading.Thread(target=read_spans, args=(reader, order))
+                    for order in (1, -1)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
     @pytest.mark.parametrize("start,stop", [(-1, 5), (6, 5), (0, 1001)])
     def test_span_outside_data(self, tmp_path, start, stop):

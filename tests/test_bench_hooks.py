@@ -5,8 +5,9 @@ perfbench/run.py times SETUP_CODE as `setup_s`, and perfbench/corpus.py
 imports its synthesis functions inside the worker that writes each WAV;
 all of these fail only when the benchmark runs. These tests load the
 scripts (stdlib-only at import) by path, unchanged, check those hooks
-against the current sources, and run the benchmark once at its self-test
-size.
+against the current sources, run the benchmark once at its self-test
+size, and check that a traced featurize of a long file counts every frame
+its threaded front end transforms.
 """
 
 import ast
@@ -19,6 +20,9 @@ import types
 from pathlib import Path
 
 import pytest
+
+from semaug.audio_io import synth_speech_like, write_wav
+from semaug.dsp import FeatureConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -86,6 +90,29 @@ def test_corpus_imports_resolve():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert callable(getattr(module, alias.name)), f"{node.module}.{alias.name}"
+
+
+def test_trace_sees_every_frame_of_the_threaded_front_end(tmp_path):
+    # 13 s: 1298 frames, two whole blocks and a final overlapping one, so
+    # with two or more CPUs the front end runs in two ranges on two threads
+    cfg = FeatureConfig()
+    wavs = tmp_path / "wavs"
+    wavs.mkdir()
+    write_wav(wavs / "long.wav", synth_speech_like(13.0, seed=2, utterance_id="long"))
+    num_frames = 1 + (13 * cfg.sample_rate_hz - cfg.window_samples) // cfg.hop_samples
+    result_path = tmp_path / "result.json"
+    run = _run_python(
+        str(ROOT / "perfbench" / "child.py"), str(result_path), "--trace",
+        "featurize", "--in", str(wavs), "--out", str(tmp_path / "out"),
+    )
+    assert run.returncode == 0, run.stderr
+    spans = json.loads(result_path.read_text(encoding="ascii"))["spans"]
+    front_ends = [span for span in spans if span[1] == "dsp.filterbank_energies"]
+    assert [span[5] for span in front_ends] == ["long"]
+    power = [span for span in spans if span[1] == "dsp.power_spectrum"]
+    assert sum(span[7] for span in power) == num_frames * (cfg.fft_size // 2 + 1) * 16
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert len({span[6] for span in power}) == 2
 
 
 def test_tiny_benchmark_run():

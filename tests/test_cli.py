@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,21 @@ from semaug import (
 )
 from semaug.audio_io import synth_fixture, synth_speech_like, write_wav
 from semaug.features import divide_std, subtract_mean
-from semaug import cli, formats
+from semaug import cli, dsp, formats
 from semaug.cli import main
+from semaug.errors import BadAudio
 from semaug.formats import load_features, load_stats, save_stats
-from conftest import assert_same_files, mixed_waveforms, run_with_rusage, traced_peak
+from conftest import (
+    MULTI_BLOCK_FRAMES,
+    assert_same_files,
+    assert_same_trees,
+    mixed_waveforms,
+    reaped_pid,
+    run_every_command,
+    run_with_rusage,
+    traced_peak,
+    waveform_of_frames,
+)
 
 
 def make_corpus(directory, waves):
@@ -168,30 +180,21 @@ class TestFeaturize:
         assert np.array_equal(load_features(featurized / "utt_000.fmx"), expected)
 
     def test_workers_do_not_change_bytes(self, tmp_path, corpus_dir):
-        # 4 workers is more than the cores of a small machine
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        assert main(["featurize", "--in", str(corpus_dir), "--out", str(out_a)]) == 0
-        assert main(
-            ["featurize", "--in", str(corpus_dir), "--out", str(out_b), "--workers", "4"]
-        ) == 0
-        assert_same_files(out_a, out_b)
-        stats = str(out_a / "global_stats.txt")
-        modes = (
-            ["sem", "--seed", "3"], ["fixed", "--eta-th", "-30"],
-            ["dropout", "--rate", "0.1", "--seed", "3"], ["none"],
-        )
-        for mode in modes:
-            outs = []
-            for workers in ("1", "4"):
-                out = tmp_path / f"{mode[0]}_{workers}"
-                assert main([
-                    "mask", "--in", str(corpus_dir), "--stats", stats, "--mode", *mode,
-                    "--out", str(out), "--workers", workers,
-                ]) == 0
-                outs.append(out)
-            assert (outs[0] / "manifest.csv").exists()
-            assert_same_files(*outs)
+        # (--workers, CPUs seen): front-end threads T = 1, 2 and 3 at one
+        # worker, T = 1 at 4 workers (more than the cores of a small
+        # machine) and T = 3 at two workers; stats and render run one
+        # worker, so T = CPUs
+        long_ids = [f"long_{frames}" for frames in MULTI_BLOCK_FRAMES]
+        for seed, (frames, uid) in enumerate(zip(MULTI_BLOCK_FRAMES, long_ids)):
+            write_wav(corpus_dir / f"{uid}.wav", waveform_of_frames(frames, seed, uid))
+        outs = []
+        for workers, cpus in ((1, 1), (1, 2), (1, 3), (4, 4), (2, 6)):
+            outs.append(tmp_path / f"w{workers}_c{cpus}")
+            modes = [[mode, *flags] for mode, flags in MODE_FLAGS.items()]
+            run_every_command(corpus_dir, outs[-1], workers, cpus, modes, long_ids)
+        assert (outs[0] / "mask_sem" / "manifest.csv").exists()
+        for out in outs[1:]:
+            assert_same_trees(outs[0], out)
 
     def test_workers_below_one_exit_2(self, tmp_path, corpus_dir):
         out = tmp_path / "f"
@@ -507,7 +510,7 @@ def _random_energies(shape):
     """An _extract_energies stand-in: a wide-range random energy matrix of
     `shape`, built in place, whatever the file."""
 
-    def extract(path, cfg):
+    def extract(path, cfg, *front_end_threads):
         values = np.random.default_rng(3).uniform(-8.0, 3.0, size=shape)
         np.power(10.0, values, out=values)
         return EnergyMatrix(values, path.stem)
@@ -751,6 +754,33 @@ def test_stats_out_in_the_new_out_dir(tmp_path, corpus_dir):
     assert load_stats(out / "s.txt").num_channels == 40
 
 
+@pytest.mark.parametrize("command", ["featurize", "featurize-stats-out", "mask"])
+def test_run_sweeps_dead_writers_temporaries(tmp_path, corpus_dir, featurized, caplog, command):
+    # an earlier run killed mid-write left a temporary; one of this
+    # process's own (alive) is kept
+    caplog.set_level(logging.INFO, logger="semaug")
+    dead, alive = reaped_pid(), os.getpid()
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    for directory in (out, elsewhere):
+        directory.mkdir()
+        for pid in (dead, alive):
+            (directory / f".utt_000.fmx.{pid}.77.tmp").write_bytes(b"partial")
+    argv = {
+        "featurize": ["featurize", "--in", str(corpus_dir), "--out", str(out)],
+        "featurize-stats-out": ["featurize", "--in", str(corpus_dir), "--out", str(out),
+                                "--stats-out", str(elsewhere / "s.txt")],
+        "mask": ["mask", "--in", str(corpus_dir), "--stats",
+                 str(featurized / "global_stats.txt"), "--mode", "none", "--out", str(out)],
+    }[command]
+    assert main(argv) == 0
+    swept = [out] + ([elsewhere] if command == "featurize-stats-out" else [])
+    for directory in (out, elsewhere):
+        assert (directory / f".utt_000.fmx.{dead}.77.tmp").exists() == (directory not in swept)
+        assert (directory / f".utt_000.fmx.{alive}.77.tmp").exists()
+    removed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("removed ")]
+    assert len(removed) == len(swept)
+
+
 def test_unwritable_output_of_one_file_fails_that_file(tmp_path, corpus_dir, caplog):
     # a directory where one utterance's .fmx goes: os.replace fails for that
     # file alone, the run goes on and exits 1
@@ -808,14 +838,97 @@ class TestSingleThreadedBlas:
 
         monkeypatch.setattr(cli, "filterbank_energies", recording)
         before = blas_threads()
+        # held at every worker count: the command's own threads fill the CPUs
         for workers in ("1", "2"):
             seen.clear()
             assert main([
                 "featurize", "--in", str(corpus_dir), "--out", str(tmp_path / workers),
                 "--workers", workers,
             ]) == 0
-            expected = before if workers == "1" else [1] * len(before)
-            assert seen == [expected] * 6
+            assert seen == [[1] * len(before)] * 6
+            assert blas_threads() == before
+
+
+def fail_second_range(monkeypatch, uid, error):
+    """Make the front end raise `error` at the first block of the second of
+    two ranges of utterance uid (a file of MULTI_BLOCK_FRAMES[-1] frames),
+    whichever thread computes it; return the names of the threads it was
+    raised on."""
+    # with two ranges, the first is num_frames // 1024 whole blocks
+    first_frame = MULTI_BLOCK_FRAMES[-1] // (2 * dsp.BLOCK_FRAMES) * dsp.BLOCK_FRAMES
+    first_sample = first_frame * FeatureConfig.hop_samples
+    read = dsp.read_wav
+    raised_on = []
+
+    def read_or_fail(source, start, stop, out):
+        if source.utterance_id == uid and start == first_sample:
+            raised_on.append(threading.current_thread().name)
+            raise error
+        return read(source, start, stop, out=out)
+
+    monkeypatch.setattr(dsp, "read_wav", read_or_fail)
+    return raised_on
+
+
+class TestThreads:
+    """No thread outlives a command, and a front-end range fails its file as
+    the serial front end would."""
+
+    @pytest.fixture()
+    def wavs(self, corpus_dir):
+        uid = "long"
+        write_wav(corpus_dir / f"{uid}.wav", waveform_of_frames(MULTI_BLOCK_FRAMES[-1], 4, uid))
+        return corpus_dir
+
+    def featurize(self, wavs, out, cpus, monkeypatch):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        before = threading.active_count()
+        try:
+            return main(["featurize", "--in", str(wavs), "--out", str(out)])
+        finally:
+            assert threading.active_count() == before
+
+    def test_clean_run(self, tmp_path, wavs, monkeypatch):
+        seen = []
+        original = dsp.power_spectrum
+
+        def recording(*args, **kwargs):
+            seen.append(threading.current_thread().name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dsp, "power_spectrum", recording)
+        assert self.featurize(wavs, tmp_path / "f", 2, monkeypatch) == 0
+        assert any(name.startswith("semaug-range") for name in seen)
+
+    def test_broken_file(self, tmp_path, wavs, monkeypatch, caplog):
+        (wavs / "broken.wav").write_bytes(b"not audio")
+        assert self.featurize(wavs, tmp_path / "f", 2, monkeypatch) == 1
+        assert "failed on broken.wav: " in caplog.text
+
+    def test_bad_audio_in_a_helper_range_fails_its_file_alone(
+        self, tmp_path, wavs, monkeypatch, caplog
+    ):
+        raised_on = fail_second_range(monkeypatch, "long", BadAudio("long.wav: cut"))
+        errors = {}
+        for cpus in (1, 2):
+            caplog.clear()
+            out = tmp_path / f"c{cpus}"
+            assert self.featurize(wavs, out, cpus, monkeypatch) == 1
+            errors[cpus] = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+            assert sorted(p.name for p in out.glob("*.fmx")) == [
+                f"utt_{i:03d}.fmx" for i in range(6)
+            ]
+        assert errors[1] == errors[2] == ["failed on long.wav: long.wav: cut"]
+        # at T = 1 on the utterance's worker, at T = 2 on a helper
+        assert raised_on[0] == threading.main_thread().name
+        assert raised_on[1].startswith("semaug-range")
+        assert_same_files(tmp_path / "c1", tmp_path / "c2")
+
+    def test_interrupt_in_a_helper_range(self, tmp_path, wavs, monkeypatch):
+        raised_on = fail_second_range(monkeypatch, "long", KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            self.featurize(wavs, tmp_path / "f", 2, monkeypatch)
+        assert len(raised_on) == 1 and raised_on[0].startswith("semaug-range")
 
 
 def _featurize_faults(tmp_path, num_utterances):

@@ -1,6 +1,8 @@
 """Front-end tests: windowing, framing, spectra, mel filters, energies."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -286,6 +288,44 @@ class TestFilterbankEnergies:
             energies = filterbank_energies(wav, cfg)
         assert energies.num_frames == num_frames
         assert sum(transformed) == num_frames
+
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    @pytest.mark.parametrize(
+        "num_frames",
+        [BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES, 2 * BLOCK_FRAMES + 3, 5 * BLOCK_FRAMES + 17],
+    )
+    @pytest.mark.parametrize("streamed", [False, True], ids=["waveform", "reader"])
+    def test_ranges_on_a_pool_give_the_serial_bits(
+        self, cfg, tmp_path, monkeypatch, num_frames, threads, streamed
+    ):
+        # cut into ranges of whole blocks on several threads, every frame is
+        # still transformed once and every bit is the serial front end's
+        transformed = []
+
+        def counting_power_spectrum(frame, fft_size, **kwargs):
+            transformed.append((np.asarray(frame).shape[0], threading.get_ident()))
+            return power_spectrum(frame, fft_size, **kwargs)
+
+        num = (num_frames - 1) * cfg.hop_samples + cfg.window_samples
+        wav = Waveform(
+            np.random.default_rng(num_frames).integers(-3000, 3000, size=num) / PCM_SCALE,
+            cfg.sample_rate_hz,
+            "ranges",
+        )
+        serial = filterbank_energies(wav, cfg).values
+        monkeypatch.setattr(dsp, "power_spectrum", counting_power_spectrum)
+        if streamed:
+            write_wav(tmp_path / "ranges.wav", wav)
+        with ThreadPoolExecutor(threads - 1) as pool:
+            if streamed:
+                with WavReader(tmp_path / "ranges.wav") as reader:
+                    energies = filterbank_energies(reader, cfg, pool, threads)
+            else:
+                energies = filterbank_energies(wav, cfg, pool, threads)
+        assert sum(rows for rows, _ in transformed) == num_frames
+        ranges = min(threads, num_frames // BLOCK_FRAMES)
+        assert (len({thread for _, thread in transformed}) > 1) == (ranges > 1)
+        assert np.array_equal(energies.values, serial)
 
     @pytest.mark.parametrize(
         "num_frames", [SUB_BLOCK_FRAMES + 1, BLOCK_FRAMES + 3, 4 * BLOCK_FRAMES + 3]

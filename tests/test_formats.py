@@ -1,5 +1,7 @@
 """On-disk format round-trips and validation."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from semaug.formats import (
     save_stats,
     write_pgm,
 )
-from conftest import traced_peak
+from conftest import reaped_pid, traced_peak
 
 
 class TestFeatureFile:
@@ -115,6 +117,41 @@ class TestAtomicWrite:
             handle.write("new\n")
         assert path.read_text() == "new\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestSweepStaleTemporaries:
+    def test_removes_only_dead_writers_temporaries(self, tmp_path):
+        dead, alive = reaped_pid(), os.getpid()
+        stale = [f".a.fmx.{dead}.140.tmp", f".global_stats.txt.{dead}.1.tmp",
+                 f".x.12.{dead}.7.tmp"]
+        kept = [
+            f".a.fmx.{alive}.140.tmp",
+            f"a.fmx.{dead}.1.tmp",
+            f".a.fmx.{dead}.tmp",
+            f".a.fmx.{dead}.1.tmp.bak",
+            ".a.fmx.0.1.tmp",
+            # a pid no process can have: os.kill cannot check it
+            ".a.fmx.99999999999999999999.1.tmp",
+            "a.fmx",
+        ]
+        for name in stale + kept:
+            (tmp_path / name).write_bytes(b"partial")
+        (tmp_path / f".d.fmx.{dead}.1.tmp").mkdir()
+        removed = formats.sweep_stale_temporaries(tmp_path)
+        assert sorted(path.name for path in removed) == sorted(stale)
+        left = sorted(path.name for path in tmp_path.iterdir())
+        assert left == sorted(kept + [f".d.fmx.{dead}.1.tmp"])
+
+    def test_keeps_what_cannot_be_checked(self, tmp_path, monkeypatch):
+        name = f".a.fmx.{reaped_pid()}.1.tmp"
+        (tmp_path / name).write_bytes(b"partial")
+
+        def not_permitted(pid, signal):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(formats.os, "kill", not_permitted)
+        assert formats.sweep_stale_temporaries(tmp_path) == []
+        assert [path.name for path in tmp_path.iterdir()] == [name]
 
 
 class TestStatsFile:

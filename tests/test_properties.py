@@ -26,8 +26,12 @@ from semaug.audio_io import (  # noqa: E402
     synth_speech_like,
     write_wav,
 )
-from semaug.cli import main  # noqa: E402
-from conftest import assert_same_files  # noqa: E402
+from conftest import (  # noqa: E402
+    MULTI_BLOCK_FRAMES,
+    assert_same_trees,
+    run_every_command,
+    waveform_of_frames,
+)
 from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES  # noqa: E402
 from semaug.formats import load_features, load_stats, save_features, save_stats  # noqa: E402
 from semaug.masking import (  # noqa: E402
@@ -298,10 +302,16 @@ _MASK_MODES = (
 def _utterances():
     kinds = st.sampled_from(["sine", "white_noise", "chirp", "speech"])
     utterance = st.tuples(kinds, st.floats(0.03, 0.6), st.integers(0, 2**16))
-    return st.tuples(st.lists(utterance, min_size=1, max_size=4), st.booleans())
+    return st.tuples(
+        st.lists(utterance, min_size=1, max_size=4),
+        st.booleans(),
+        st.sampled_from(MULTI_BLOCK_FRAMES),
+    )
 
 
-def _write_corpus(path, utterances, one_silent):
+def _write_corpus(path, utterances, one_silent, long_frames):
+    """The short utterances, the first one silent if one_silent, and one
+    speech-like utterance "long" of long_frames frames."""
     path.mkdir()
     for i, (kind, duration_s, seed) in enumerate(utterances):
         if one_silent and i == 0:
@@ -312,26 +322,21 @@ def _write_corpus(path, utterances, one_silent):
         else:
             wave = synth_fixture(kind, duration_s, seed=seed, utterance_id=utterance_id)
         write_wav(path / f"{utterance_id}.wav", wave)
+    write_wav(path / "long.wav", waveform_of_frames(long_frames, long_frames, "long"))
 
 
 @settings(max_examples=10, deadline=None)
 @given(corpus=_utterances())
 def test_outputs_do_not_depend_on_worker_count(tmp_path_factory, corpus):
+    # (--workers, CPUs seen): front-end threads T = 1, 2 and 3 at one
+    # worker and T = 1 at three workers; stats and render run T = CPUs
     root = tmp_path_factory.mktemp("workers")
     wavs = root / "wavs"
     _write_corpus(wavs, *corpus)
-    featurized = {}
-    for workers in ("1", "3"):
-        out = featurized[workers] = root / f"features_{workers}"
-        assert main(["featurize", "--in", str(wavs), "--out", str(out),
-                     "--workers", workers]) == 0
-    assert_same_files(featurized["1"], featurized["3"])
-    stats = str(featurized["1"] / "global_stats.txt")
-    for mode in _MASK_MODES:
-        outs = []
-        for workers in ("1", "3"):
-            outs.append(root / f"{mode[0]}_{workers}")
-            assert main(["mask", "--in", str(wavs), "--stats", stats, "--mode", *mode,
-                         "--out", str(outs[-1]), "--workers", workers]) == 0
-        assert (outs[0] / "manifest.csv").exists()
-        assert_same_files(*outs)
+    outs = []
+    for workers, cpus in ((1, 1), (1, 2), (1, 3), (3, 3)):
+        outs.append(root / f"w{workers}_c{cpus}")
+        run_every_command(wavs, outs[-1], workers, cpus, _MASK_MODES, ["long"])
+    assert (outs[0] / "mask_sem" / "manifest.csv").exists()
+    for out in outs[1:]:
+        assert_same_trees(outs[0], out)

@@ -12,12 +12,14 @@ interrupted run leaves none that would describe its outputs. featurize and
 mask first remove the atomic-write temporaries that processes no longer
 running left in their output directories.
 
-Every command runs its utterances on threads it owns: --workers N threads
-take whole utterances (one worker, as stats and render have, is the calling
-thread), and each computes an utterance of two or more front-end blocks on
-T = max(1, C // N) threads, itself and T - 1 helpers, C being the CPUs in
-the process's affinity mask. OpenBLAS is held to one thread for the whole
-run. Neither count changes an output byte, and no thread outlives the
+Every command runs its utterances on N x T threads it owns: --workers N
+workers (one worker, as stats and render have, is the calling thread) and
+N x (T - 1) front-end helpers, T = max(1, C // N), C being the CPUs in the
+process's affinity mask. Each of them takes whole utterances of fewer than
+two front-end blocks. An utterance of two or more runs after those on a
+worker, at most N at a time, its front end computed on the worker and
+T - 1 helpers. OpenBLAS is held to one thread for the whole run. Neither
+count changes an output byte or a log line, and no thread outlives the
 command.
 """
 
@@ -31,6 +33,8 @@ import logging
 import math
 import os
 import sys
+import threading
+from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import formats
 from .audio_io import WavReader
-from .dsp import FeatureConfig, filterbank_energies
+from .dsp import FeatureConfig, filterbank_energies, multi_block
 from .errors import BadAudio, SemaugError
 from .features import StatsAccumulator, normalize, power_mel
 from .masking import SemConfig, apply_fixed_sem, apply_sem, input_dropout, threshold_mask
@@ -219,38 +223,52 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+# the outcome of a multi-block file left for the second pass
+_MULTI_BLOCK = object()
+
+
 def _run_utterances(paths, worker, num_workers: int):
     """Run `worker(path, energies)` on each path's energies; (results in
     input order, failure count).
 
-    num_workers threads take whole utterances (one worker is the calling
-    thread), and each computes an utterance's front end on
-    T = max(1, C // num_workers) threads (see the module docstring), with
-    OpenBLAS held to one thread. Every thread has ended when this returns
-    or raises. A SemaugError or OSError fails only its file, which is
-    logged after the run and yields no result. Input order holds whatever
-    the thread counts.
+    The threads are those of the module docstring, N = num_workers workers
+    (one worker is the calling thread) and N * (T - 1) front-end helpers.
+    First all of them take whole utterances of fewer than two front-end
+    blocks (dsp.multi_block), in input order; then the workers take the
+    multi-block ones, each computing its front end on itself and T - 1
+    helpers. At T = 1 there are no helpers and the first pass takes every
+    utterance. OpenBLAS is held to one thread. Every thread has ended when
+    this returns or raises. A SemaugError or OSError fails only its file,
+    which is logged after the run and yields no result. Input order holds
+    whatever the thread counts.
     """
     cfg = FeatureConfig()
     threads = max(1, _cpu_count() // num_workers)
+    outcomes = [None] * len(paths)
+
+    def attempt(index, helpers=None):
+        path = paths[index]
+        try:
+            # before the second pass a multi-block file waits for the helpers
+            energies = _extract_energies(
+                path, cfg, helpers, threads, whole_only=helpers is None and threads > 1
+            )
+            outcomes[index] = _MULTI_BLOCK if energies is None else worker(path, energies)
+        except (SemaugError, OSError) as exc:
+            outcomes[index] = exc
+
     # a pool starts no thread before it is given work
     with (
         _single_threaded_blas(),
         ThreadPoolExecutor(max(1, num_workers * (threads - 1)), "semaug-range") as helpers,
+        ThreadPoolExecutor(num_workers, "semaug-utterance") as pool,
     ):
-        def attempt(path):
-            try:
-                return worker(path, _extract_energies(path, cfg, helpers, threads))
-            except (SemaugError, OSError) as exc:
-                return exc
-
-        if num_workers > 1:
-            with ThreadPoolExecutor(num_workers, "semaug-utterance") as pool:
-                outcomes = list(pool.map(attempt, paths))
-        else:
-            # on the calling thread: a pool thread would bring a malloc arena
-            # of its own, 0.7 MB more peak RSS over 200 short files
-            outcomes = [attempt(path) for path in paths]
+        # one worker is the calling thread: a pool thread would bring a
+        # malloc arena of its own, 3.6 MB more peak RSS on a 600 s file
+        workers = [None] if num_workers == 1 else [pool] * num_workers
+        _share(range(len(paths)), attempt, workers + [helpers] * (num_workers * (threads - 1)))
+        deferred = [i for i, outcome in enumerate(outcomes) if outcome is _MULTI_BLOCK]
+        _share(deferred, lambda index: attempt(index, helpers), workers)
     results = []
     for path, outcome in zip(paths, outcomes):
         if isinstance(outcome, Exception):
@@ -260,15 +278,56 @@ def _run_utterances(paths, worker, num_workers: int):
     return results, len(paths) - len(results)
 
 
-def _extract_energies(path: Path, cfg: FeatureConfig, pool=None, threads: int = 1):
+def _share(indices, run, executors) -> None:
+    """Call run(index) for each of indices, claimed in order by one thread
+    per entry of executors: a thread of that pool, or the calling thread
+    for None. No more threads than indices take part, and this returns
+    when every call has ended. An exception that escapes run, or interrupts
+    the calling thread, ends all claims and is raised here: the calling
+    thread's own, else the first in executors' order."""
+    claims = iter(indices)
+    lock = threading.Lock()
+    done = threading.Event()
+
+    def claim_until_done() -> None:
+        try:
+            while not done.is_set():
+                with lock:
+                    index = next(claims, None)
+                if index is None:
+                    return
+                run(index)
+        finally:
+            # after the last claim, or an exception, no thread claims again
+            done.set()
+
+    executors = executors[: len(indices)]
+    pending = [pool.submit(claim_until_done) for pool in executors if pool is not None]
+    try:
+        if None in executors:
+            claim_until_done()
+        futures.wait(pending)
+    finally:
+        done.set()
+        futures.wait(pending)
+    for future in pending:
+        future.result()
+
+
+def _extract_energies(
+    path: Path, cfg: FeatureConfig, pool=None, threads: int = 1, whole_only: bool = False
+):
     """The file's energies, its samples read block by block (no whole-file
     array), on up to `threads` threads: the calling thread and the pool's
-    (see filterbank_energies)."""
+    (see filterbank_energies). With whole_only, None for a multi-block file
+    (dsp.multi_block), read no further than its header."""
     with WavReader(path) as wav:
         if wav.sample_rate_hz != cfg.sample_rate_hz:
             raise BadAudio(
                 f"{path}: sample rate {wav.sample_rate_hz} != configured {cfg.sample_rate_hz}"
             )
+        if whole_only and multi_block(wav.num_samples, cfg):
+            return None
         return filterbank_energies(wav, cfg, pool, threads)
 
 
@@ -400,15 +459,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
     wavs = _input_wavs(args.in_dir)
     out_path = Path(args.out)
     _check_output_dir(out_path)
+
+    def worker(path: Path, energies):
+        # the utterance's own histogram, or None when it adds no bins
+        acc = EtaHistogramAccumulator()
+        return path, acc if acc.update(energies) else None
+
+    partials, failures = _run_utterances(wavs, worker, 1)
     acc = EtaHistogramAccumulator()
-
-    def worker(path: Path, energies) -> None:
-        # returns nothing, so one utterance's arrays are freed before the next read
-        if not acc.update(energies):
+    for path, partial in partials:
+        if partial is None:
             log.info("%s has zero peak energy (silence): no bins added", path.name)
-
-    # one worker: the histogram is shared
-    _, failures = _run_utterances(wavs, worker, 1)
+        else:
+            acc.merge(partial)
     if int(acc.counts.sum()) == 0:
         log.error("empty corpus")
         return EXIT_USAGE

@@ -8,7 +8,8 @@ size) and sums it through triangular mel filters:
 
 No pre-emphasis and no dithering are applied. There is one front end,
 FeatureConfig: its values are constants, so mel_filterbank builds one
-filterbank per process and every call shares it.
+filterbank per process and every call shares it, as every call shares one
+Hamming window.
 
 Frames are processed in blocks of BLOCK_FRAMES (512) rows, each block's
 energies written into the preallocated (M, C) result, so the peak memory
@@ -21,11 +22,12 @@ input of its mel matmul, is held at full block height. Every frame is
 read and transformed once: a final partial block reuses the power rows it
 shares with the block before it instead of recomputing them.
 
-Given a thread pool, an utterance of two or more whole blocks is cut into
-contiguous ranges of blocks computed on several threads, each range with
-its own block buffers (about 1.6 MB); every block is computed as it would
-be serially, so the bits do not depend on the split. Called without a
-pool, as a library call is, the front end runs serially.
+Given a thread pool, an utterance of two or more whole blocks (see
+multi_block) is cut into contiguous ranges of blocks computed on several
+threads, each range with its own block buffers (about 1.6 MB); every block
+is computed as it would be serially, so the bits do not depend on the
+split. Called without a pool, as a library call is, the front end runs
+serially.
 """
 
 from __future__ import annotations
@@ -115,6 +117,23 @@ def hamming_window(length: int) -> np.ndarray:
         raise ValueError(f"window length must be >= 2, got {length}")
     n = np.arange(length)
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
+
+
+@functools.cache
+def _analysis_window(cfg: FeatureConfig) -> np.ndarray:
+    """The front end's Hamming window, built once per process and shared
+    by every range of every utterance: read-only, like mel_filterbank's
+    arrays."""
+    window = hamming_window(cfg.window_samples)
+    window.flags.writeable = False
+    return window
+
+
+def multi_block(num_samples: int, cfg: FeatureConfig) -> bool:
+    """Whether num_samples samples make two or more whole blocks of frames
+    (2 * BLOCK_FRAMES = 1024 frames, about 10.3 s): the only utterances
+    whose front end filterbank_energies splits over threads."""
+    return num_samples >= cfg.window_samples + (2 * BLOCK_FRAMES - 1) * cfg.hop_samples
 
 
 def _check_length(num_samples: int, cfg: FeatureConfig, utterance_id: str) -> None:
@@ -253,7 +272,7 @@ def _range_job(source, cfg: FeatureConfig, energies: np.ndarray, first: int, sto
     thread that calls filterbank_energies, and belong to that call alone.
     """
     length, hop = cfg.window_samples, cfg.hop_samples
-    window = hamming_window(length)
+    window = _analysis_window(cfg)
     weights_t = mel_filterbank(cfg).weights.T
     block_rows = min(stop - first, BLOCK_FRAMES)
     streamed = isinstance(source, WavReader)

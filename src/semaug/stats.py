@@ -83,6 +83,14 @@ class EtaHistogramAccumulator:
         self.energy += energy
         return True
 
+    def merge(self, other: "EtaHistogramAccumulator") -> None:
+        """Add another accumulator's bins. Counts add exactly and energies
+        by one addition per bin, as update adds an utterance's, so merging
+        one-utterance accumulators in input order gives the bits of
+        updating one accumulator in that order."""
+        self.counts += other.counts
+        self.energy += other.energy
+
     def finalize(self) -> EtaDistribution:
         total = int(self.counts.sum())
         if total == 0:

@@ -7,7 +7,8 @@ all of these fail only when the benchmark runs. These tests load the
 scripts (stdlib-only at import) by path, unchanged, check those hooks
 against the current sources, run the benchmark once at its self-test
 size, and check that a traced featurize of a long file counts every frame
-its threaded front end transforms.
+its threaded front end transforms and one of short files records every
+file's write.
 """
 
 import ast
@@ -113,6 +114,27 @@ def test_trace_sees_every_frame_of_the_threaded_front_end(tmp_path):
     assert sum(span[7] for span in power) == num_frames * (cfg.fft_size // 2 + 1) * 16
     if len(os.sched_getaffinity(0)) >= 2:
         assert len({span[6] for span in power}) == 2
+
+
+def test_trace_records_every_short_file_on_every_thread(tmp_path):
+    # files under two blocks run whole on each front-end thread: one write
+    # span per file, from more than one thread when two CPUs are available
+    wavs = tmp_path / "wavs"
+    wavs.mkdir()
+    uids = [f"utt_{i:02d}" for i in range(12)]
+    for i, uid in enumerate(uids):
+        write_wav(wavs / f"{uid}.wav", synth_speech_like(0.5, seed=i, utterance_id=uid))
+    result_path = tmp_path / "result.json"
+    run = _run_python(
+        str(ROOT / "perfbench" / "child.py"), str(result_path), "--trace",
+        "featurize", "--in", str(wavs), "--out", str(tmp_path / "out"),
+    )
+    assert run.returncode == 0, run.stderr
+    spans = json.loads(result_path.read_text(encoding="ascii"))["spans"]
+    saves = [span for span in spans if span[1] == "formats.save_features"]
+    assert sorted(span[5] for span in saves) == uids
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert len({span[6] for span in saves}) >= 2
 
 
 def test_tiny_benchmark_run():

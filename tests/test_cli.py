@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -508,9 +510,9 @@ class TestMask:
 
 def _random_energies(shape):
     """An _extract_energies stand-in: a wide-range random energy matrix of
-    `shape`, built in place, whatever the file."""
+    `shape`, built in place, whatever the file and the thread arguments."""
 
-    def extract(path, cfg, *front_end_threads):
+    def extract(path, cfg, *front_end_threads, **whole_only):
         values = np.random.default_rng(3).uniform(-8.0, 3.0, size=shape)
         np.power(10.0, values, out=values)
         return EnergyMatrix(values, path.stem)
@@ -566,6 +568,30 @@ class TestStatsCommand:
         assert out_csv.read_bytes() == expected.read_bytes()
         quiet = [r for r in caplog.records if "quiet.wav" in r.getMessage()]
         assert [r.levelno for r in quiet] == [logging.INFO]
+
+    def test_log_does_not_depend_on_threads(self, tmp_path, corpus_dir, monkeypatch, caplog):
+        # zero-peak INFO lines and failures' ERROR lines are logged after the
+        # run, in input order, whichever thread ran each file
+        make_corpus(corpus_dir, [
+            synth_fixture("silence", 0.5, utterance_id=uid) for uid in ("a_quiet", "zz_quiet")
+        ])
+        (corpus_dir / "broken.wav").write_bytes(b"not audio")
+        caplog.set_level(logging.INFO, logger="semaug")
+        logs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+            caplog.clear()
+            out_csv = tmp_path / f"dist{cpus}.csv"
+            assert main(["stats", "--in", str(corpus_dir), "--out", str(out_csv)]) == 1
+            logs[cpus] = [
+                f"{r.levelname} {r.getMessage()}".replace(out_csv.name, "dist.csv")
+                for r in caplog.records
+            ]
+        assert logs[1] == logs[2]
+        assert [line.split()[1] for line in logs[1] if "zero peak" in line] == [
+            "a_quiet.wav", "zz_quiet.wav",
+        ]
+        assert (tmp_path / "dist1.csv").read_bytes() == (tmp_path / "dist2.csv").read_bytes()
 
     def test_all_silent_corpus_exits_2(self, tmp_path, caplog):
         wavs = tmp_path / "w"
@@ -870,9 +896,37 @@ def fail_second_range(monkeypatch, uid, error):
     return raised_on
 
 
+def fail_short_file(monkeypatch, uid, error, on_a_helper):
+    """Make the front end raise `error` when it reads utterance uid, a file
+    of fewer than two blocks, whichever thread runs it; return the names of
+    the threads it was raised on. With on_a_helper, the calling thread
+    waits at its first read until the pool threads' claim loops have ended,
+    so a helper takes uid (any file after the first two)."""
+    read = dsp.read_wav
+    raised_on = []
+    claim_loops = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            claim_loops.append(super().submit(*args, **kwargs))
+            return claim_loops[-1]
+
+    def read_or_fail(source, start, stop, out):
+        if source.utterance_id == uid:
+            raised_on.append(threading.current_thread().name)
+            raise error
+        if on_a_helper and threading.current_thread() is threading.main_thread():
+            assert not futures.wait(claim_loops, timeout=30).not_done
+        return read(source, start, stop, out=out)
+
+    monkeypatch.setattr(dsp, "read_wav", read_or_fail)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    return raised_on
+
+
 class TestThreads:
-    """No thread outlives a command, and a front-end range fails its file as
-    the serial front end would."""
+    """No thread outlives a command, and a front-end range or a short file
+    on a helper fails its file as the serial front end would."""
 
     @pytest.fixture()
     def wavs(self, corpus_dir):
@@ -929,6 +983,111 @@ class TestThreads:
         with pytest.raises(KeyboardInterrupt):
             self.featurize(wavs, tmp_path / "f", 2, monkeypatch)
         assert len(raised_on) == 1 and raised_on[0].startswith("semaug-range")
+
+    # an all-short corpus: every file runs whole, on the calling thread or a helper
+
+    def test_clean_run_all_short(self, tmp_path, corpus_dir, monkeypatch):
+        for cpus in (1, 2):
+            assert self.featurize(corpus_dir, tmp_path / f"c{cpus}", cpus, monkeypatch) == 0
+        assert_same_files(tmp_path / "c1", tmp_path / "c2")
+
+    def test_broken_short_file(self, tmp_path, corpus_dir, monkeypatch, caplog):
+        (corpus_dir / "broken.wav").write_bytes(b"not audio")
+        assert self.featurize(corpus_dir, tmp_path / "f", 2, monkeypatch) == 1
+        assert "failed on broken.wav: " in caplog.text
+        assert len(list((tmp_path / "f").glob("*.fmx"))) == 6
+
+    def test_bad_audio_in_a_short_file_on_a_helper_fails_its_file_alone(
+        self, tmp_path, corpus_dir, monkeypatch, caplog
+    ):
+        errors = {}
+        raised_on = {}
+        for cpus in (1, 2):
+            caplog.clear()
+            out = tmp_path / f"c{cpus}"
+            with monkeypatch.context() as patch:
+                error = BadAudio("utt_005.wav: cut")
+                raised_on[cpus] = fail_short_file(patch, "utt_005", error, cpus == 2)
+                assert self.featurize(corpus_dir, out, cpus, monkeypatch) == 1
+            errors[cpus] = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+            assert sorted(p.name for p in out.glob("*.fmx")) == [
+                f"utt_{i:03d}.fmx" for i in range(5)
+            ]
+        assert errors[1] == errors[2] == ["failed on utt_005.wav: utt_005.wav: cut"]
+        assert raised_on[1] == [threading.main_thread().name]
+        assert len(raised_on[2]) == 1 and raised_on[2][0].startswith("semaug-range")
+        assert_same_files(tmp_path / "c1", tmp_path / "c2")
+
+    def test_interrupt_in_a_short_file_on_a_helper(self, tmp_path, corpus_dir, monkeypatch):
+        # the helper's interrupt at the third file ends every thread's claims
+        raised_on = fail_short_file(monkeypatch, "utt_002", KeyboardInterrupt(), True)
+        with pytest.raises(KeyboardInterrupt):
+            self.featurize(corpus_dir, tmp_path / "f", 2, monkeypatch)
+        assert len(raised_on) == 1 and raised_on[0].startswith("semaug-range")
+        assert sorted(p.name for p in (tmp_path / "f").glob("*.fmx")) == [
+            "utt_000.fmx", "utt_001.fmx",
+        ]
+
+
+def test_short_utterances_take_every_thread(tmp_path, corpus_dir, monkeypatch):
+    # --workers 1 on two CPUs: the helper takes whole short files too; the
+    # calling thread waits at its first file until the helper has one
+    idents = []
+    helper_started = threading.Event()
+    original = cli.filterbank_energies
+
+    def recording(*args, **kwargs):
+        idents.append(threading.get_ident())
+        if threading.current_thread() is threading.main_thread():
+            helper_started.wait(timeout=30)
+        else:
+            helper_started.set()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "filterbank_energies", recording)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    assert main(["featurize", "--in", str(corpus_dir), "--out", str(tmp_path / "f")]) == 0
+    assert len(idents) == 6
+    assert len(set(idents)) == 2
+
+
+@pytest.mark.parametrize("workers,cpus", [(1, 2), (2, 4)])
+def test_multi_block_utterances_run_on_workers_at_most_n_at_a_time(
+    tmp_path, corpus_dir, monkeypatch, workers, cpus
+):
+    # T = 2 either way; the long files sort before the short ones
+    for i, frames in enumerate(MULTI_BLOCK_FRAMES):
+        write_wav(corpus_dir / f"long_{i}.wav", waveform_of_frames(frames, i, f"long_{i}"))
+    lock = threading.Lock()
+    running = []
+    peak = 0
+    long_threads = []
+    original = cli.filterbank_energies
+
+    def recording(source, cfg, *front_end_threads):
+        nonlocal peak
+        if not dsp.multi_block(source.num_samples, cfg):
+            return original(source, cfg, *front_end_threads)
+        with lock:
+            running.append(source.utterance_id)
+            peak = max(peak, len(running))
+            long_threads.append(threading.current_thread().name)
+        try:
+            return original(source, cfg, *front_end_threads)
+        finally:
+            with lock:
+                running.remove(source.utterance_id)
+
+    monkeypatch.setattr(cli, "filterbank_energies", recording)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    assert main(["featurize", "--in", str(corpus_dir), "--out", str(tmp_path / "f"),
+                 "--workers", str(workers)]) == 0
+    assert len(long_threads) == len(MULTI_BLOCK_FRAMES)
+    assert 1 <= peak <= workers
+    if workers == 1:
+        assert set(long_threads) == {threading.main_thread().name}
+    else:
+        assert all(name.startswith("semaug-utterance") for name in long_threads)
 
 
 def _featurize_faults(tmp_path, num_utterances):

@@ -66,6 +66,24 @@ class TestHammingWindow:
         with pytest.raises(ValueError):
             hamming_window(1)
 
+    def test_front_end_builds_one_read_only_window(self, cfg, monkeypatch):
+        # one window per process, not one per range of every utterance
+        built = []
+        build = dsp.hamming_window
+        monkeypatch.setattr(
+            dsp, "hamming_window", lambda length: built.append(length) or build(length)
+        )
+        dsp._analysis_window.cache_clear()
+        num = (3 * BLOCK_FRAMES - 1) * cfg.hop_samples + cfg.window_samples
+        wav = synth_fixture("white_noise", num / cfg.sample_rate_hz, seed=5, utterance_id="w")
+        with ThreadPoolExecutor(2) as pool:
+            for _ in range(2):
+                filterbank_energies(wav, cfg, pool, 3)
+        assert built == [cfg.window_samples]
+        window = dsp._analysis_window(cfg)
+        assert not window.flags.writeable
+        assert np.array_equal(window, build(cfg.window_samples))
+
 
 class TestFrameSignal:
     @pytest.mark.parametrize(
@@ -292,7 +310,13 @@ class TestFilterbankEnergies:
     @pytest.mark.parametrize("threads", [2, 3, 8])
     @pytest.mark.parametrize(
         "num_frames",
-        [BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES, 2 * BLOCK_FRAMES + 3, 5 * BLOCK_FRAMES + 17],
+        [
+            BLOCK_FRAMES + 1,
+            2 * BLOCK_FRAMES - 1,
+            2 * BLOCK_FRAMES,
+            2 * BLOCK_FRAMES + 3,
+            5 * BLOCK_FRAMES + 17,
+        ],
     )
     @pytest.mark.parametrize("streamed", [False, True], ids=["waveform", "reader"])
     def test_ranges_on_a_pool_give_the_serial_bits(
@@ -325,6 +349,7 @@ class TestFilterbankEnergies:
         assert sum(rows for rows, _ in transformed) == num_frames
         ranges = min(threads, num_frames // BLOCK_FRAMES)
         assert (len({thread for _, thread in transformed}) > 1) == (ranges > 1)
+        assert dsp.multi_block(num, cfg) == (ranges > 1)
         assert np.array_equal(energies.values, serial)
 
     @pytest.mark.parametrize(

@@ -64,6 +64,20 @@ class TestEtaHistogram:
         assert np.array_equal(dist.pdf, expected.pdf)
         assert np.array_equal(dist.energy_ratio, expected.energy_ratio)
 
+    def test_merged_partials_keep_one_accumulator_bits(self):
+        # as stats runs: one accumulator per utterance, merged in input order
+        matrices = _matrices(np.random.default_rng(53), 8)
+        matrices.insert(3, EnergyMatrix(np.zeros((4, 6)), "silent"))
+        serial = EtaHistogramAccumulator()
+        merged = EtaHistogramAccumulator()
+        for energies in matrices:
+            serial.update(energies)
+            partial = EtaHistogramAccumulator()
+            if partial.update(energies):
+                merged.merge(partial)
+        assert np.array_equal(merged.counts, serial.counts)
+        assert np.array_equal(merged.energy, serial.energy)
+
     def test_all_silent_corpus_is_empty(self):
         with pytest.raises(EmptyCorpus):
             accumulated_histogram(
@@ -161,6 +175,20 @@ class TestEnergyRatioCurve:
         silent = EnergyMatrix(np.zeros((6, 4)), "silent")
         out = energy_ratio_curve([silent, *matrices, silent], thresholds)
         assert np.array_equal(out, expected)
+
+    def test_merged_partials_keep_one_accumulator_bits(self):
+        # as stats runs: one accumulator per utterance, merged in input order
+        matrices = _matrices(np.random.default_rng(53), 8)
+        matrices.insert(3, EnergyMatrix(np.zeros((4, 6)), "silent"))
+        serial = EtaHistogramAccumulator()
+        merged = EtaHistogramAccumulator()
+        for energies in matrices:
+            serial.update(energies)
+            partial = EtaHistogramAccumulator()
+            if partial.update(energies):
+                merged.merge(partial)
+        assert np.array_equal(merged.counts, serial.counts)
+        assert np.array_equal(merged.energy, serial.energy)
 
     def test_all_silent_corpus_is_empty(self):
         silent = [EnergyMatrix(np.zeros((3, 4)), "s0"), EnergyMatrix(np.zeros((0, 4)), "s1")]

@@ -12,15 +12,15 @@ interrupted run leaves none that would describe its outputs. featurize and
 mask first remove the atomic-write temporaries that processes no longer
 running left in their output directories.
 
-Every command runs its utterances on N x T threads it owns: --workers N
-workers (one worker, as stats and render have, is the calling thread) and
-N x (T - 1) front-end helpers, T = max(1, C // N), C being the CPUs in the
-process's affinity mask. Each of them takes whole utterances of fewer than
-two front-end blocks. An utterance of two or more runs after those on a
-worker, at most N at a time, its front end computed on the worker and
-T - 1 helpers. OpenBLAS is held to one thread for the whole run. Neither
-count changes an output byte or a log line, and no thread outlives the
-command.
+Every command runs its utterances on N x T threads it owns: the calling
+thread and one pool of N x T - 1, for --workers N (stats and render have
+one) and T = max(1, C // N), C being the CPUs in the process's affinity
+mask. Each of them takes whole utterances of fewer than two front-end
+blocks. An utterance of two or more runs after those on the calling thread
+or one of N - 1 pool threads, at most N at a time, its front end computed
+there and on T - 1 of the other N x (T - 1) pool threads. OpenBLAS is held
+to one thread for the whole run. Neither count changes an output byte or a
+log line, and no thread outlives the command.
 """
 
 from __future__ import annotations
@@ -231,12 +231,12 @@ def _run_utterances(paths, worker, num_workers: int):
     """Run `worker(path, energies)` on each path's energies; (results in
     input order, failure count).
 
-    The threads are those of the module docstring, N = num_workers workers
-    (one worker is the calling thread) and N * (T - 1) front-end helpers.
-    First all of them take whole utterances of fewer than two front-end
-    blocks (dsp.multi_block), in input order; then the workers take the
-    multi-block ones, each computing its front end on itself and T - 1
-    helpers. At T = 1 there are no helpers and the first pass takes every
+    The threads are those of the module docstring: the calling thread and a
+    pool of N * T - 1, N = num_workers. First all of them take whole
+    utterances of fewer than two front-end blocks (dsp.multi_block), in
+    input order; then the calling thread and N - 1 pool threads take the
+    multi-block ones, each computing its front end on itself and T - 1 of
+    the N * (T - 1) pool threads left. At T = 1 the first pass takes every
     utterance. OpenBLAS is held to one thread. Every thread has ended when
     this returns or raises. A SemaugError or OSError fails only its file,
     which is logged after the run and yields no result. Input order holds
@@ -246,29 +246,27 @@ def _run_utterances(paths, worker, num_workers: int):
     threads = max(1, _cpu_count() // num_workers)
     outcomes = [None] * len(paths)
 
-    def attempt(index, helpers=None):
+    def attempt(index, pool=None):
         path = paths[index]
         try:
-            # before the second pass a multi-block file waits for the helpers
+            # before the second pass a multi-block file waits for the pool
             energies = _extract_energies(
-                path, cfg, helpers, threads, whole_only=helpers is None and threads > 1
+                path, cfg, pool, threads, whole_only=pool is None and threads > 1
             )
             outcomes[index] = _MULTI_BLOCK if energies is None else worker(path, energies)
         except (SemaugError, OSError) as exc:
             outcomes[index] = exc
 
-    # a pool starts no thread before it is given work
+    # a pool starts no thread before it is given work; the calling thread
+    # always takes part, as a pool thread in its place would bring a malloc
+    # arena of its own, 3.6 MB more peak RSS on a 600 s file
     with (
         _single_threaded_blas(),
-        ThreadPoolExecutor(max(1, num_workers * (threads - 1)), "semaug-range") as helpers,
-        ThreadPoolExecutor(num_workers, "semaug-utterance") as pool,
+        ThreadPoolExecutor(max(1, num_workers * threads - 1), "semaug-pool") as pool,
     ):
-        # one worker is the calling thread: a pool thread would bring a
-        # malloc arena of its own, 3.6 MB more peak RSS on a 600 s file
-        workers = [None] if num_workers == 1 else [pool] * num_workers
-        _share(range(len(paths)), attempt, workers + [helpers] * (num_workers * (threads - 1)))
+        _share(range(len(paths)), attempt, pool, num_workers * threads)
         deferred = [i for i, outcome in enumerate(outcomes) if outcome is _MULTI_BLOCK]
-        _share(deferred, lambda index: attempt(index, helpers), workers)
+        _share(deferred, lambda index: attempt(index, pool), pool, num_workers)
     results = []
     for path, outcome in zip(paths, outcomes):
         if isinstance(outcome, Exception):
@@ -278,13 +276,13 @@ def _run_utterances(paths, worker, num_workers: int):
     return results, len(paths) - len(results)
 
 
-def _share(indices, run, executors) -> None:
-    """Call run(index) for each of indices, claimed in order by one thread
-    per entry of executors: a thread of that pool, or the calling thread
-    for None. No more threads than indices take part, and this returns
-    when every call has ended. An exception that escapes run, or interrupts
-    the calling thread, ends all claims and is raised here: the calling
-    thread's own, else the first in executors' order."""
+def _share(indices, run, pool, threads: int) -> None:
+    """Call run(index) for each of indices, claimed in order by the calling
+    thread and threads - 1 threads of pool. No more threads than indices
+    take part, and this returns when every call has ended. An exception
+    that escapes run, or interrupts the calling thread, ends all claims and
+    is raised here: the calling thread's own, else the first pool thread's
+    in the order they were started."""
     claims = iter(indices)
     lock = threading.Lock()
     done = threading.Event()
@@ -301,11 +299,9 @@ def _share(indices, run, executors) -> None:
             # after the last claim, or an exception, no thread claims again
             done.set()
 
-    executors = executors[: len(indices)]
-    pending = [pool.submit(claim_until_done) for pool in executors if pool is not None]
+    pending = [pool.submit(claim_until_done) for _ in range(min(threads, len(indices)) - 1)]
     try:
-        if None in executors:
-            claim_until_done()
+        claim_until_done()
         futures.wait(pending)
     finally:
         done.set()

@@ -12,15 +12,16 @@ filterbank per process and every call shares it, as every call shares one
 Hamming window.
 
 Frames are processed in blocks of BLOCK_FRAMES (512) rows, each block's
-energies written into the preallocated (M, C) result, so the peak memory
-of one utterance is O(block) above its output rather than O(utterance):
-no whole-utterance spectrum exists, and the samples of an open WAV file
-are read one block's span at a time into one reused buffer. Within a
-block the window and FFT run SUB_BLOCK_FRAMES (64) rows at a time through
-one zero-padded float64 workspace; only the block's power spectrum, the
-input of its mel matmul, is held at full block height. Every frame is
-read and transformed once: a final partial block reuses the power rows it
-shares with the block before it instead of recomputing them.
+energies written into a preallocated result of whole blocks, whose first M
+rows are the (M, C) output, so the peak memory of one utterance is
+O(block) above its output rather than O(utterance): no whole-utterance
+spectrum exists, and the samples of an open WAV file are read one block's
+span at a time into one reused buffer. Within a block the window and FFT
+run SUB_BLOCK_FRAMES (64) rows at a time through one zero-padded float64
+workspace; only the block's power spectrum, the input of its mel matmul,
+is held at full block height. Every frame is read and transformed once; a
+final partial block's matmul runs on past its new frames into at most 511
+padding rows.
 
 Given a thread pool, an utterance of two or more whole blocks (see
 multi_block) is cut into contiguous ranges of blocks computed on several
@@ -44,8 +45,9 @@ from .errors import BadAudio
 
 # Frames per block of the front end: the height of every mel matmul, which
 # fixes its bits, and of the block's 512 x 257 float64 power spectrum (1.05 MB).
-# With OpenBLAS every matmul height above 30 rows gives each row the bits of
-# a whole-utterance product; a final block shorter than this would not.
+# Some OpenBLAS kernels round the rows of an odd-height product otherwise than
+# those of a tall one, so the final partial block is padded to this height
+# rather than cut short.
 BLOCK_FRAMES = 512
 
 # Frames per window + FFT pass inside a block: bounds the workspace and the
@@ -223,33 +225,35 @@ def filterbank_energies(
     whole-utterance sample array exists; both give the same bits for the
     same samples.
 
-    Runs BLOCK_FRAMES frames at a time. When M > BLOCK_FRAMES the last block
-    is the final BLOCK_FRAMES frames, overlapping the one before it: every
-    mel matmul then has the same height, so each row gets the same bits as
-    from one whole-utterance matmul (BLAS may round a short block's rows
-    differently). That last block reads and transforms only its new frames:
-    the power rows it shares with the block before are moved to its head in
-    place, so every frame's spectrum is computed once. Power rows are
-    filled SUB_BLOCK_FRAMES at a time: the windowed frames are written,
-    promoted to float64 exactly, into the first L columns of a zeroed
-    (sub-block, fft_size) workspace whose other columns stay zero, so the
-    FFT sees the zero-padded frames and needs no padding copy of its own.
+    Runs BLOCK_FRAMES frames at a time into an energy buffer of whole blocks
+    (just M rows when M < BLOCK_FRAMES) and returns its first M rows. Every
+    mel matmul has the same height, the final partial block's too, so each
+    row gets the same bits as from one whole-utterance matmul (BLAS may
+    round a short block's rows differently). That last block reads and
+    transforms only its new frames; the rest of its power rows still hold
+    the block before it, and their products land in padding rows that
+    nothing reads. Power rows are filled SUB_BLOCK_FRAMES at a time: the
+    windowed frames are written, promoted to float64 exactly, into the
+    first L columns of a zeroed (sub-block, fft_size) workspace whose other
+    columns stay zero, so the FFT sees the zero-padded frames and needs no
+    padding copy of its own.
 
     With a pool and threads > 1, the blocks are cut into up to `threads`
-    contiguous ranges of whole blocks, the last range ending with the final
-    overlapping block. The calling thread computes the first range and pool
-    threads the others, each range with its own buffers; the calling thread
-    waits for them all, then raises the error of the earliest range that
-    failed, the error a serial run would raise. Without a pool, or with
-    fewer than two whole blocks, all runs on the calling thread.
+    contiguous ranges of whole blocks, each at least one whole block long,
+    so no range starts at the final partial block. The calling thread
+    computes the first range and pool threads the others, each range with
+    its own buffers; the calling thread waits for them all, then raises the
+    error of the earliest range that failed, the error a serial run would
+    raise. Without a pool, or with fewer than two whole blocks, all runs on
+    the calling thread.
     """
     filterbank = mel_filterbank(cfg)
     _check_length(source.num_samples, cfg, source.utterance_id)
     num_frames = 1 + (source.num_samples - cfg.window_samples) // cfg.hop_samples
-    energies = np.empty((num_frames, filterbank.num_channels))
+    block_rows = min(num_frames, BLOCK_FRAMES)
+    padded_frames = -(-num_frames // block_rows) * block_rows
+    energies = np.empty((padded_frames, filterbank.num_channels))
     ranges = 1 if pool is None else max(1, min(threads, num_frames // BLOCK_FRAMES))
-    # every range but the last is whole blocks, so the final overlapping block
-    # stays with the block before it
     edges = [r * num_frames // (ranges * BLOCK_FRAMES) * BLOCK_FRAMES for r in range(ranges)]
     jobs = [
         _range_job(source, cfg, energies, first, stop)
@@ -262,11 +266,13 @@ def filterbank_energies(
         futures.wait(helpers)
     for helper in helpers:
         helper.result()
-    return EnergyMatrix(values=energies, utterance_id=source.utterance_id)
+    return EnergyMatrix(values=energies[:num_frames], utterance_id=source.utterance_id)
 
 
 def _range_job(source, cfg: FeatureConfig, energies: np.ndarray, first: int, stop: int):
-    """A call that fills energies[first:stop], block by block from `first`.
+    """A call that fills energies[first:stop], block by block from `first`,
+    each block's mel matmul writing all block_rows rows of its slice (a
+    final partial block's run on into padding).
 
     Its power block, workspace and sample buffer are allocated here, on the
     thread that calls filterbank_energies, and belong to that call alone.
@@ -278,19 +284,12 @@ def _range_job(source, cfg: FeatureConfig, energies: np.ndarray, first: int, sto
     streamed = isinstance(source, WavReader)
     span = (block_rows - 1) * hop + length
     samples = np.empty(span, dtype=np.float32) if streamed else None
-    bins = cfg.fft_size // 2 + 1
-    power = np.empty((block_rows, bins))
-    # one flat view, so the overlapping row move below copies front to back
-    # in place (numpy buffers an overlapping 2-D assignment in a temporary)
-    power_flat = power.reshape(-1)
+    power = np.empty((block_rows, cfg.fft_size // 2 + 1))
     workspace = np.zeros((min(block_rows, SUB_BLOCK_FRAMES), cfg.fft_size))
 
     def run() -> None:
         for start in range(first, stop, BLOCK_FRAMES):
             new = min(BLOCK_FRAMES, stop - start)
-            kept = block_rows - new
-            if kept:
-                power_flat[: kept * bins] = power_flat[new * bins :]
             lo = start * hop
             hi = lo + (new - 1) * hop + length
             if streamed:
@@ -301,9 +300,7 @@ def _range_job(source, cfg: FeatureConfig, energies: np.ndarray, first: int, sto
             for row in range(0, new, SUB_BLOCK_FRAMES):
                 rows = min(SUB_BLOCK_FRAMES, new - row)
                 np.multiply(frames[row : row + rows], window, out=workspace[:rows, :length])
-                tail = power[kept + row : kept + row + rows]
-                power_spectrum(workspace[:rows], cfg.fft_size, out=tail)
-            end = start + new
-            np.matmul(power, weights_t, out=energies[end - block_rows : end])
+                power_spectrum(workspace[:rows], cfg.fft_size, out=power[row : row + rows])
+            np.matmul(power, weights_t, out=energies[start : start + block_rows])
 
     return run

@@ -18,9 +18,9 @@ pass-through with a flag instead of failing the batch.
 Steps 3-5 run in place on the energy matrix: the mask is built from the
 energies, which then become x_raw and then the output, so an utterance
 holds one (M, C) float64 array plus its uint8 mask, never two. The peak
-percentile keeps the largest 5% of the bins seen so far and takes in
-CHUNK_BINS more at a time; r's masked sum and dropout's draws work
-CHUNK_BINS bins at a time, with the bits of their whole-matrix forms.
+percentile, at every size, keeps the largest 5% of the bins seen so far
+and takes in CHUNK_BINS more at a time; r's masked sum and dropout's draws
+work CHUNK_BINS bins at a time, with the bits of their whole-matrix forms.
 """
 
 from __future__ import annotations
@@ -125,17 +125,14 @@ def peak_energy(energies: EnergyMatrix) -> float:
     copy: a pool holds the n - index largest entries seen so far behind a
     CHUNK_BINS slot; each further chunk of the matrix goes into the slot and
     one partition of slot and pool puts the largest back in the pool. The
-    wanted entry is then the pool's smallest. An utterance of at most
-    CHUNK_BINS bins takes that call itself. The same value as that call for
-    every matrix without NaN.
+    wanted entry is then the pool's smallest. The same value as that call
+    for every matrix without NaN, at every size.
     """
     values = np.asarray(energies.values, dtype=np.float64)
     if values.size == 0:
         raise EmptyCorpus("peak_energy of an empty matrix")
     rank = (PEAK_PERCENTILE * values.size + 99) // 100 - 1
     flat = values.ravel()
-    if flat.size <= CHUNK_BINS:
-        return float(np.partition(flat, rank)[rank])
     keep = flat.size - rank
     pool = np.empty(CHUNK_BINS + keep)
     pool[CHUNK_BINS:] = flat[:keep]

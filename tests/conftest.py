@@ -60,8 +60,8 @@ def mixed_corpus(cfg):
     return pairs
 
 
-# utterances of two whole front-end blocks, of two and a final overlapping
-# block, and of five and a final overlapping block
+# utterances of two whole front-end blocks, of two and a final partial
+# block, and of five and a final partial block
 MULTI_BLOCK_FRAMES = (1024, 1027, 2577)
 
 

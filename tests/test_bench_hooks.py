@@ -94,7 +94,7 @@ def test_corpus_imports_resolve():
 
 
 def test_trace_sees_every_frame_of_the_threaded_front_end(tmp_path):
-    # 13 s: 1298 frames, two whole blocks and a final overlapping one, so
+    # 13 s: 1298 frames, two whole blocks and a final partial one, so
     # with two or more CPUs the front end runs in two ranges on two threads
     cfg = FeatureConfig()
     wavs = tmp_path / "wavs"

@@ -952,7 +952,7 @@ class TestThreads:
 
         monkeypatch.setattr(dsp, "power_spectrum", recording)
         assert self.featurize(wavs, tmp_path / "f", 2, monkeypatch) == 0
-        assert any(name.startswith("semaug-range") for name in seen)
+        assert any(name.startswith("semaug-pool") for name in seen)
 
     def test_broken_file(self, tmp_path, wavs, monkeypatch, caplog):
         (wavs / "broken.wav").write_bytes(b"not audio")
@@ -975,14 +975,14 @@ class TestThreads:
         assert errors[1] == errors[2] == ["failed on long.wav: long.wav: cut"]
         # at T = 1 on the utterance's worker, at T = 2 on a helper
         assert raised_on[0] == threading.main_thread().name
-        assert raised_on[1].startswith("semaug-range")
+        assert raised_on[1].startswith("semaug-pool")
         assert_same_files(tmp_path / "c1", tmp_path / "c2")
 
     def test_interrupt_in_a_helper_range(self, tmp_path, wavs, monkeypatch):
         raised_on = fail_second_range(monkeypatch, "long", KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
             self.featurize(wavs, tmp_path / "f", 2, monkeypatch)
-        assert len(raised_on) == 1 and raised_on[0].startswith("semaug-range")
+        assert len(raised_on) == 1 and raised_on[0].startswith("semaug-pool")
 
     # an all-short corpus: every file runs whole, on the calling thread or a helper
 
@@ -1015,7 +1015,7 @@ class TestThreads:
             ]
         assert errors[1] == errors[2] == ["failed on utt_005.wav: utt_005.wav: cut"]
         assert raised_on[1] == [threading.main_thread().name]
-        assert len(raised_on[2]) == 1 and raised_on[2][0].startswith("semaug-range")
+        assert len(raised_on[2]) == 1 and raised_on[2][0].startswith("semaug-pool")
         assert_same_files(tmp_path / "c1", tmp_path / "c2")
 
     def test_interrupt_in_a_short_file_on_a_helper(self, tmp_path, corpus_dir, monkeypatch):
@@ -1023,7 +1023,7 @@ class TestThreads:
         raised_on = fail_short_file(monkeypatch, "utt_002", KeyboardInterrupt(), True)
         with pytest.raises(KeyboardInterrupt):
             self.featurize(corpus_dir, tmp_path / "f", 2, monkeypatch)
-        assert len(raised_on) == 1 and raised_on[0].startswith("semaug-range")
+        assert len(raised_on) == 1 and raised_on[0].startswith("semaug-pool")
         assert sorted(p.name for p in (tmp_path / "f").glob("*.fmx")) == [
             "utt_000.fmx", "utt_001.fmx",
         ]
@@ -1087,7 +1087,10 @@ def test_multi_block_utterances_run_on_workers_at_most_n_at_a_time(
     if workers == 1:
         assert set(long_threads) == {threading.main_thread().name}
     else:
-        assert all(name.startswith("semaug-utterance") for name in long_threads)
+        assert all(
+            name == threading.main_thread().name or name.startswith("semaug-pool")
+            for name in long_threads
+        )
 
 
 def _featurize_faults(tmp_path, num_utterances):

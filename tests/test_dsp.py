@@ -1,14 +1,20 @@
 """Front-end tests: windowing, framing, spectra, mel filters, energies."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semaug
 from semaug import FeatureConfig, filterbank_energies, mel_filterbank
-from semaug import dsp
+from semaug import cli, dsp
 from semaug.audio_io import PCM_SCALE, WavReader, Waveform, synth_fixture, write_wav
 from semaug.dsp import (
     BLOCK_FRAMES,
@@ -36,6 +42,50 @@ def direct_dft_power(frame, fft_size):
         imag = float(np.sum(padded * np.sin(angle)))
         out[k] = real * real + imag * imag
     return out
+
+
+# Run in a subprocess under one OpenBLAS kernel: the front end at T = 1 and
+# T = 3, from a Waveform and from a WavReader, against an oracle that takes
+# each row from a BLOCK_FRAMES-row product, the final block formed as the
+# last BLOCK_FRAMES frames. Prints each case that differs.
+_KERNEL_CHECK = textwrap.dedent(
+    """
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    from pathlib import Path
+
+    import numpy as np
+
+    from semaug import FeatureConfig, filterbank_energies, mel_filterbank
+    from semaug.audio_io import PCM_SCALE, WavReader, Waveform, write_wav
+    from semaug.dsp import BLOCK_FRAMES, hamming_window
+
+    cfg = FeatureConfig()
+    weights_t = mel_filterbank(cfg).weights.T
+    length, hop = cfg.window_samples, cfg.hop_samples
+    with ThreadPoolExecutor(2) as pool:
+        for num_frames in (513, 1025, 2577):
+            num = (num_frames - 1) * hop + length
+            rng = np.random.default_rng(num_frames)
+            samples = rng.integers(-3000, 3000, size=num) / PCM_SCALE
+            frames = np.stack([samples[m * hop : m * hop + length] for m in range(num_frames)])
+            power = np.abs(np.fft.rfft(frames * hamming_window(length), n=cfg.fft_size)) ** 2
+            oracle = np.empty((num_frames, weights_t.shape[1]))
+            for start in range(0, num_frames, BLOCK_FRAMES):
+                first = min(start, num_frames - BLOCK_FRAMES)
+                block = power[first : first + BLOCK_FRAMES] @ weights_t
+                oracle[start : first + BLOCK_FRAMES] = block[start - first :]
+            wav = Waveform(samples, cfg.sample_rate_hz, "kernel")
+            path = Path(sys.argv[1]) / f"{num_frames}.wav"
+            write_wav(path, wav)
+            for threads in (1, 3):
+                with WavReader(path) as reader:
+                    for name, source in (("waveform", wav), ("reader", reader)):
+                        values = filterbank_energies(source, cfg, pool, threads).values
+                        if not np.array_equal(values, oracle):
+                            print(num_frames, threads, name)
+    """
+)
 
 
 class TestHammingWindow:
@@ -352,6 +402,22 @@ class TestFilterbankEnergies:
         assert dsp.multi_block(num, cfg) == (ranges > 1)
         assert np.array_equal(energies.values, serial)
 
+    @pytest.mark.skipif(not cli._openblas_thread_controls(), reason="no OpenBLAS")
+    @pytest.mark.parametrize("coretype", ["Haswell", "Zen", "Prescott"])
+    def test_blas_kernel_gives_each_row_the_bits_of_a_whole_block(self, tmp_path, coretype):
+        # OpenBLAS kernels differ in how they round the rows of a product
+        # whose height is not BLOCK_FRAMES; every product here has that height
+        env = dict(
+            os.environ,
+            OPENBLAS_CORETYPE=coretype,
+            PYTHONPATH=str(Path(semaug.__file__).parents[1]),
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", _KERNEL_CHECK, str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert (run.returncode, run.stdout) == (0, ""), run.stderr
+
     @pytest.mark.parametrize(
         "num_frames", [SUB_BLOCK_FRAMES + 1, BLOCK_FRAMES + 3, 4 * BLOCK_FRAMES + 3]
     )
@@ -372,7 +438,8 @@ class TestFilterbankEnergies:
         # Read block by block, the peak above the energies is one block's
         # power spectrum (the mel matmul's input), one block's samples and
         # O(sub-block) temporaries: no samples-sized buffer, so it does not
-        # grow with the file, and no second power block for the overlap.
+        # grow with the file, and no second power block for the final
+        # partial one. Its padding rows (at most 511) are part of the peak.
         def extra_peak(duration_s):
             path = tmp_path / f"long_{duration_s:.0f}.wav"
             write_wav(path, synth_fixture("white_noise", duration_s, seed=5))

@@ -66,7 +66,7 @@ class TestPeakEnergy:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_around_one_chunk(self, offset):
-        # one partition call up to CHUNK_BINS bins, the pool above
+        # around CHUNK_BINS bins: one pass through the pool, as for any size
         rng = np.random.default_rng(offset + 5)
         values = random_energy_matrix(rng, masking.CHUNK_BINS + offset, 1)
         assert peak_energy(EnergyMatrix(values, "c")) == sort_oracle_percentile(values)

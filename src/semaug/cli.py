@@ -8,9 +8,10 @@ usage/empty-input error or an output that cannot be written.
 
 A run's record, featurize's stats file or mask's manifest.csv, is removed
 before the run writes its first feature file and written last, so an
-interrupted run leaves none that would describe its outputs. featurize and
-mask first remove the atomic-write temporaries that processes no longer
-running left in their output directories.
+interrupted run leaves none that would describe its outputs; right after,
+featurize and mask remove each input's feature file, so it leaves none of
+an earlier run's either. Both first remove the atomic-write temporaries
+that processes no longer running left in their output directories.
 
 Every command runs its utterances on N x T threads it owns: the calling
 thread and one pool of N x T - 1, for --workers N (stats and render have
@@ -43,7 +44,7 @@ import numpy as np
 from . import formats
 from .audio_io import WavReader
 from .dsp import FeatureConfig, filterbank_energies, multi_block
-from .errors import BadAudio, SemaugError
+from .errors import SemaugError
 from .features import StatsAccumulator, normalize, power_mel
 from .masking import SemConfig, apply_fixed_sem, apply_sem, input_dropout, threshold_mask
 from .stats import EtaHistogramAccumulator
@@ -223,10 +224,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# the outcome of a multi-block file left for the second pass
-_MULTI_BLOCK = object()
-
-
 def _run_utterances(paths, worker, num_workers: int):
     """Run `worker(path, energies)` on each path's energies; (results in
     input order, failure count).
@@ -245,15 +242,18 @@ def _run_utterances(paths, worker, num_workers: int):
     cfg = FeatureConfig()
     threads = max(1, _cpu_count() // num_workers)
     outcomes = [None] * len(paths)
+    deferred = []
 
     def attempt(index, pool=None):
         path = paths[index]
         try:
-            # before the second pass a multi-block file waits for the pool
-            energies = _extract_energies(
-                path, cfg, pool, threads, whole_only=pool is None and threads > 1
-            )
-            outcomes[index] = _MULTI_BLOCK if energies is None else worker(path, energies)
+            with WavReader(path) as wav:
+                # before the second pass a multi-block file waits for the pool
+                if pool is None and threads > 1 and multi_block(wav.num_samples, cfg):
+                    deferred.append(index)
+                    return
+                energies = filterbank_energies(wav, cfg, pool, threads)
+            outcomes[index] = worker(path, energies)
         except (SemaugError, OSError) as exc:
             outcomes[index] = exc
 
@@ -265,8 +265,7 @@ def _run_utterances(paths, worker, num_workers: int):
         ThreadPoolExecutor(max(1, num_workers * threads - 1), "semaug-pool") as pool,
     ):
         _share(range(len(paths)), attempt, pool, num_workers * threads)
-        deferred = [i for i, outcome in enumerate(outcomes) if outcome is _MULTI_BLOCK]
-        _share(deferred, lambda index: attempt(index, pool), pool, num_workers)
+        _share(sorted(deferred), lambda index: attempt(index, pool), pool, num_workers)
     results = []
     for path, outcome in zip(paths, outcomes):
         if isinstance(outcome, Exception):
@@ -310,29 +309,20 @@ def _share(indices, run, pool, threads: int) -> None:
         future.result()
 
 
-def _extract_energies(
-    path: Path, cfg: FeatureConfig, pool=None, threads: int = 1, whole_only: bool = False
-):
-    """The file's energies, its samples read block by block (no whole-file
-    array), on up to `threads` threads: the calling thread and the pool's
-    (see filterbank_energies). With whole_only, None for a multi-block file
-    (dsp.multi_block), read no further than its header."""
-    with WavReader(path) as wav:
-        if wav.sample_rate_hz != cfg.sample_rate_hz:
-            raise BadAudio(
-                f"{path}: sample rate {wav.sample_rate_hz} != configured {cfg.sample_rate_hz}"
-            )
-        if whole_only and multi_block(wav.num_samples, cfg):
-            return None
-        return filterbank_energies(wav, cfg, pool, threads)
-
-
 def _sweep_stale_temporaries(*directories: Path) -> None:
     """Remove the temporaries that dead processes' atomic writes left in
     each directory (see formats.sweep_stale_temporaries)."""
     for directory in sorted(set(directories)):
         for path in formats.sweep_stale_temporaries(directory):
             log.info("removed %s, left by a process that no longer runs", path)
+
+
+def _remove_earlier_features(out_dir: Path, wavs) -> None:
+    """Remove each input's .fmx from out_dir; one that cannot be removed (a
+    directory, say) is left for its own write to fail."""
+    for path in wavs:
+        with contextlib.suppress(OSError):
+            (out_dir / (path.stem + FEATURE_SUFFIX)).unlink()
 
 
 # --- featurize -------------------------------------------------------------
@@ -346,6 +336,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     _sweep_stale_temporaries(out_dir, stats_path.parent)
     # the stats of an earlier run must not outlive this one's first output
     stats_path.unlink(missing_ok=True)
+    _remove_earlier_features(out_dir, wavs)
 
     def worker(path: Path, energies):
         x_raw = power_mel(energies)
@@ -409,6 +400,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
     manifest_path = out_dir / MANIFEST_NAME
     # an earlier run's manifest must not describe this run's outputs
     manifest_path.unlink(missing_ok=True)
+    _remove_earlier_features(out_dir, wavs)
 
     def worker(path: Path, energies):
         # every mode turns the energies into its output in place

@@ -223,16 +223,18 @@ def filterbank_energies(
     source is a Waveform, or an open WavReader whose samples are read one
     block's span at a time (read_wav into a reused float32 buffer), so no
     whole-utterance sample array exists; both give the same bits for the
-    same samples.
+    same samples. A source at another sample rate than cfg's raises
+    BadAudio before anything is allocated.
 
     Runs BLOCK_FRAMES frames at a time into an energy buffer of whole blocks
     (just M rows when M < BLOCK_FRAMES) and returns its first M rows. Every
     mel matmul has the same height, the final partial block's too, so each
-    row gets the same bits as from one whole-utterance matmul (BLAS may
-    round a short block's rows differently). That last block reads and
-    transforms only its new frames; the rest of its power rows still hold
-    the block before it, and their products land in padding rows that
-    nothing reads. Power rows are filled SUB_BLOCK_FRAMES at a time: the
+    row gets the bits of a BLOCK_FRAMES-row product (of one M-row product
+    when M < BLOCK_FRAMES); some OpenBLAS kernels round the rows of another
+    height's product, a whole-utterance one too, otherwise. That last block
+    reads and transforms only its new frames; the rest of its power rows
+    still hold the block before it, and their products land in padding rows
+    that nothing reads. Power rows are filled SUB_BLOCK_FRAMES at a time: the
     windowed frames are written, promoted to float64 exactly, into the
     first L columns of a zeroed (sub-block, fft_size) workspace whose other
     columns stay zero, so the FFT sees the zero-padded frames and needs no
@@ -247,6 +249,11 @@ def filterbank_energies(
     raise. Without a pool, or with fewer than two whole blocks, all runs on
     the calling thread.
     """
+    if source.sample_rate_hz != cfg.sample_rate_hz:
+        name = source.path if isinstance(source, WavReader) else source.utterance_id
+        raise BadAudio(
+            f"{name}: sample rate {source.sample_rate_hz} != configured {cfg.sample_rate_hz}"
+        )
     filterbank = mel_filterbank(cfg)
     _check_length(source.num_samples, cfg, source.utterance_id)
     num_frames = 1 + (source.num_samples - cfg.window_samples) // cfg.hop_samples

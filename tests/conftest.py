@@ -1,6 +1,7 @@
 """Shared fixtures: a default front-end config, small mixed corpora, corpus
-statistics through the accumulators, the energy-ratio oracle, every command
-run at a chosen thread count, and memory and page-fault probes."""
+statistics through the accumulators, the front-end and energy-ratio oracles,
+every command run at a chosen thread count, and memory and page-fault
+probes."""
 
 import os
 import subprocess
@@ -22,6 +23,7 @@ from semaug import (
 )
 from semaug import cli
 from semaug.audio_io import synth_fixture, synth_speech_like
+from semaug.dsp import BLOCK_FRAMES, hamming_window
 from semaug.errors import EmptyCorpus
 from semaug.masking import energy_threshold, peak_energy
 
@@ -63,6 +65,26 @@ def mixed_corpus(cfg):
 # utterances of two whole front-end blocks, of two and a final partial
 # block, and of five and a final partial block
 MULTI_BLOCK_FRAMES = (1024, 1027, 2577)
+
+
+def front_end_oracle(samples, cfg):
+    """The energies filterbank_energies gives for samples, built the slow way:
+    every frame windowed and transformed at once, then each row taken from a
+    BLOCK_FRAMES-row mel product (one M-row product when M < BLOCK_FRAMES),
+    the final block formed as the last BLOCK_FRAMES frames. Unlike one
+    whole-utterance product, this holds under every OpenBLAS kernel."""
+    length, hop = cfg.window_samples, cfg.hop_samples
+    num_frames = 1 + (len(samples) - length) // hop
+    frames = np.stack([samples[m * hop : m * hop + length] for m in range(num_frames)])
+    power = np.abs(np.fft.rfft(frames * hamming_window(length), n=cfg.fft_size)) ** 2
+    weights_t = mel_filterbank(cfg).weights.T
+    block_rows = min(num_frames, BLOCK_FRAMES)
+    energies = np.empty((num_frames, weights_t.shape[1]))
+    for start in range(0, num_frames, block_rows):
+        first = min(start, num_frames - block_rows)
+        block = power[first : first + block_rows] @ weights_t
+        energies[start : first + block_rows] = block[start - first :]
+    return energies
 
 
 def waveform_of_frames(num_frames, seed, utterance_id):

@@ -339,21 +339,25 @@ class TestWavReader:
         path = tmp_path / f"{kind}.wav"
         path.write_bytes(_wav_file_bytes(kind, ints))
         whole = filterbank_energies(read_wav(path), cfg)
-        energies = cli._extract_energies(path, cfg)
+        with WavReader(path) as reader:
+            energies = filterbank_energies(reader, cfg)
         assert whole.num_frames == num_frames
         assert energies.utterance_id == kind
         assert np.array_equal(energies.values, whole.values)
 
     @pytest.mark.parametrize("name,content", _MALFORMED, ids=[name for name, _ in _MALFORMED])
-    def test_cli_reader_raises_what_read_wav_raises(self, tmp_path, name, content):
-        path = tmp_path / f"{name}.wav"
+    def test_cli_reader_raises_what_read_wav_raises(self, tmp_path, caplog, name, content):
+        wavs = tmp_path / "wavs"
+        wavs.mkdir()
+        path = wavs / f"{name}.wav"
         path.write_bytes(content)
         with pytest.raises(SemaugError) as from_read_wav:
             read_wav(path)
-        with pytest.raises(SemaugError) as from_cli:
-            cli._extract_energies(path, FeatureConfig())
-        assert type(from_cli.value) is type(from_read_wav.value) is BadAudio
-        assert str(from_cli.value) == str(from_read_wav.value)
+        assert type(from_read_wav.value) is BadAudio
+        # the one input fails, so stats finds an empty corpus
+        assert cli.main(["stats", "--in", str(wavs), "--out", str(tmp_path / "d.csv")]) == 2
+        failed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("failed on")]
+        assert failed == [f"failed on {name}.wav: {from_read_wav.value}"]
 
 
 class TestWriteWav:

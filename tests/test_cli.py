@@ -156,6 +156,36 @@ class TestFeaturize:
         assert (out / "utt_000.fmx").exists()
         assert "zero_rate.wav" in caplog.text
 
+    @pytest.mark.parametrize(
+        "command",
+        [["featurize"], *(["mask", "--mode", m, *f] for m, f in MODE_FLAGS.items()), ["stats"]],
+        ids=["featurize", *(f"mask-{m}" for m in MODE_FLAGS), "stats"],
+    )
+    def test_other_sample_rate_fails_only_its_file(
+        self, tmp_path, corpus_dir, featurized, monkeypatch, caplog, command
+    ):
+        # one log line naming the file, at T = 1 and T = 2, and the other
+        # files' artifacts those of a run without it; read as 16 kHz the file
+        # is two blocks long, so at T = 2 it fails in the second pass
+        def run(out_dir, cpus):
+            out_dir.mkdir()
+            out = out_dir / "dist.csv" if command[0] == "stats" else out_dir
+            argv = [command[0], "--in", str(corpus_dir), *command[1:], "--out", str(out)]
+            if command[0] == "mask":
+                argv += ["--stats", str(featurized / "global_stats.txt")]
+            monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+            return main(argv)
+
+        assert run(tmp_path / "clean", 2) == 0
+        path = corpus_dir / "x.wav"
+        write_wav(path, synth_fixture("sine", 21.0, sample_rate_hz=8000, utterance_id="x"))
+        for cpus in (1, 2):
+            caplog.clear()
+            assert run(tmp_path / f"c{cpus}", cpus) == 1
+            failed = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+            assert failed == [f"failed on x.wav: {path}: sample rate 8000 != configured 16000"]
+            assert_same_files(tmp_path / "clean", tmp_path / f"c{cpus}")
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_interrupted_rerun_leaves_no_stats(self, tmp_path, corpus_dir, monkeypatch, workers):
         def run(out_dir):
@@ -444,6 +474,31 @@ class TestMask:
         assert run(clean, "2") == 0
         assert_same_files(out, clean)
 
+    def test_interrupted_rerun_leaves_no_earlier_features(
+        self, tmp_path, corpus_dir, featurized, monkeypatch
+    ):
+        # every .fmx an interrupted seed-2 rerun leaves is its own, none of
+        # them the seed-1 run's
+        def run(out_dir, seed):
+            return main([
+                "mask", "--in", str(corpus_dir), "--stats", str(self._stats_path(featurized)),
+                "--mode", "sem", "--seed", seed, "--out", str(out_dir),
+            ])
+
+        out, clean = tmp_path / "m", tmp_path / "clean"
+        assert run(out, "1") == 0
+        assert run(clean, "2") == 0
+        interrupt_third_save(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run(out, "2")
+        left = sorted(out.glob("*.fmx"))
+        assert 1 <= len(left) < 6
+        for path in left:
+            assert path.read_bytes() == (clean / path.name).read_bytes()
+        monkeypatch.undo()
+        assert run(out, "2") == 0
+        assert_same_files(out, clean)
+
     def test_shuffled_input_ordering_identical(self, tmp_path, featurized):
         waves = mixed_waveforms(6)
         dir_a = tmp_path / "wa"
@@ -494,7 +549,7 @@ class TestMask:
         # transient at a time (the percentile's pool of a chunk and the top 5%,
         # r's leaf sums or dropout's draws); no matrix-sized float64 transient.
         shape = (60000, 40)
-        monkeypatch.setattr(cli, "_extract_energies", _random_energies(shape))
+        monkeypatch.setattr(cli, "filterbank_energies", _random_energies(shape))
         wavs = tmp_path / "wavs"
         make_corpus(wavs, [synth_fixture("sine", 0.1, utterance_id="long")])
         stats = tmp_path / "stats.txt"
@@ -509,13 +564,13 @@ class TestMask:
 
 
 def _random_energies(shape):
-    """An _extract_energies stand-in: a wide-range random energy matrix of
-    `shape`, built in place, whatever the file and the thread arguments."""
+    """A filterbank_energies stand-in: a wide-range random energy matrix of
+    `shape`, built in place, whatever the source and the thread arguments."""
 
-    def extract(path, cfg, *front_end_threads, **whole_only):
+    def extract(source, cfg, *front_end_threads):
         values = np.random.default_rng(3).uniform(-8.0, 3.0, size=shape)
         np.power(10.0, values, out=values)
-        return EnergyMatrix(values, path.stem)
+        return EnergyMatrix(values, source.utterance_id)
 
     return extract
 
@@ -658,7 +713,7 @@ class TestRender:
         # straight into its flipped layout; no flipped copy and no
         # matrix-sized float64 transient
         shape = (60000, 40)
-        monkeypatch.setattr(cli, "_extract_energies", _random_energies(shape))
+        monkeypatch.setattr(cli, "filterbank_energies", _random_energies(shape))
         out = tmp_path / "r.pgm"
         argv = ["render", "--in", str(self._wav(tmp_path)), "--eta-th", "-30", "--out", str(out)]
         code, peak = traced_peak(lambda: main(argv))

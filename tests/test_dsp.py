@@ -26,7 +26,7 @@ from semaug.dsp import (
     power_spectrum,
 )
 from semaug.errors import BadAudio
-from conftest import traced_peak
+from conftest import front_end_oracle, traced_peak
 
 
 def direct_dft_power(frame, fft_size):
@@ -45,9 +45,8 @@ def direct_dft_power(frame, fft_size):
 
 
 # Run in a subprocess under one OpenBLAS kernel: the front end at T = 1 and
-# T = 3, from a Waveform and from a WavReader, against an oracle that takes
-# each row from a BLOCK_FRAMES-row product, the final block formed as the
-# last BLOCK_FRAMES frames. Prints each case that differs.
+# T = 3, from a Waveform and from a WavReader, against conftest's
+# front_end_oracle. Prints each case that differs.
 _KERNEL_CHECK = textwrap.dedent(
     """
     import sys
@@ -56,25 +55,17 @@ _KERNEL_CHECK = textwrap.dedent(
 
     import numpy as np
 
-    from semaug import FeatureConfig, filterbank_energies, mel_filterbank
+    from conftest import front_end_oracle
+    from semaug import FeatureConfig, filterbank_energies
     from semaug.audio_io import PCM_SCALE, WavReader, Waveform, write_wav
-    from semaug.dsp import BLOCK_FRAMES, hamming_window
 
     cfg = FeatureConfig()
-    weights_t = mel_filterbank(cfg).weights.T
-    length, hop = cfg.window_samples, cfg.hop_samples
     with ThreadPoolExecutor(2) as pool:
         for num_frames in (513, 1025, 2577):
-            num = (num_frames - 1) * hop + length
+            num = (num_frames - 1) * cfg.hop_samples + cfg.window_samples
             rng = np.random.default_rng(num_frames)
             samples = rng.integers(-3000, 3000, size=num) / PCM_SCALE
-            frames = np.stack([samples[m * hop : m * hop + length] for m in range(num_frames)])
-            power = np.abs(np.fft.rfft(frames * hamming_window(length), n=cfg.fft_size)) ** 2
-            oracle = np.empty((num_frames, weights_t.shape[1]))
-            for start in range(0, num_frames, BLOCK_FRAMES):
-                first = min(start, num_frames - BLOCK_FRAMES)
-                block = power[first : first + BLOCK_FRAMES] @ weights_t
-                oracle[start : first + BLOCK_FRAMES] = block[start - first :]
+            oracle = front_end_oracle(samples, cfg)
             wav = Waveform(samples, cfg.sample_rate_hz, "kernel")
             path = Path(sys.argv[1]) / f"{num_frames}.wav"
             write_wav(path, wav)
@@ -299,8 +290,8 @@ class TestFilterbankEnergies:
             SUB_BLOCK_FRAMES - 1,
             SUB_BLOCK_FRAMES,
             SUB_BLOCK_FRAMES + 1,
-            # at and around one and four whole blocks: the last block keeps
-            # from 0 to BLOCK_FRAMES - 1 rows of the block before it
+            # at and around one and four whole blocks: the last block has
+            # from 1 to BLOCK_FRAMES new frames, the rest of it padding
             *(
                 blocks * BLOCK_FRAMES + offset
                 for blocks in (1, 4)
@@ -310,16 +301,12 @@ class TestFilterbankEnergies:
             8 * BLOCK_FRAMES + 3,
         ],
     )
-    def test_blocks_match_whole_utterance_bits(self, cfg, filterbank, num_frames):
-        length, hop = cfg.window_samples, cfg.hop_samples
+    def test_blocks_match_whole_utterance_bits(self, cfg, num_frames):
         rng = np.random.default_rng(num_frames)
-        samples = rng.normal(size=(num_frames - 1) * hop + length)
-        frames = np.stack([samples[m * hop : m * hop + length] for m in range(num_frames)])
-        window = hamming_window(length)
-        reference = np.abs(np.fft.rfft(frames * window, n=cfg.fft_size)) ** 2 @ filterbank.weights.T
+        samples = rng.normal(size=(num_frames - 1) * cfg.hop_samples + cfg.window_samples)
         wav = Waveform(samples, cfg.sample_rate_hz, "blocks")
         energies = filterbank_energies(wav, cfg).values
-        assert np.array_equal(energies, reference)
+        assert np.array_equal(energies, front_end_oracle(samples, cfg))
 
     @pytest.mark.parametrize(
         "num_frames",
@@ -407,10 +394,12 @@ class TestFilterbankEnergies:
     def test_blas_kernel_gives_each_row_the_bits_of_a_whole_block(self, tmp_path, coretype):
         # OpenBLAS kernels differ in how they round the rows of a product
         # whose height is not BLOCK_FRAMES; every product here has that height
+        # semaug's sources, and the tests for conftest's oracle
+        paths = (Path(semaug.__file__).parents[1], Path(__file__).parent)
         env = dict(
             os.environ,
             OPENBLAS_CORETYPE=coretype,
-            PYTHONPATH=str(Path(semaug.__file__).parents[1]),
+            PYTHONPATH=os.pathsep.join(map(str, paths)),
         )
         run = subprocess.run(
             [sys.executable, "-c", _KERNEL_CHECK, str(tmp_path)],
@@ -467,6 +456,28 @@ class TestFilterbankEnergies:
         assert short < 64 * mib
         assert long < 64 * mib
         assert abs(long - short) <= mib
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["waveform", "reader"])
+    def test_other_sample_rate_raises_before_allocating(self, cfg, tmp_path, streamed):
+        # read as 16 kHz, these 10 s would take a 1 MB power block
+        wav = synth_fixture("sine", 10.0, sample_rate_hz=8000, utterance_id="narrow")
+        path = tmp_path / "narrow.wav"
+        write_wav(path, wav)
+
+        def extract(source):
+            with pytest.raises(BadAudio) as exc:
+                filterbank_energies(source, cfg)
+            return str(exc.value)
+
+        if streamed:
+            with WavReader(path) as reader:
+                message, peak = traced_peak(lambda: extract(reader))
+            name = path
+        else:
+            message, peak = traced_peak(lambda: extract(wav))
+            name = "narrow"
+        assert message == f"{name}: sample rate 8000 != configured 16000"
+        assert peak < 64 << 10
 
     def test_propagates_too_short(self, cfg):
         wav = Waveform(np.zeros(100), 16000, "tiny")

@@ -190,7 +190,8 @@ def read_wav(
     the end of the data. Samples are the raw integers divided by 32768,
     exactly (see Waveform), whatever the span; the utterance id is the file
     stem. With `out`, a float32 array of at least stop - start entries, the
-    samples are written there and the waveform is a view of it.
+    samples are written there and the waveform is a view of it; a shorter
+    `out` raises ValueError before anything is read.
     """
     if not isinstance(wav, WavReader):
         with WavReader(wav) as reader:
@@ -199,6 +200,8 @@ def read_wav(
     if not 0 <= start <= stop <= wav.num_samples:
         raise ValueError(f"span [{start}, {stop}) outside [0, {wav.num_samples})")
     count = stop - start
+    if out is not None and len(out) < count:
+        raise ValueError(f"out holds {len(out)} samples < the {count} of span [{start}, {stop})")
     samples = np.empty(count, dtype=np.float32) if out is None else out[:count]
     wav._read_into(start, samples)
     return Waveform(

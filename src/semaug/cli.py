@@ -19,9 +19,9 @@ one) and T = max(1, C // N), C being the CPUs in the process's affinity
 mask. Each of them takes whole utterances of fewer than two front-end
 blocks. An utterance of two or more runs after those on the calling thread
 or one of N - 1 pool threads, at most N at a time, its front end computed
-there and on T - 1 of the other N x (T - 1) pool threads. OpenBLAS is held
-to one thread for the whole run. Neither count changes an output byte or a
-log line, and no thread outlives the command.
+there and on T - 1 of the other N x (T - 1) pool threads. main holds
+OpenBLAS to one thread, once per process and with no restore. Neither count
+changes an output byte or a log line, and no thread outlives the command.
 """
 
 from __future__ import annotations
@@ -162,23 +162,12 @@ def _openblas_thread_controls():
     return controls
 
 
-@contextlib.contextmanager
-def _single_threaded_blas():
-    """Hold OpenBLAS to one thread inside the block; restore its count on exit.
-
-    A command's own threads fill the CPUs; OpenBLAS's helper thread would
-    only spin and take a core from them. The count is process-wide, so this
-    must not overlap another such block in another thread.
-    """
-    controls = _openblas_thread_controls()
-    previous = [get_threads() for get_threads, _ in controls]
-    for _, set_threads in controls:
+def _one_blas_thread() -> None:
+    """Hold every OpenBLAS in this process to one thread: a command's own
+    threads fill the CPUs, and OpenBLAS's helper would only spin and take a
+    core from them. Set once per process, like _keep_freed_memory."""
+    for _, set_threads in _openblas_thread_controls():
         set_threads(1)
-    try:
-        yield
-    finally:
-        for (_, set_threads), count in zip(controls, previous):
-            set_threads(count)
 
 
 # glibc mallopt parameters (malloc.h)
@@ -234,10 +223,9 @@ def _run_utterances(paths, worker, num_workers: int):
     input order; then the calling thread and N - 1 pool threads take the
     multi-block ones, each computing its front end on itself and T - 1 of
     the N * (T - 1) pool threads left. At T = 1 the first pass takes every
-    utterance. OpenBLAS is held to one thread. Every thread has ended when
-    this returns or raises. A SemaugError or OSError fails only its file,
-    which is logged after the run and yields no result. Input order holds
-    whatever the thread counts.
+    utterance. Every thread has ended when this returns or raises. A
+    SemaugError or OSError fails only its file, which is logged after the
+    run and yields no result. Input order holds whatever the thread counts.
     """
     cfg = FeatureConfig()
     threads = max(1, _cpu_count() // num_workers)
@@ -260,10 +248,7 @@ def _run_utterances(paths, worker, num_workers: int):
     # a pool starts no thread before it is given work; the calling thread
     # always takes part, as a pool thread in its place would bring a malloc
     # arena of its own, 3.6 MB more peak RSS on a 600 s file
-    with (
-        _single_threaded_blas(),
-        ThreadPoolExecutor(max(1, num_workers * threads - 1), "semaug-pool") as pool,
-    ):
+    with ThreadPoolExecutor(max(1, num_workers * threads - 1), "semaug-pool") as pool:
         _share(range(len(paths)), attempt, pool, num_workers * threads)
         _share(sorted(deferred), lambda index: attempt(index, pool), pool, num_workers)
     results = []
@@ -301,7 +286,6 @@ def _share(indices, run, pool, threads: int) -> None:
     pending = [pool.submit(claim_until_done) for _ in range(min(threads, len(indices)) - 1)]
     try:
         claim_until_done()
-        futures.wait(pending)
     finally:
         done.set()
         futures.wait(pending)
@@ -559,6 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
+    _one_blas_thread()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:

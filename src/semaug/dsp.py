@@ -82,22 +82,6 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class FilterbankMatrix:
-    """Triangular mel filter weights, one row per channel.
-
-    weights: (num_channels, fft_size/2 + 1), entries in [0, 1], each row a
-    contiguous triangle peaking at exactly 1.0.
-    """
-
-    weights: np.ndarray
-    center_freqs_hz: np.ndarray
-
-    @property
-    def num_channels(self) -> int:
-        return int(self.weights.shape[0])
-
-
-@dataclass(frozen=True)
 class EnergyMatrix:
     """Per-frame, per-channel filterbank energies (all entries >= 0)."""
 
@@ -125,7 +109,7 @@ def hamming_window(length: int) -> np.ndarray:
 def _analysis_window(cfg: FeatureConfig) -> np.ndarray:
     """The front end's Hamming window, built once per process and shared
     by every range of every utterance: read-only, like mel_filterbank's
-    arrays."""
+    weights."""
     window = hamming_window(cfg.window_samples)
     window.flags.writeable = False
     return window
@@ -180,14 +164,14 @@ def power_spectrum(
 
 
 @functools.cache
-def mel_filterbank(cfg: FeatureConfig) -> FilterbankMatrix:
-    """Build triangular mel filters with centers equally spaced on the mel
-    scale between 0 Hz and Nyquist.
+def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
+    """Triangular mel filter weights, one row per channel: a read-only
+    (num_channels, fft_size/2 + 1) array, entries in [0, 1].
 
-    Centers snap to the nearest DFT bin so every triangle peaks at exactly
-    1.0; triangle c spans from center c-1 to center c+1 (band edges for the
-    first and last). Built once per process and shared: its arrays are
-    read-only.
+    Centers are equally spaced on the mel scale between 0 Hz and Nyquist and
+    snap to the nearest DFT bin, so every triangle peaks at exactly 1.0;
+    triangle c spans from center c-1 to center c+1 (band edges for the first
+    and last). Built once per process and shared.
     """
     half = cfg.fft_size // 2
     nyquist = cfg.sample_rate_hz / 2.0
@@ -205,11 +189,8 @@ def mel_filterbank(cfg: FeatureConfig) -> FilterbankMatrix:
         falling = (bins > center) & (bins < right)
         weights[c, rising] = (bins[rising] - left) / (center - left)
         weights[c, falling] = (right - bins[falling]) / (right - center)
-
-    center_freqs = (grid_bins[1:-1] * cfg.sample_rate_hz / cfg.fft_size).astype(np.float64)
     weights.flags.writeable = False
-    center_freqs.flags.writeable = False
-    return FilterbankMatrix(weights=weights, center_freqs_hz=center_freqs)
+    return weights
 
 
 def filterbank_energies(
@@ -254,12 +235,11 @@ def filterbank_energies(
         raise BadAudio(
             f"{name}: sample rate {source.sample_rate_hz} != configured {cfg.sample_rate_hz}"
         )
-    filterbank = mel_filterbank(cfg)
     _check_length(source.num_samples, cfg, source.utterance_id)
     num_frames = 1 + (source.num_samples - cfg.window_samples) // cfg.hop_samples
     block_rows = min(num_frames, BLOCK_FRAMES)
     padded_frames = -(-num_frames // block_rows) * block_rows
-    energies = np.empty((padded_frames, filterbank.num_channels))
+    energies = np.empty((padded_frames, cfg.num_channels))
     ranges = 1 if pool is None else max(1, min(threads, num_frames // BLOCK_FRAMES))
     edges = [r * num_frames // (ranges * BLOCK_FRAMES) * BLOCK_FRAMES for r in range(ranges)]
     jobs = [
@@ -286,7 +266,7 @@ def _range_job(source, cfg: FeatureConfig, energies: np.ndarray, first: int, sto
     """
     length, hop = cfg.window_samples, cfg.hop_samples
     window = _analysis_window(cfg)
-    weights_t = mel_filterbank(cfg).weights.T
+    weights_t = mel_filterbank(cfg).T
     block_rows = min(stop - first, BLOCK_FRAMES)
     streamed = isinstance(source, WavReader)
     span = (block_rows - 1) * hop + length

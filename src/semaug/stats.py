@@ -24,6 +24,9 @@ from .masking import eta, peak_energy
 
 # the histogram's bins: 1 dB wide, over [-100, +10] dB
 RANGE_DB = (-100.0, 10.0)
+# their edges, shared read-only by every accumulator
+BIN_EDGES = np.arange(RANGE_DB[0], RANGE_DB[1] + 1.0)
+BIN_EDGES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -49,11 +52,11 @@ class EtaDistribution:
 class EtaHistogramAccumulator:
     """Count/energy histogram over the dB ratio, in RANGE_DB's bins."""
 
+    bin_edges = BIN_EDGES
+
     def __init__(self):
-        lo, hi = RANGE_DB
-        self.bin_edges = np.arange(lo, hi + 1.0)
-        self.counts = np.zeros(self.bin_edges.size - 1, dtype=np.int64)
-        self.energy = np.zeros(self.bin_edges.size - 1, dtype=np.float64)
+        self.counts = np.zeros(BIN_EDGES.size - 1, dtype=np.int64)
+        self.energy = np.zeros(BIN_EDGES.size - 1, dtype=np.float64)
 
     def update(self, energies: EnergyMatrix) -> bool:
         """Add one utterance's bins; False, adding nothing, when it has no dB
@@ -74,7 +77,7 @@ class EtaHistogramAccumulator:
             # bin index floor(eta - lo) (the bins are 1 dB wide), in place on
             # eta's fresh array
             ratios_db = eta(chunk, e_peak)
-            ratios_db -= self.bin_edges[0]
+            ratios_db -= BIN_EDGES[0]
             np.floor(ratios_db, out=ratios_db)
             idx = ratios_db.astype(np.int64)
             np.clip(idx, 0, self.counts.size - 1, out=idx)
@@ -102,7 +105,7 @@ class EtaHistogramAccumulator:
         # dividing by the cumulative total makes the last entry exactly 1
         energy_ratio = cum_energy / cum_energy[-1]
         return EtaDistribution(
-            bin_edges=self.bin_edges.copy(),
+            bin_edges=BIN_EDGES.copy(),
             pdf=pdf,
             cdf=cdf,
             energy_ratio=energy_ratio,

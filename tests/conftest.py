@@ -77,7 +77,7 @@ def front_end_oracle(samples, cfg):
     num_frames = 1 + (len(samples) - length) // hop
     frames = np.stack([samples[m * hop : m * hop + length] for m in range(num_frames)])
     power = np.abs(np.fft.rfft(frames * hamming_window(length), n=cfg.fft_size)) ** 2
-    weights_t = mel_filterbank(cfg).weights.T
+    weights_t = mel_filterbank(cfg).T
     block_rows = min(num_frames, BLOCK_FRAMES)
     energies = np.empty((num_frames, weights_t.shape[1]))
     for start in range(0, num_frames, block_rows):

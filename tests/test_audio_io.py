@@ -273,6 +273,10 @@ class TestWavReader:
             view = read_wav(reader, 100, 400, out=out).samples
             assert np.shares_memory(view, out)
             assert np.array_equal(view, whole[100:400])
+            with pytest.raises(ValueError, match=r"out holds 10 samples < the 1000 of span"):
+                read_wav(reader, 0, 1000, out=np.empty(10, np.float32))
+        with pytest.raises(ValueError, match=r"out holds 10 samples < the 1000 of span"):
+            read_wav(path, 0, 1000, out=np.empty(10, np.float32))
         assert np.array_equal(read_wav(path, 7, 9).samples, whole[7:9])
 
     def test_interleaved_reads_from_two_threads_match_serial(self, tmp_path):

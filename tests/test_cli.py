@@ -523,6 +523,7 @@ class TestMask:
         make_corpus(wavs, [
             synth_speech_like(0.5, seed=1, utterance_id="café"),
             synth_speech_like(0.5, seed=2, utterance_id="plain"),
+            synth_speech_like(0.5, seed=3, utterance_id="a,b"),
         ])
         feats = tmp_path / "features"
         assert main(["featurize", "--in", str(wavs), "--out", str(feats)]) == 0
@@ -534,8 +535,11 @@ class TestMask:
         ]) == 0
         assert (out / "café.fmx").is_file()
         rows = read_manifest(out / "manifest.csv")
-        assert [row["utterance_id"] for row in rows] == ["café", "plain"]
-        assert "café,".encode("utf-8") in (out / "manifest.csv").read_bytes()
+        assert [row["utterance_id"] for row in rows] == ["a,b", "café", "plain"]
+        lines = (out / "manifest.csv").read_bytes().split(b"\n")
+        # an id holding a comma is CSV-quoted
+        assert lines[1].startswith(b'"a,b",')
+        assert lines[2].startswith("café,".encode("utf-8"))
 
     @pytest.mark.parametrize(
         "mode_flags",
@@ -886,48 +890,32 @@ def blas_threads():
 
 
 @needs_openblas
-class TestSingleThreadedBlas:
-    def test_one_thread_inside_restored_after(self):
-        before = blas_threads()
-        with cli._single_threaded_blas():
-            assert blas_threads() == [1] * len(before)
-        assert blas_threads() == before
+def test_main_holds_blas_at_one_thread(tmp_path, corpus_dir, monkeypatch):
+    seen = []
+    original = cli.filterbank_energies
 
-    def test_restored_after_exception(self):
-        before = blas_threads()
-        with pytest.raises(RuntimeError):
-            with cli._single_threaded_blas():
-                raise RuntimeError("inside")
-        assert blas_threads() == before
+    def recording(*args, **kwargs):
+        seen.append(blas_threads())
+        return original(*args, **kwargs)
 
-    def test_restored_after_partial_failure(self, tmp_path, corpus_dir):
-        before = blas_threads()
-        (corpus_dir / "broken.wav").write_bytes(b"not audio")
-        out = tmp_path / "f"
-        assert main([
-            "featurize", "--in", str(corpus_dir), "--out", str(out), "--workers", "4",
-        ]) == 1
-        assert blas_threads() == before
-
-    def test_held_only_while_pool_runs(self, tmp_path, corpus_dir, monkeypatch):
-        seen = []
-        original = cli.filterbank_energies
-
-        def recording(*args, **kwargs):
-            seen.append(blas_threads())
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "filterbank_energies", recording)
-        before = blas_threads()
-        # held at every worker count: the command's own threads fill the CPUs
+    monkeypatch.setattr(cli, "filterbank_energies", recording)
+    found = blas_threads()
+    try:
+        # at every worker count: the command's own threads fill the CPUs
         for workers in ("1", "2"):
+            for _, set_threads in blas_controls:
+                set_threads(2)
             seen.clear()
             assert main([
                 "featurize", "--in", str(corpus_dir), "--out", str(tmp_path / workers),
                 "--workers", workers,
             ]) == 0
-            assert seen == [[1] * len(before)] * 6
-            assert blas_threads() == before
+            assert seen == [[1] * len(blas_controls)] * 6
+            # set once per process, with no restore
+            assert blas_threads() == [1] * len(blas_controls)
+    finally:
+        for (_, set_threads), count in zip(blas_controls, found):
+            set_threads(count)
 
 
 def fail_second_range(monkeypatch, uid, error):

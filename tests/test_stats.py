@@ -29,6 +29,14 @@ class TestEtaHistogram:
         assert np.array_equal(acc.bin_edges, np.arange(-100.0, 11.0))
         assert acc.counts.shape == acc.energy.shape == (110,)
 
+    def test_accumulators_share_read_only_bin_edges(self):
+        first, second = EtaHistogramAccumulator(), EtaHistogramAccumulator()
+        assert first.bin_edges is second.bin_edges
+        with pytest.raises(ValueError, match="read-only"):
+            first.bin_edges[0] = 0.0
+        dist = accumulated_histogram([EnergyMatrix(np.full((2, 3), 1.0), "c")])
+        assert dist.bin_edges is not first.bin_edges and dist.bin_edges.flags.writeable
+
     def test_constant_energies_fill_zero_db_bin(self):
         dist = accumulated_histogram([EnergyMatrix(np.full((5, 8), 2.0), "c")])
         zero_bin = int(np.searchsorted(dist.bin_edges, 0.0))  # bin [0, 1)

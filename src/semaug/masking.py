@@ -25,9 +25,13 @@ work CHUNK_BINS bins at a time, with the bits of their whole-matrix forms.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
+
+# hashlib's own blake2b, without importing hashlib: that import loads
+# OpenSSL's libcrypto (about 3.5 MB resident), and hashlib never takes
+# BLAKE2 from OpenSSL anyway
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -96,12 +100,14 @@ class SemOutcome:
 
 
 def _stream_digest(seed: int, utterance_id: str, stream: str) -> bytes:
-    """Stable 8-byte digest keyed by (stream label, seed, utterance id).
+    """Stable 8-byte digest keyed by (stream label, seed, utterance id): an
+    8-byte BLAKE2b of the ASCII label, a zero byte, the seed mod 2**64 as 8
+    little-endian bytes and the UTF-8 id.
 
     Replayable regardless of processing order or platform; distinct stream
     labels give independent per-utterance draws.
     """
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     h.update(stream.encode("ascii"))
     h.update(b"\x00")
     h.update((seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -220,13 +221,39 @@ def reaped_pid():
     return child.pid
 
 
-def run_with_rusage(argv, **popen_kwargs):
-    """Run argv in a child process; return (its exit code, its os.wait4 rusage).
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def _python_env(env):
+    """os.environ with env laid over it, src/ and tests/ first on PYTHONPATH,
+    and no bytecode written."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), str(TESTS), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def run_python(args, env=None, **kw):
+    """Run `python *args` in a fresh interpreter that imports semaug from src/
+    and the tests' helpers from tests/; env adds to or overrides os.environ.
+
+    Returns subprocess.run's result; by default its output is captured as
+    text and it times out after 300 s (kw overrides either).
+    """
+    kw = {"capture_output": True, "text": True, "timeout": 300, **kw}
+    return subprocess.run([sys.executable, *args], env=_python_env(env), **kw)
+
+
+def run_with_rusage(args, **popen_kwargs):
+    """Run `python *args` as run_python does; return (its exit code, its
+    os.wait4 rusage).
 
     The rusage covers the child alone, so ru_minflt counts its minor page
     faults from start to exit.
     """
-    proc = subprocess.Popen(argv, **popen_kwargs)
+    proc = subprocess.Popen([sys.executable, *args], env=_python_env(None), **popen_kwargs)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, usage

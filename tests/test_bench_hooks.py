@@ -15,7 +15,6 @@ import ast
 import importlib
 import json
 import os
-import subprocess
 import sys
 import types
 from pathlib import Path
@@ -24,9 +23,9 @@ import pytest
 
 from semaug.audio_io import synth_speech_like, write_wav
 from semaug.dsp import FeatureConfig
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
 
 
 def _load_script(name):
@@ -42,14 +41,6 @@ def _load_script(name):
     return module
 
 
-def _run_python(*args, timeout=120):
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
-    )
-
-
 @pytest.mark.parametrize("module_name,attr_path", [
     pytest.param(module_name, attr_path, id=f"{module_name}.{attr_path}")
     for module_name, attr_path, _ in _load_script("child").TRACED
@@ -62,7 +53,7 @@ def test_traced_name_resolves(module_name, attr_path):
 
 
 def test_setup_code_runs():
-    run = _run_python("-c", _load_script("run").SETUP_CODE)
+    run = run_python(["-c", _load_script("run").SETUP_CODE])
     assert run.returncode == 0, run.stderr
 
 
@@ -76,7 +67,7 @@ def test_cli_import_builds_no_filterbank():
         "import semaug.cli\n"
         "assert not calls, calls\n"
     )
-    run = _run_python("-c", code)
+    run = run_python(["-c", code])
     assert run.returncode == 0, run.stderr
 
 
@@ -102,10 +93,10 @@ def test_trace_sees_every_frame_of_the_threaded_front_end(tmp_path):
     write_wav(wavs / "long.wav", synth_speech_like(13.0, seed=2, utterance_id="long"))
     num_frames = 1 + (13 * cfg.sample_rate_hz - cfg.window_samples) // cfg.hop_samples
     result_path = tmp_path / "result.json"
-    run = _run_python(
+    run = run_python([
         str(ROOT / "perfbench" / "child.py"), str(result_path), "--trace",
         "featurize", "--in", str(wavs), "--out", str(tmp_path / "out"),
-    )
+    ])
     assert run.returncode == 0, run.stderr
     spans = json.loads(result_path.read_text(encoding="ascii"))["spans"]
     front_ends = [span for span in spans if span[1] == "dsp.filterbank_energies"]
@@ -125,10 +116,10 @@ def test_trace_records_every_short_file_on_every_thread(tmp_path):
     for i, uid in enumerate(uids):
         write_wav(wavs / f"{uid}.wav", synth_speech_like(0.5, seed=i, utterance_id=uid))
     result_path = tmp_path / "result.json"
-    run = _run_python(
+    run = run_python([
         str(ROOT / "perfbench" / "child.py"), str(result_path), "--trace",
         "featurize", "--in", str(wavs), "--out", str(tmp_path / "out"),
-    )
+    ])
     assert run.returncode == 0, run.stderr
     spans = json.loads(result_path.read_text(encoding="ascii"))["spans"]
     saves = [span for span in spans if span[1] == "formats.save_features"]
@@ -140,10 +131,10 @@ def test_trace_records_every_short_file_on_every_thread(tmp_path):
 def test_tiny_benchmark_run():
     # featurize, all four mask modes and stats on three 1 s files, each
     # round's artifacts checked by perfbench/verify.py
-    run = _run_python(
+    run = run_python([
         str(ROOT / "perfbench" / "run.py"), "--workload", "parallel_modes",
-        "--seed", "0", "--seconds", "1", "--tiny", timeout=300,
-    )
+        "--seed", "0", "--seconds", "1", "--tiny",
+    ])
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, run.stdout + run.stderr

@@ -2,19 +2,19 @@
 
 import csv
 import itertools
+import json
 import logging
 import os
+import signal
 import subprocess
-import sys
+import textwrap
 import threading
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import semaug
 from semaug import (
     EnergyMatrix,
     FeatureConfig,
@@ -36,6 +36,7 @@ from conftest import (
     mixed_waveforms,
     reaped_pid,
     run_every_command,
+    run_python,
     run_with_rusage,
     traced_peak,
     waveform_of_frames,
@@ -81,6 +82,39 @@ def interrupt_third_save(monkeypatch):
 
     monkeypatch.setattr(formats, "save_features", save_or_interrupt)
 
+
+# Run as `python -c _KILLED_AT_THIRD_SAVE <mask argv>`: prints its pid, then
+# runs the command on one CPU, so files are written one at a time in input
+# order. The third formats.save_features opens its atomic_write temporary,
+# writes the FMX1 header and sends SIGKILL to its own process.
+_KILLED_AT_THIRD_SAVE = textwrap.dedent(
+    """
+    import itertools
+    import os
+    import signal
+    import sys
+
+    from semaug import cli, formats
+
+    calls = itertools.count(1)
+    save = formats.save_features
+
+    def save_or_die(path, values):
+        if next(calls) == 3:
+            with formats.atomic_write(path) as handle:
+                handle.write(formats._FEATURE_HEADER.pack(
+                    formats.FEATURE_MAGIC, formats.FEATURE_VERSION, *values.shape
+                ))
+                handle.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+        save(path, values)
+
+    print(os.getpid(), flush=True)
+    formats.save_features = save_or_die
+    cli._cpu_count = lambda: 1
+    sys.exit(cli.main(sys.argv[1:]))
+    """
+)
 
 MODE_FLAGS = {
     "sem": ["--seed", "2"],
@@ -499,6 +533,43 @@ class TestMask:
         assert run(out, "2") == 0
         assert_same_files(out, clean)
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="no SIGKILL")
+    def test_killed_rerun_leaves_no_record_and_no_earlier_features(
+        self, tmp_path, corpus_dir, featurized, caplog
+    ):
+        # a seed-2 rerun over a seed-1 directory, killed mid-write of its
+        # third file: no manifest, only its own .fmx, and its temporary,
+        # which the next run removes before it writes
+        def argv(out_dir, seed):
+            return [
+                "mask", "--in", str(corpus_dir), "--stats", str(self._stats_path(featurized)),
+                "--mode", "sem", "--seed", seed, "--out", str(out_dir),
+            ]
+
+        out, clean = tmp_path / "m", tmp_path / "clean"
+        assert main(argv(out, "1")) == 0
+        assert main(argv(clean, "2")) == 0
+        names = sorted(path.name for path in out.glob("*.fmx"))
+        # the seed-1 files the killed run never reaches include some that a
+        # seed-2 run writes otherwise
+        assert any(
+            (out / name).read_bytes() != (clean / name).read_bytes() for name in names[2:]
+        )
+        run = run_python(["-c", _KILLED_AT_THIRD_SAVE, *argv(out, "2")])
+        assert run.returncode == -signal.SIGKILL, run.stderr
+        assert not (out / "manifest.csv").exists()
+        left = sorted(path.name for path in out.glob("*.fmx"))
+        assert left == names[:2]
+        for name in left:
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+        [temp] = out.glob(".*.tmp")
+        assert temp.name.split(".")[-3] == run.stdout.strip()
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            assert main(argv(out, "2")) == 0
+        assert f"removed {temp}, left by a process that no longer runs" in caplog.messages
+        assert_same_files(out, clean)
+
     def test_shuffled_input_ordering_identical(self, tmp_path, featurized):
         waves = mixed_waveforms(6)
         dir_a = tmp_path / "wa"
@@ -812,11 +883,7 @@ def test_unwritable_output_exits_2(tmp_path, argv):
     blocker = tmp_path / "afile"
     blocker.write_text("in the way\n")
     args = [arg.format(wavs=wavs, tmp=tmp_path, file=blocker, stats=stats) for arg in argv]
-    env = dict(os.environ, PYTHONPATH=str(Path(semaug.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-m", "semaug.cli", *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    run = run_python(["-m", "semaug.cli", *args])
     assert run.returncode == 2, run.stderr
     assert "Traceback" not in run.stderr
     errors = [line for line in run.stderr.splitlines() if line.startswith("ERROR ")]
@@ -1136,6 +1203,56 @@ def test_multi_block_utterances_run_on_workers_at_most_n_at_a_time(
         )
 
 
+# Run as `python -c _FIRST_TO_LOAD_OPENSSL <JSON list of argv lists>`: prints
+# the first step after which _hashlib, and with it OpenSSL's libcrypto, is
+# loaded (`import semaug`, `import semaug.cli` or one of the commands), or
+# nothing if no step loads it.
+_FIRST_TO_LOAD_OPENSSL = textwrap.dedent(
+    """
+    import json
+    import sys
+
+    def check(step):
+        if "_hashlib" in sys.modules:
+            print(step)
+            sys.exit(0)
+
+    import semaug
+    check("import semaug")
+    import semaug.cli
+    check("import semaug.cli")
+    for argv in json.loads(sys.argv[1]):
+        assert semaug.cli.main(argv) == 0, argv
+        check(" ".join(argv))
+    """
+)
+
+# mask modes that may load OpenSSL, with the reason
+OPENSSL_MODES = {"dropout": "numpy.random imports secrets, which imports hmac and _hashlib"}
+
+
+def test_no_command_but_dropout_loads_openssl(tmp_path):
+    # importing hashlib loads _hashlib, which maps OpenSSL's libcrypto:
+    # about 3.5 MB more resident memory for a command that hashes nothing
+    # with it (masking's BLAKE2b comes from _blake2)
+    wavs = tmp_path / "wavs"
+    make_corpus(wavs, mixed_waveforms(3, 0.5))
+    stats = tmp_path / "f" / "global_stats.txt"
+    commands = [
+        ["featurize", "--in", str(wavs), "--out", str(tmp_path / "f")],
+        *(
+            ["mask", "--in", str(wavs), "--stats", str(stats), "--mode", mode,
+             *MODE_FLAGS[mode], "--out", str(tmp_path / mode)]
+            for mode in MODE_FLAGS if mode not in OPENSSL_MODES
+        ),
+        ["stats", "--in", str(wavs), "--out", str(tmp_path / "dist.csv")],
+        ["render", "--in", str(wavs / "utt_000.wav"), "--eta-th", "-30",
+         "--out", str(tmp_path / "utt_000.pgm")],
+    ]
+    run = run_python(["-c", _FIRST_TO_LOAD_OPENSSL, json.dumps(commands)])
+    assert (run.returncode, run.stdout) == (0, ""), run.stderr
+
+
 def _featurize_faults(tmp_path, num_utterances):
     """Minor page faults of `featurize` over that many 1.5 s WAVs, in a fresh process."""
     wavs = tmp_path / f"wavs{num_utterances}"
@@ -1143,11 +1260,10 @@ def _featurize_faults(tmp_path, num_utterances):
         synth_speech_like(1.5, seed=i, utterance_id=f"utt_{i:03d}")
         for i in range(num_utterances)
     ])
-    env = dict(os.environ, PYTHONPATH=str(Path(semaug.__file__).parents[1]))
     code, usage = run_with_rusage(
-        [sys.executable, "-m", "semaug.cli", "featurize",
+        ["-m", "semaug.cli", "featurize",
          "--in", str(wavs), "--out", str(tmp_path / f"out{num_utterances}")],
-        env=env, stderr=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
     )
     assert code == 0
     return usage.ru_minflt

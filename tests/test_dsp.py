@@ -1,18 +1,13 @@
 """Front-end tests: windowing, framing, spectra, mel filters, energies."""
 
 import math
-import os
-import subprocess
-import sys
 import textwrap
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import semaug
 from semaug import FeatureConfig, filterbank_energies, mel_filterbank
 from semaug import cli, dsp
 from semaug.audio_io import PCM_SCALE, WavReader, Waveform, synth_fixture, write_wav
@@ -26,7 +21,7 @@ from semaug.dsp import (
     power_spectrum,
 )
 from semaug.errors import BadAudio
-from conftest import front_end_oracle, traced_peak
+from conftest import front_end_oracle, run_python, traced_peak
 
 
 def direct_dft_power(frame, fft_size):
@@ -395,16 +390,8 @@ class TestFilterbankEnergies:
     def test_blas_kernel_gives_each_row_the_bits_of_a_whole_block(self, tmp_path, coretype):
         # OpenBLAS kernels differ in how they round the rows of a product
         # whose height is not BLOCK_FRAMES; every product here has that height
-        # semaug's sources, and the tests for conftest's oracle
-        paths = (Path(semaug.__file__).parents[1], Path(__file__).parent)
-        env = dict(
-            os.environ,
-            OPENBLAS_CORETYPE=coretype,
-            PYTHONPATH=os.pathsep.join(map(str, paths)),
-        )
-        run = subprocess.run(
-            [sys.executable, "-c", _KERNEL_CHECK, str(tmp_path)],
-            env=env, capture_output=True, text=True,
+        run = run_python(
+            ["-c", _KERNEL_CHECK, str(tmp_path)], env={"OPENBLAS_CORETYPE": coretype}
         )
         assert (run.returncode, run.stdout) == (0, ""), run.stderr
 

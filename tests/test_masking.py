@@ -1,5 +1,6 @@
 """Threshold sampling, binary masks, sum-preserving rescale, dropout."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -144,6 +145,25 @@ class TestSampleThreshold:
     def test_non_finite_bounds(self, bounds):
         with pytest.raises(ValueError, match="finite"):
             SemConfig(eta_a=bounds[0], eta_b=bounds[1])
+
+
+class TestStreamDigest:
+    @pytest.mark.parametrize("stream", ["eta-threshold", "dropout"])
+    @pytest.mark.parametrize("uid", ["", "utt0000", "ünï", "a,b"])
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**63, 2**64 + 5])
+    def test_keyed_blake2b(self, seed, uid, stream):
+        message = (
+            stream.encode("ascii") + b"\x00"
+            + (seed % 2**64).to_bytes(8, "little") + uid.encode("utf-8")
+        )
+        expected = hashlib.blake2b(message, digest_size=8).digest()
+        assert masking._stream_digest(seed, uid, stream) == expected
+
+    def test_golden_draws(self):
+        # where the hash comes from must not move a threshold or a dropout seed
+        assert repr(sample_threshold(SemConfig(seed=7), "utt0000")) == "-3.361265974347404"
+        child_seed = int.from_bytes(masking._stream_digest(7, "utt0000", "dropout"), "little")
+        assert repr(child_seed) == "12339775757055095375"
 
 
 class TestEnergyThreshold:

@@ -2,15 +2,19 @@
 
 The package namespace holds the pipeline: read a WAV, compute its mel
 filterbank energies, raise them to power-mel features, accumulate corpus
-stats, then mask and normalize. The steps inside it (framing, spectra,
-peak energy, thresholds, masks, the rescale factor) stay importable from
-their modules: semaug.dsp, semaug.masking, and so on.
+stats, then mask and normalize. An utterance is one FeatureMatrix:
+filterbank_energies returns its energies, and power_mel, normalize,
+apply_sem, apply_fixed_sem and input_dropout turn them into features in
+place, each returning the matrix it was given (apply_sem and
+apply_fixed_sem as their outcome's features). The steps inside it
+(framing, spectra, peak energy, thresholds, masks, the rescale factor)
+stay importable from their modules: semaug.dsp, semaug.masking, and so on.
 """
 
 from . import errors
 from .audio_io import WavReader, Waveform, read_wav
-from .dsp import EnergyMatrix, FeatureConfig, filterbank_energies, mel_filterbank
-from .features import FeatureMatrix, GlobalStats, StatsAccumulator, normalize, power_mel
+from .dsp import FeatureConfig, FeatureMatrix, filterbank_energies, mel_filterbank
+from .features import GlobalStats, StatsAccumulator, normalize, power_mel
 from .masking import SemConfig, apply_fixed_sem, apply_sem, input_dropout
 from .stats import EtaHistogramAccumulator
 
@@ -22,10 +26,9 @@ __all__ = [
     "WavReader",
     "read_wav",
     "FeatureConfig",
-    "EnergyMatrix",
+    "FeatureMatrix",
     "mel_filterbank",
     "filterbank_energies",
-    "FeatureMatrix",
     "GlobalStats",
     "StatsAccumulator",
     "power_mel",

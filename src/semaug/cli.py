@@ -394,7 +394,6 @@ def cmd_mask(args: argparse.Namespace) -> int:
                 outcome = apply_sem(energies, stats, sem_cfg)
             else:
                 outcome = apply_fixed_sem(energies, stats, args.eta_th)
-            final = outcome.features.values
             row = (
                 uid,
                 _fmt(outcome.mask.eta_th_used),
@@ -404,15 +403,14 @@ def cmd_mask(args: argparse.Namespace) -> int:
                 str(int(outcome.fallback_applied)),
             )
         else:
-            normalized = normalize(power_mel(energies), stats)
-            final = normalized.values
+            normalize(power_mel(energies), stats)
             if args.mode == "dropout":
-                final = input_dropout(normalized, args.rate, given.get("seed", 0)).values
-                zero_fraction = (final.size - np.count_nonzero(final)) / final.size
+                values = input_dropout(energies, args.rate, given.get("seed", 0)).values
+                zero_fraction = (values.size - np.count_nonzero(values)) / values.size
                 row = (uid, "", "", _fmt(zero_fraction), _fmt(1.0 / (1.0 - args.rate)), "0")
             else:  # none
                 row = (uid, "", "", "", "", "")
-        formats.save_features(out_dir / (path.stem + FEATURE_SUFFIX), final)
+        formats.save_features(out_dir / (path.stem + FEATURE_SUFFIX), energies.values)
         return row
 
     rows, failures = _run_utterances(wavs, worker, args.workers)

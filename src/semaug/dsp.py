@@ -82,8 +82,11 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class EnergyMatrix:
-    """Per-frame, per-channel filterbank energies (all entries >= 0)."""
+class FeatureMatrix:
+    """An utterance's (M, C) matrix: filterbank_energies fills it with the
+    per-frame, per-channel filterbank energies (all entries >= 0), and
+    features.power_mel, features.normalize and the masks of semaug.masking
+    turn those energies into its features in place."""
 
     values: np.ndarray
     utterance_id: str
@@ -198,7 +201,7 @@ def filterbank_energies(
     cfg: FeatureConfig,
     pool: Executor | None = None,
     threads: int = 1,
-) -> EnergyMatrix:
+) -> FeatureMatrix:
     """Full front end: framing, Hamming windowing, power spectrum, mel sum.
 
     source is a Waveform, or an open WavReader whose samples are read one
@@ -253,7 +256,7 @@ def filterbank_energies(
         futures.wait(helpers)
     for helper in helpers:
         helper.result()
-    return EnergyMatrix(values=energies[:num_frames], utterance_id=source.utterance_id)
+    return FeatureMatrix(values=energies[:num_frames], utterance_id=source.utterance_id)
 
 
 def _range_job(source, cfg: FeatureConfig, energies: np.ndarray, first: int, stop: int):

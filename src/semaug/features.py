@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import EnergyMatrix, FeatureConfig
+from .dsp import FeatureConfig, FeatureMatrix
 from .errors import EmptyCorpus
 
 # std floor keeps divide_std total on degenerate constant channels
@@ -19,22 +19,6 @@ STD_FLOOR = 1e-8
 # rows per pass of StatsAccumulator.update: bounds its temporaries to 656 kB
 # at 40 channels, whatever the utterance length
 STATS_CHUNK_ROWS = 2048
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """An (M, C) feature matrix of one utterance."""
-
-    values: np.ndarray
-    utterance_id: str
-
-    @property
-    def num_frames(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def num_channels(self) -> int:
-        return int(self.values.shape[1])
 
 
 @dataclass(frozen=True)
@@ -129,7 +113,7 @@ def _centred_square_sums(values: np.ndarray, center: np.ndarray) -> np.ndarray:
     return total
 
 
-def writable_values(matrix: FeatureMatrix | EnergyMatrix) -> np.ndarray:
+def writable_values(matrix: FeatureMatrix) -> np.ndarray:
     """matrix.values, checked for the in-place transforms: a writable float64
     array. Anything else (a float32 or read-only matrix, such as the one
     formats.load_features returns) raises ValueError, so no transform casts
@@ -150,17 +134,17 @@ def writable_values(matrix: FeatureMatrix | EnergyMatrix) -> np.ndarray:
     return values
 
 
-def power_mel(energies: EnergyMatrix) -> FeatureMatrix:
+def power_mel(energies: FeatureMatrix) -> FeatureMatrix:
     """Elementwise power-law compression of filterbank energies, in place:
-    the result's values are energies.values, with the bits of
+    returns `energies`, its values now with the bits of
     energies.values ** FeatureConfig.power_exponent. Needs a writable
     float64 matrix."""
     values = writable_values(energies)
     values **= FeatureConfig.power_exponent
-    return FeatureMatrix(values=values, utterance_id=energies.utterance_id)
+    return energies
 
 
-def check_channels(matrix: FeatureMatrix | EnergyMatrix, stats: GlobalStats) -> None:
+def check_channels(matrix: FeatureMatrix, stats: GlobalStats) -> None:
     """ValueError unless the matrix has the stats' channel count."""
     if matrix.num_channels != stats.num_channels:
         raise ValueError(
@@ -170,23 +154,27 @@ def check_channels(matrix: FeatureMatrix | EnergyMatrix, stats: GlobalStats) -> 
 
 
 def normalize(features: FeatureMatrix, stats: GlobalStats) -> FeatureMatrix:
-    """(x - mean) / std per channel, in place: the result's values are
-    features.values, with the bits of divide_std(subtract_mean(x)). Needs a
+    """(x - mean) / std per channel, in place: returns `features`, its
+    values now with the bits of divide_std(subtract_mean(x)). Needs a
     writable float64 matrix."""
     check_channels(features, stats)
     values = writable_values(features)
     values -= stats.mean
     values /= stats.std
-    return FeatureMatrix(values=values, utterance_id=features.utterance_id)
+    return features
 
 
 def subtract_mean(features: FeatureMatrix, stats: GlobalStats) -> FeatureMatrix:
-    """Subtract the per-channel corpus mean (applied before masking)."""
+    """Subtract the per-channel corpus mean into a new matrix: with
+    divide_std, the out-of-place reference of normalize, whose bits it
+    matches. perfbench/child.py traces both by name."""
     check_channels(features, stats)
     return FeatureMatrix(values=features.values - stats.mean, utterance_id=features.utterance_id)
 
 
 def divide_std(features: FeatureMatrix, stats: GlobalStats) -> FeatureMatrix:
-    """Divide by the per-channel corpus standard deviation."""
+    """Divide by the per-channel corpus standard deviation into a new
+    matrix: the second step of normalize's out-of-place reference (see
+    subtract_mean)."""
     check_channels(features, stats)
     return FeatureMatrix(values=features.values / stats.std, utterance_id=features.utterance_id)

@@ -152,7 +152,12 @@ def save_stats(path: str | Path, stats: GlobalStats) -> None:
 
 def load_stats(path: str | Path) -> GlobalStats:
     """Parse a SEMSTATS file back into GlobalStats."""
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} is not ASCII"
+        ) from exc
     lines = text.splitlines()
     first = lines[0] if lines else ""
     header = _STATS_HEADER.fullmatch(first)

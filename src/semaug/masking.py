@@ -35,16 +35,9 @@ from _blake2 import blake2b
 
 import numpy as np
 
-from .dsp import EnergyMatrix
+from .dsp import FeatureMatrix
 from .errors import AllMaskedSignal, EmptyCorpus
-from .features import (
-    FeatureMatrix,
-    GlobalStats,
-    check_channels,
-    normalize,
-    power_mel,
-    writable_values,
-)
+from .features import GlobalStats, check_channels, normalize, power_mel, writable_values
 
 # energies below this floor are clamped before the dB ratio (keeps eta finite)
 ETA_FLOOR = 1e-30
@@ -121,7 +114,7 @@ def _unit_uniform(seed: int, utterance_id: str, stream: str) -> float:
     return bits / (1 << 53)
 
 
-def peak_energy(energies: EnergyMatrix) -> float:
+def peak_energy(energies: FeatureMatrix) -> float:
     """Nearest-rank 95th percentile over all time-frequency bins.
 
     Sorted ascending, the element at index ceil(0.95 * n) - 1; the ceiling
@@ -184,7 +177,7 @@ def energy_threshold(e_peak: float, eta_th: float) -> float:
 
 
 def binary_mask(
-    energies: EnergyMatrix,
+    energies: FeatureMatrix,
     e_th: float,
     eta_th: float = math.nan,
 ) -> MaskMatrix:
@@ -199,7 +192,7 @@ def binary_mask(
     return MaskMatrix(values=mask, eta_th_used=float(eta_th), e_th_used=float(e_th))
 
 
-def threshold_mask(energies: EnergyMatrix, eta_th: float) -> MaskMatrix | None:
+def threshold_mask(energies: FeatureMatrix, eta_th: float) -> MaskMatrix | None:
     """Keep bins within eta_th dB of the utterance's peak energy.
 
     Returns None when the peak energy is zero (all silence): no dB ratio
@@ -256,7 +249,7 @@ def _passthrough_mask(shape) -> MaskMatrix:
 
 
 def _mask_and_normalize(
-    energies: EnergyMatrix,
+    energies: FeatureMatrix,
     stats: GlobalStats,
     eta_th: float,
 ) -> SemOutcome:
@@ -273,32 +266,31 @@ def _mask_and_normalize(
         mask = _passthrough_mask(x_raw.values.shape)
         scaling_r = 1.0
 
-    features = normalize(x_raw, stats)
-    output = features.values
+    output = normalize(x_raw, stats).values
     output *= mask.values
     output *= scaling_r
     return SemOutcome(
-        features=features, mask=mask, scaling_r=scaling_r, fallback_applied=fallback
+        features=energies, mask=mask, scaling_r=scaling_r, fallback_applied=fallback
     )
 
 
 def apply_sem(
-    energies: EnergyMatrix,
+    energies: FeatureMatrix,
     stats: GlobalStats,
     cfg: SemConfig,
 ) -> SemOutcome:
     """Full small-energy-masking pipeline with a per-utterance random threshold.
 
     In place: the energies, a writable float64 matrix, become the output
-    features (outcome.features.values is energies.values), by way of
-    power_mel. Pass a copy to keep the energies.
+    features (outcome.features is energies), by way of power_mel. Pass a
+    copy to keep the energies.
     """
     eta_th = sample_threshold(cfg, energies.utterance_id)
     return _mask_and_normalize(energies, stats, eta_th)
 
 
 def apply_fixed_sem(
-    energies: EnergyMatrix,
+    energies: FeatureMatrix,
     stats: GlobalStats,
     eta_th_fixed: float,
 ) -> SemOutcome:
@@ -314,8 +306,8 @@ def input_dropout(features: FeatureMatrix, rate: float, seed: int) -> FeatureMat
     scale survivors by 1/(1 - rate). Deterministic per (seed,
     features.utterance_id).
 
-    In place: the result's values are features.values, which must be a
-    writable float64 matrix. Dropped entries become +0.0 whatever their sign
+    In place: returns `features`, whose values must be a writable float64
+    matrix. Dropped entries become +0.0 whatever their sign
     (multiplying by a 0/1 mask would leave -0.0 where a value was negative).
     The uniform draws come about CHUNK_BINS at a time, rows in order: the
     same stream as one draw of the whole shape.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import masking
-from .dsp import EnergyMatrix
+from .dsp import FeatureMatrix
 from .errors import EmptyCorpus
 from .masking import eta, peak_energy
 
@@ -58,7 +58,7 @@ class EtaHistogramAccumulator:
         self.counts = np.zeros(BIN_EDGES.size - 1, dtype=np.int64)
         self.energy = np.zeros(BIN_EDGES.size - 1, dtype=np.float64)
 
-    def update(self, energies: EnergyMatrix) -> bool:
+    def update(self, energies: FeatureMatrix) -> bool:
         """Add one utterance's bins; False, adding nothing, when it has no dB
         ratios (no bins, or a zero peak: all silence)."""
         values = np.asarray(energies.values, dtype=np.float64).ravel()

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from semaug import (
-    EnergyMatrix,
     EtaHistogramAccumulator,
     FeatureConfig,
+    FeatureMatrix,
     StatsAccumulator,
     filterbank_energies,
     mel_filterbank,
@@ -135,7 +135,7 @@ def assert_same_files(dir_a, dir_b):
 
 def fresh(energies):
     """A copy for an in-place transform to overwrite."""
-    return EnergyMatrix(energies.values.copy(), energies.utterance_id)
+    return FeatureMatrix(energies.values.copy(), energies.utterance_id)
 
 
 def accumulated_stats(matrices):

@@ -13,8 +13,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from semaug import (
-    EnergyMatrix,
     FeatureConfig,
+    FeatureMatrix,
     GlobalStats,
     SemConfig,
     Waveform,
@@ -29,7 +29,6 @@ from semaug.dsp import power_spectrum
 from semaug.masking import binary_mask, energy_threshold, peak_energy, threshold_mask
 from conftest import accumulated_histogram, accumulated_stats, energy_ratio_curve, fresh
 from semaug.cli import main
-from semaug.features import FeatureMatrix
 from semaug.formats import load_features, load_stats, save_features, save_stats
 
 CFG = FeatureConfig()
@@ -186,7 +185,7 @@ def test_criterion_7_percentile_oracle():
             values = 10.0 ** rng.uniform(-8, 3, size=(frames, channels))
             flat = np.sort(values.ravel())
             expected = flat[math.ceil(0.95 * flat.size) - 1]
-            assert peak_energy(EnergyMatrix(values, "p")) == expected
+            assert peak_energy(FeatureMatrix(values, "p")) == expected
 
 
 def test_criterion_8_dsp_oracle():

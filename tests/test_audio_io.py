@@ -1,5 +1,6 @@
 """WAV parsing, the fixture writer, and deterministic synthesis."""
 
+import hashlib
 import struct
 import sys
 import threading
@@ -45,6 +46,15 @@ def _chunk(chunk_id, body):
 def _riff(*chunks):
     body = b"WAVE" + b"".join(chunks)
     return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _wav_sha256(path, waveform):
+    """sha256 of the 16-bit WAV that write_wav makes of waveform: the
+    samples as the benchmark corpus stores them. Their float64 values
+    differ in the last bits when numpy runs without its AVX-512 kernels;
+    the int16 bytes stay the same, with or without AVX2 too."""
+    write_wav(path, waveform)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _extensible_fmt(subformat, channels=1, bits=16):
@@ -420,6 +430,15 @@ class TestSynthFixture:
         wav = synth_fixture(kind, 0.5, seed=3)
         assert np.all(np.abs(wav.samples) < 1.0)
 
+    @pytest.mark.parametrize("kind,digest", [
+        ("sine", "9eba51bc82e96383015af4718269e98302f26aeeaf1828816ead2a775b61246e"),
+        ("white_noise", "834bf4958acebe68005323b00e302c4ba774fc82ec60a9d5313208424abbae23"),
+        ("chirp", "59f54d1b084a539532a5719630081874f99003c0934331efb172699325781fb5"),
+        ("silence", "20c51a2ccfac3b8373f678d9f14b68c2e3ffc33dac17956b738f9241e4c0725b"),
+    ])
+    def test_pinned_wav_bytes(self, tmp_path, kind, digest):
+        assert _wav_sha256(tmp_path / "f.wav", synth_fixture(kind, 1.5, seed=3)) == digest
+
 
 class TestSpeechLike:
     def test_deterministic(self):
@@ -440,6 +459,17 @@ class TestSpeechLike:
     def test_invalid_duration(self):
         with pytest.raises(ValueError, match="duration_s must be > 0"):
             synth_speech_like(0.0)
+
+    # the benchmark corpus: 1.5 s is the many_short duration, and its seeds
+    # are 64-bit hashes like the last one
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "4ffd482d90f6b66b32048b96eae000f7658acb2104d379d7040ec746db63c2bf"),
+        (1, "5cfd0f4277e9d02f5c217f0cc94f23b469356038fe121e2ebbf693009bd79b68"),
+        (2, "203d2fe1f2a9ea5ee6b3ac577138e1496cde2c7530fd19573ad9b962aaf105c6"),
+        (0x0123456789ABCDEF, "665245a421872accc8c4da23b38e524438e90d8fdbda04295282cabe38d702fc"),
+    ])
+    def test_pinned_wav_bytes(self, tmp_path, seed, digest):
+        assert _wav_sha256(tmp_path / "s.wav", synth_speech_like(1.5, seed=seed)) == digest
 
 
 def test_waveform_rejects_bad_rate():

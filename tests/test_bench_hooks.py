@@ -5,10 +5,11 @@ perfbench/run.py times SETUP_CODE as `setup_s`, and perfbench/corpus.py
 imports its synthesis functions inside the worker that writes each WAV;
 all of these fail only when the benchmark runs. These tests load the
 scripts (stdlib-only at import) by path, unchanged, check those hooks
-against the current sources, run the benchmark once at its self-test
-size, and check that a traced featurize of a long file counts every frame
-its threaded front end transforms and one of short files records every
-file's write.
+against the current sources, pin the bytes of a small corpus that
+corpus.py generates, run the benchmark once at its self-test size, and
+check that a traced featurize of a long file counts every frame its
+threaded front end transforms and one of short files records every file's
+write.
 """
 
 import ast
@@ -82,6 +83,23 @@ def test_corpus_imports_resolve():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert callable(getattr(module, alias.name)), f"{node.module}.{alias.name}"
+
+
+def test_corpus_is_pinned(tmp_path):
+    # three many_short utterances of seed 0, written by the benchmark's own
+    # generator (in a fresh interpreter, because it forks its writers)
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import corpus\n"
+        "print(corpus.generate(Path(sys.argv[2]), 'many_short', 0, 3, 1.5).sha256)\n"
+    )
+    run = run_python(["-c", code, str(ROOT / "perfbench"), str(tmp_path / "wavs")])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [
+        "13dbae79d79ad2fdeee29b5f727032e9f1f85d423a4ee03cd2fcf7dc1dce4e7f"
+    ]
 
 
 def test_trace_sees_every_frame_of_the_threaded_front_end(tmp_path):

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from semaug import (
-    EnergyMatrix,
     FeatureConfig,
+    FeatureMatrix,
     GlobalStats,
     filterbank_energies,
     power_mel,
@@ -463,6 +463,19 @@ class TestMask:
         assert f"header {header!r}" in caplog.text
         assert not out.exists()
 
+    def test_non_ascii_stats_exits_2_naming_the_file(self, tmp_path, corpus_dir, caplog):
+        stats_path = tmp_path / "bad.txt"
+        lines = ["SEMSTATS v1 C=40 N=5"] + [f"{c} 0.0 1.0" for c in range(40)]
+        stats_path.write_bytes("\n".join(lines).encode("ascii") + b"\xff\n")
+        out = tmp_path / "m"
+        assert main([
+            "mask", "--in", str(corpus_dir), "--stats", str(stats_path),
+            "--mode", "none", "--out", str(out),
+        ]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and str(stats_path) in errors[0]
+        assert not out.exists()
+
     def test_non_finite_stats_exits_2(self, tmp_path, corpus_dir):
         stats_path = tmp_path / "nan.txt"
         lines = ["SEMSTATS v1 C=40 N=5"] + [f"{c} 0.0 1.0" for c in range(39)] + ["39 nan nan"]
@@ -645,7 +658,7 @@ def _random_energies(shape):
     def extract(source, cfg, *front_end_threads):
         values = np.random.default_rng(3).uniform(-8.0, 3.0, size=shape)
         np.power(10.0, values, out=values)
-        return EnergyMatrix(values, source.utterance_id)
+        return FeatureMatrix(values, source.utterance_id)
 
     return extract
 

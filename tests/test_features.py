@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from semaug import (
-    EnergyMatrix,
     FeatureMatrix,
     GlobalStats,
     SemConfig,
     StatsAccumulator,
+    apply_fixed_sem,
     apply_sem,
     input_dropout,
     normalize,
@@ -26,42 +26,45 @@ def feat(values, uid="u"):
 
 class TestPowerMel:
     def test_zero_energies(self):
-        energies = EnergyMatrix(np.zeros((3, 4)), "z")
+        energies = FeatureMatrix(np.zeros((3, 4)), "z")
         assert np.all(power_mel(energies).values == 0.0)
 
     def test_analytic_power(self):
-        energies = EnergyMatrix(np.array([[2.0**15]]), "p")
+        energies = FeatureMatrix(np.array([[2.0**15]]), "p")
         assert power_mel(energies).values[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_monotone(self):
         rng = np.random.default_rng(5)
         low = rng.uniform(0, 10, size=(8, 4))
         high = low + rng.uniform(0, 3, size=(8, 4))
-        f_low = power_mel(EnergyMatrix(low, "a")).values
-        f_high = power_mel(EnergyMatrix(high, "b")).values
+        f_low = power_mel(FeatureMatrix(low, "a")).values
+        f_high = power_mel(FeatureMatrix(high, "b")).values
         assert np.all(f_low <= f_high)
 
     def test_keeps_utterance_id(self):
-        out = power_mel(EnergyMatrix(np.ones((2, 2)), "s"))
+        out = power_mel(FeatureMatrix(np.ones((2, 2)), "s"))
         assert isinstance(out, FeatureMatrix)
         assert out.utterance_id == "s"
 
 
     def test_in_place_same_bits(self):
         values = 10.0 ** np.random.default_rng(5).uniform(-8, 3, size=(30, 7))
-        energies = EnergyMatrix(values.copy(), "b")
+        energies = FeatureMatrix(values.copy(), "b")
         out = power_mel(energies)
         assert out.values is energies.values
         assert np.array_equal(out.values, values ** (1.0 / 15.0))
 
 
 def _transforms():
+    """Each in-place transform as a call on a matrix, returning the matrix
+    it hands back (a masking outcome's features)."""
     stats = GlobalStats(np.full(3, 0.5), np.full(3, 2.0), 4)
     return {
-        "power_mel": lambda m: power_mel(EnergyMatrix(m, "u")),
-        "normalize": lambda m: normalize(feat_view(m), stats),
-        "input_dropout": lambda m: input_dropout(feat_view(m), 0.5, seed=1),
-        "apply_sem": lambda m: apply_sem(EnergyMatrix(m, "u"), stats, SemConfig(seed=1)),
+        "power_mel": power_mel,
+        "normalize": lambda m: normalize(m, stats),
+        "input_dropout": lambda m: input_dropout(m, 0.5, seed=1),
+        "apply_sem": lambda m: apply_sem(m, stats, SemConfig(seed=1)).features,
+        "apply_fixed_sem": lambda m: apply_fixed_sem(m, stats, -20.0).features,
     }
 
 
@@ -70,8 +73,13 @@ def feat_view(values):
 
 
 class TestInPlaceContract:
-    """The in-place transforms take a writable float64 matrix and raise
-    ValueError on anything else, leaving it untouched."""
+    """The in-place transforms take a writable float64 matrix and return
+    it, and raise ValueError on anything else, leaving it untouched."""
+
+    @pytest.mark.parametrize("name", sorted(_transforms()))
+    def test_returns_its_argument(self, name):
+        matrix = feat_view(np.arange(1.0, 13.0).reshape(4, 3))
+        assert _transforms()[name](matrix) is matrix
 
     @pytest.mark.parametrize("name", sorted(_transforms()))
     def test_loaded_features_raise(self, tmp_path, name):
@@ -80,14 +88,14 @@ class TestInPlaceContract:
         loaded = load_features(tmp_path / "u.fmx")
         assert loaded.dtype == np.float32 and not loaded.flags.writeable
         with pytest.raises(ValueError, match="read-only float32"):
-            _transforms()[name](loaded)
+            _transforms()[name](feat_view(loaded))
         assert np.array_equal(loaded, values)
 
     @pytest.mark.parametrize("name", sorted(_transforms()))
     def test_writable_float32_raises(self, name):
         values = np.arange(1.0, 13.0, dtype=np.float32).reshape(4, 3)
         with pytest.raises(ValueError, match="float32"):
-            _transforms()[name](values)
+            _transforms()[name](feat_view(values))
         assert np.array_equal(values, np.arange(1.0, 13.0).reshape(4, 3))
 
     @pytest.mark.parametrize("name", sorted(_transforms()))
@@ -95,7 +103,7 @@ class TestInPlaceContract:
         values = np.arange(1.0, 13.0).reshape(4, 3)
         values.flags.writeable = False
         with pytest.raises(ValueError, match="read-only float64"):
-            _transforms()[name](values)
+            _transforms()[name](feat_view(values))
 
 
 class TestGlobalStats:

@@ -142,6 +142,23 @@ class TestSweepStaleTemporaries:
         left = sorted(path.name for path in tmp_path.iterdir())
         assert left == sorted(kept + [f".d.fmx.{dead}.1.tmp"])
 
+    def test_probes_with_signal_0_only(self, tmp_path, monkeypatch):
+        # any other signal would reach the process it probes; pids 7 and 8
+        # stand in for a running and an exited writer
+        (tmp_path / ".a.fmx.7.1.tmp").write_bytes(b"partial")
+        (tmp_path / ".b.fmx.8.1.tmp").write_bytes(b"partial")
+        calls = []
+
+        def probe(pid, signal):
+            calls.append((pid, signal))
+            if pid == 8:
+                raise ProcessLookupError(3, "No such process")
+
+        monkeypatch.setattr(formats.os, "kill", probe)
+        removed = formats.sweep_stale_temporaries(tmp_path)
+        assert [path.name for path in removed] == [".b.fmx.8.1.tmp"]
+        assert sorted(calls) == [(7, 0), (8, 0)]
+
     def test_keeps_what_cannot_be_checked(self, tmp_path, monkeypatch):
         name = f".a.fmx.{reaped_pid()}.1.tmp"
         (tmp_path / name).write_bytes(b"partial")
@@ -242,6 +259,13 @@ class TestStatsFile:
         path.write_text("SEMSTATS v1 C=2 N=5\n0 0.0 1.0\n")
         with pytest.raises(FormatError):
             load_stats(path)
+
+    def test_rejects_non_ascii_naming_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"SEMSTATS v1 C=1 N=5\n0 0.0 1\xff0\n")
+        with pytest.raises(FormatError, match="byte 0xff at offset 27 is not ASCII") as exc:
+            load_stats(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 class TestPgm:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from semaug import (
-    EnergyMatrix,
     FeatureConfig,
     FeatureMatrix,
     GlobalStats,
@@ -46,37 +45,37 @@ def sort_oracle_percentile(values):
 
 class TestPeakEnergy:
     def test_constant_matrix(self):
-        assert peak_energy(EnergyMatrix(np.full((4, 5), 3.25), "c")) == 3.25
+        assert peak_energy(FeatureMatrix(np.full((4, 5), 3.25), "c")) == 3.25
 
     def test_one_to_hundred(self):
         values = np.arange(1.0, 101.0).reshape(10, 10)
-        assert peak_energy(EnergyMatrix(values, "h")) == 95.0
+        assert peak_energy(FeatureMatrix(values, "h")) == 95.0
 
     def test_single_entry(self):
-        assert peak_energy(EnergyMatrix(np.array([[7.0]]), "s")) == 7.0
+        assert peak_energy(FeatureMatrix(np.array([[7.0]]), "s")) == 7.0
 
     def test_empty(self):
         with pytest.raises(EmptyCorpus):
-            peak_energy(EnergyMatrix(np.zeros((0, 4)), "e"))
+            peak_energy(FeatureMatrix(np.zeros((0, 4)), "e"))
 
     def test_against_sort_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             values = random_energy_matrix(rng)
-            assert peak_energy(EnergyMatrix(values, "o")) == sort_oracle_percentile(values)
+            assert peak_energy(FeatureMatrix(values, "o")) == sort_oracle_percentile(values)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_around_one_chunk(self, offset):
         # around CHUNK_BINS bins: one pass through the pool, as for any size
         rng = np.random.default_rng(offset + 5)
         values = random_energy_matrix(rng, masking.CHUNK_BINS + offset, 1)
-        assert peak_energy(EnergyMatrix(values, "c")) == sort_oracle_percentile(values)
+        assert peak_energy(FeatureMatrix(values, "c")) == sort_oracle_percentile(values)
 
     def test_long_utterance_value_and_memory(self):
         # 60000 x 40 bins: 35 chunks through the pool, which alone is allocated
         rng = np.random.default_rng(23)
         values = random_energy_matrix(rng, 60000, 40)
-        peak, traced = traced_peak(lambda: peak_energy(EnergyMatrix(values, "l")))
+        peak, traced = traced_peak(lambda: peak_energy(FeatureMatrix(values, "l")))
         assert peak == sort_oracle_percentile(values)
         rank = (95 * values.size + 99) // 100 - 1
         assert traced <= 8 * (values.size - rank + masking.CHUNK_BINS) + 4096
@@ -178,26 +177,26 @@ class TestEnergyThreshold:
 
 class TestBinaryMask:
     def test_zero_threshold_keeps_all(self):
-        mask = binary_mask(EnergyMatrix(np.abs(np.random.default_rng(1).normal(size=(3, 4))), "a"), 0.0)
+        mask = binary_mask(FeatureMatrix(np.abs(np.random.default_rng(1).normal(size=(3, 4))), "a"), 0.0)
         assert np.all(mask.values == 1)
 
     def test_above_max_drops_all(self):
-        mask = binary_mask(EnergyMatrix(np.ones((3, 4)), "b"), 2.0)
+        mask = binary_mask(FeatureMatrix(np.ones((3, 4)), "b"), 2.0)
         assert np.all(mask.values == 0)
 
     def test_hand_example(self):
-        energies = EnergyMatrix(np.array([[4.0, 1.0], [2.0, 8.0]]), "h")
+        energies = FeatureMatrix(np.array([[4.0, 1.0], [2.0, 8.0]]), "h")
         mask = binary_mask(energies, 2.0)
         assert np.array_equal(mask.values, [[1, 0], [1, 1]])
 
     def test_tie_is_kept(self):
-        mask = binary_mask(EnergyMatrix(np.array([[5.0]]), "t"), 5.0)
+        mask = binary_mask(FeatureMatrix(np.array([[5.0]]), "t"), 5.0)
         assert mask.values[0, 0] == 1
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            energies = EnergyMatrix(random_energy_matrix(rng), "m")
+            energies = FeatureMatrix(random_energy_matrix(rng), "m")
             e_peak = peak_energy(energies)
             t1, t2 = sorted(rng.uniform(-90, 5, size=2))
             low = binary_mask(energies, energy_threshold(e_peak, t1)).values
@@ -208,23 +207,23 @@ class TestBinaryMask:
 class TestScalingCoefficient:
     def test_all_ones_mask(self):
         x = raw_feat([[2.0, 1.0, 1.0]])
-        mask = binary_mask(EnergyMatrix(np.ones((1, 3)), "m"), 0.0)
+        mask = binary_mask(FeatureMatrix(np.ones((1, 3)), "m"), 0.0)
         assert scaling_coefficient(x, mask) == 1.0
 
     def test_hand_example(self):
         x = raw_feat([[2.0, 1.0, 1.0]])
-        mask = binary_mask(EnergyMatrix(np.array([[1.0, 0.0, 1.0]]), "m"), 0.5)
+        mask = binary_mask(FeatureMatrix(np.array([[1.0, 0.0, 1.0]]), "m"), 0.5)
         assert scaling_coefficient(x, mask) == pytest.approx(4.0 / 3.0, rel=1e-15)
 
     def test_all_masked(self):
         x = raw_feat([[1.0, 1.0]])
-        mask = binary_mask(EnergyMatrix(np.zeros((1, 2)), "m"), 1.0)
+        mask = binary_mask(FeatureMatrix(np.zeros((1, 2)), "m"), 1.0)
         with pytest.raises(AllMaskedSignal):
             scaling_coefficient(x, mask)
 
     def test_shape_mismatch(self):
         x = raw_feat(np.ones((2, 3)))
-        mask = binary_mask(EnergyMatrix(np.ones((2, 2)), "m"), 0.0)
+        mask = binary_mask(FeatureMatrix(np.ones((2, 2)), "m"), 0.0)
         with pytest.raises(ValueError, match="vs mask"):
             scaling_coefficient(x, mask)
 
@@ -233,7 +232,7 @@ class TestScalingCoefficient:
         for _ in range(50):
             values = random_energy_matrix(rng)
             x = raw_feat(values ** (1 / 15))
-            energies = EnergyMatrix(values, "m")
+            energies = FeatureMatrix(values, "m")
             e_peak = peak_energy(energies)
             mask = binary_mask(energies, energy_threshold(e_peak, rng.uniform(-80, 0)))
             assert scaling_coefficient(x, mask) >= 1.0
@@ -288,7 +287,7 @@ class TestApplySem:
 
     def test_fallback_on_silence(self):
         _, _, x_ref, stats = _pipeline_inputs()
-        silent = EnergyMatrix(np.zeros_like(x_ref.values), x_ref.utterance_id)
+        silent = FeatureMatrix(np.zeros_like(x_ref.values), x_ref.utterance_id)
         x_raw = power_mel(fresh(silent))
         outcome = apply_sem(silent, stats, SemConfig(seed=3))
         assert outcome.fallback_applied
@@ -305,7 +304,7 @@ class TestApplySem:
 
     def test_shape_mismatch(self):
         _, energies, _, stats = _pipeline_inputs()
-        bad = EnergyMatrix(energies.values[:, :-1].copy(), energies.utterance_id)
+        bad = FeatureMatrix(energies.values[:, :-1].copy(), energies.utterance_id)
         with pytest.raises(ValueError, match="channels vs stats"):
             apply_sem(bad, stats, SemConfig())
         assert np.array_equal(bad.values, energies.values[:, :-1])
@@ -322,7 +321,7 @@ class TestApplySem:
         # buffers (the percentile's pool of a chunk and the top 5%, then r's
         # leaf sums)
         rng = np.random.default_rng(17)
-        energies = EnergyMatrix(random_energy_matrix(rng, 60000, 40), "mem")
+        energies = FeatureMatrix(random_energy_matrix(rng, 60000, 40), "mem")
         stats = accumulated_stats([power_mel(fresh(energies))])
         outcome, peak = traced_peak(lambda: apply_sem(energies, stats, SemConfig(seed=2)))
         assert not outcome.fallback_applied
@@ -347,7 +346,7 @@ class TestApplyFixedSem:
             assert outcome.scaling_r == 1.0
 
     def test_hand_chain(self):
-        energies = EnergyMatrix(np.array([[4.0, 1.0], [2.0, 8.0]]), "hand")
+        energies = FeatureMatrix(np.array([[4.0, 1.0], [2.0, 8.0]]), "hand")
         x_raw = power_mel(fresh(energies))
         stats = GlobalStats(np.zeros(2), np.ones(2), 2)
         # e_peak = 8; eta_th puts e_th exactly at 2.5
@@ -359,7 +358,7 @@ class TestApplyFixedSem:
         assert outcome.scaling_r == pytest.approx(expected_r, rel=1e-12)
 
     def test_minus_twenty_on_hand_matrix_keeps_all(self):
-        energies = EnergyMatrix(np.array([[4.0, 1.0], [2.0, 8.0]]), "hand")
+        energies = FeatureMatrix(np.array([[4.0, 1.0], [2.0, 8.0]]), "hand")
         x_raw = power_mel(fresh(energies))
         stats = GlobalStats(np.zeros(2), np.ones(2), 2)
         outcome = apply_fixed_sem(energies, stats, -20.0)

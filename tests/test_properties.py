@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from semaug import (  # noqa: E402
-    EnergyMatrix,
     FeatureConfig,
     FeatureMatrix,
     GlobalStats,
@@ -85,7 +84,7 @@ def energy_matrices(max_frames=30, max_channels=12):
     decades = st.one_of(st.just(-np.inf), st.floats(-8.0, 3.0))
     return shapes.flatmap(
         lambda shape: hnp.arrays(np.float64, shape, elements=decades).map(
-            lambda logs: EnergyMatrix(10.0 ** logs, "utt")
+            lambda logs: FeatureMatrix(10.0 ** logs, "utt")
         )
     )
 
@@ -97,7 +96,7 @@ def _unit_stats(num_channels):
 @settings(max_examples=100, deadline=None)
 @given(energies=energy_matrices(), eta_th=st.floats(-100.0, 10.0))
 def test_scaling_preserves_feature_sum(energies, eta_th):
-    x_raw = power_mel(EnergyMatrix(energies.values.copy(), "utt"))
+    x_raw = power_mel(FeatureMatrix(energies.values.copy(), "utt"))
     outcome = apply_fixed_sem(energies, _unit_stats(energies.num_channels), eta_th)
     if outcome.fallback_applied:
         return
@@ -199,7 +198,7 @@ def test_peak_selection_equals_partition(chunk, data):
         )
         flat = data.draw(hnp.arrays(np.float64, size, elements=pool))
     columns = data.draw(st.sampled_from([c for c in (1, 2, 5) if size % c == 0]))
-    energies = EnergyMatrix(flat.reshape(-1, columns), "utt")
+    energies = FeatureMatrix(flat.reshape(-1, columns), "utt")
     index = (95 * size + 99) // 100 - 1
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(masking, "CHUNK_BINS", chunk)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from semaug import EnergyMatrix, EtaHistogramAccumulator
+from semaug import EtaHistogramAccumulator, FeatureMatrix
 from semaug.masking import binary_mask, energy_threshold, eta, peak_energy
 from semaug import masking
 from semaug.errors import EmptyCorpus
@@ -20,7 +20,7 @@ from conftest import (
 
 
 def _matrices(rng, count=6):
-    return [EnergyMatrix(random_energy_matrix(rng), f"m{i}") for i in range(count)]
+    return [FeatureMatrix(random_energy_matrix(rng), f"m{i}") for i in range(count)]
 
 
 class TestEtaHistogram:
@@ -34,11 +34,11 @@ class TestEtaHistogram:
         assert first.bin_edges is second.bin_edges
         with pytest.raises(ValueError, match="read-only"):
             first.bin_edges[0] = 0.0
-        dist = accumulated_histogram([EnergyMatrix(np.full((2, 3), 1.0), "c")])
+        dist = accumulated_histogram([FeatureMatrix(np.full((2, 3), 1.0), "c")])
         assert dist.bin_edges is not first.bin_edges and dist.bin_edges.flags.writeable
 
     def test_constant_energies_fill_zero_db_bin(self):
-        dist = accumulated_histogram([EnergyMatrix(np.full((5, 8), 2.0), "c")])
+        dist = accumulated_histogram([FeatureMatrix(np.full((5, 8), 2.0), "c")])
         zero_bin = int(np.searchsorted(dist.bin_edges, 0.0))  # bin [0, 1)
         assert dist.pdf[zero_bin] == 1.0
         assert dist.pdf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -52,7 +52,7 @@ class TestEtaHistogram:
         # one bin at 1e-30 of the peak lands far below -100 dB
         values = np.full((2, 4), 5.0)
         values[0, 0] = 5e-30
-        dist = accumulated_histogram([EnergyMatrix(values, "clamp")])
+        dist = accumulated_histogram([FeatureMatrix(values, "clamp")])
         assert dist.pdf[0] == pytest.approx(1.0 / 8.0)
 
     def test_empty_corpus(self):
@@ -64,7 +64,7 @@ class TestEtaHistogram:
         matrices = _matrices(rng, 3)
         expected = accumulated_histogram(matrices)
         acc = EtaHistogramAccumulator()
-        assert acc.update(EnergyMatrix(np.zeros((6, 4)), "silent")) is False
+        assert acc.update(FeatureMatrix(np.zeros((6, 4)), "silent")) is False
         assert acc.counts.sum() == 0 and acc.energy.sum() == 0.0
         for m in matrices:
             assert acc.update(m) is True
@@ -75,7 +75,7 @@ class TestEtaHistogram:
     def test_merged_partials_keep_one_accumulator_bits(self):
         # as stats runs: one accumulator per utterance, merged in input order
         matrices = _matrices(np.random.default_rng(53), 8)
-        matrices.insert(3, EnergyMatrix(np.zeros((4, 6)), "silent"))
+        matrices.insert(3, FeatureMatrix(np.zeros((4, 6)), "silent"))
         serial = EtaHistogramAccumulator()
         merged = EtaHistogramAccumulator()
         for energies in matrices:
@@ -89,14 +89,14 @@ class TestEtaHistogram:
     def test_all_silent_corpus_is_empty(self):
         with pytest.raises(EmptyCorpus):
             accumulated_histogram(
-                [EnergyMatrix(np.zeros((3, 5)), "s0"), EnergyMatrix(np.zeros((2, 5)), "s1")]
+                [FeatureMatrix(np.zeros((3, 5)), "s0"), FeatureMatrix(np.zeros((2, 5)), "s1")]
             )
 
     def test_update_memory(self):
         # the peak's pool of a chunk and the top 5%, then one chunk of dB
         # ratios at a time
         rng = np.random.default_rng(49)
-        energies = EnergyMatrix(random_energy_matrix(rng, 60000, 40), "mem")
+        energies = FeatureMatrix(random_energy_matrix(rng, 60000, 40), "mem")
         acc = EtaHistogramAccumulator()
         _, peak = traced_peak(lambda: acc.update(energies))
         assert peak <= 4 * 8 * masking.CHUNK_BINS
@@ -108,9 +108,9 @@ class TestEtaHistogram:
         monkeypatch.setattr(masking, "CHUNK_BINS", 7)
         values = random_energy_matrix(np.random.default_rng(size), size, 1)
         acc = EtaHistogramAccumulator()
-        assert acc.update(EnergyMatrix(values, "c"))
+        assert acc.update(FeatureMatrix(values, "c"))
         flat = values.ravel()
-        ratios_db = (eta(flat, peak_energy(EnergyMatrix(values, "c"))) - acc.bin_edges[0]) / (
+        ratios_db = (eta(flat, peak_energy(FeatureMatrix(values, "c"))) - acc.bin_edges[0]) / (
             acc.bin_edges[1] - acc.bin_edges[0]
         )
         idx = np.clip(np.floor(ratios_db).astype(np.int64), 0, acc.counts.size - 1)
@@ -145,12 +145,12 @@ class TestEtaHistogram:
 class TestEnergyRatioCurve:
     def test_below_everything_is_zero(self):
         values = np.array([[4.0, 1.0], [2.0, 8.0]])
-        out = energy_ratio_curve([EnergyMatrix(values, "x")], [-500.0])
+        out = energy_ratio_curve([FeatureMatrix(values, "x")], [-500.0])
         assert out[0] == 0.0
 
     def test_above_everything_is_one(self):
         values = np.array([[4.0, 1.0], [2.0, 8.0]])
-        out = energy_ratio_curve([EnergyMatrix(values, "x")], [50.0])
+        out = energy_ratio_curve([FeatureMatrix(values, "x")], [50.0])
         assert out[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_hand_example(self):
@@ -158,7 +158,7 @@ class TestEnergyRatioCurve:
         # the dB ratio of the 4-entry, which the strict < excludes.
         values = np.array([[4.0, 1.0], [2.0, 8.0]])
         threshold = 10.0 * math.log10(4.0 / 8.0)
-        out = energy_ratio_curve([EnergyMatrix(values, "x")], [threshold])
+        out = energy_ratio_curve([FeatureMatrix(values, "x")], [threshold])
         assert out[0] == pytest.approx(3.0 / 15.0, rel=1e-12)
 
     def test_nondecreasing(self):
@@ -169,7 +169,7 @@ class TestEnergyRatioCurve:
 
     def test_requires_sorted_thresholds(self):
         with pytest.raises(ValueError):
-            energy_ratio_curve([EnergyMatrix(np.ones((2, 2)), "x")], [0.0, -10.0])
+            energy_ratio_curve([FeatureMatrix(np.ones((2, 2)), "x")], [0.0, -10.0])
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -180,14 +180,14 @@ class TestEnergyRatioCurve:
         matrices = _matrices(rng, 3)
         thresholds = np.arange(-100.0, 11.0, 5.0)
         expected = energy_ratio_curve(matrices, thresholds)
-        silent = EnergyMatrix(np.zeros((6, 4)), "silent")
+        silent = FeatureMatrix(np.zeros((6, 4)), "silent")
         out = energy_ratio_curve([silent, *matrices, silent], thresholds)
         assert np.array_equal(out, expected)
 
     def test_merged_partials_keep_one_accumulator_bits(self):
         # as stats runs: one accumulator per utterance, merged in input order
         matrices = _matrices(np.random.default_rng(53), 8)
-        matrices.insert(3, EnergyMatrix(np.zeros((4, 6)), "silent"))
+        matrices.insert(3, FeatureMatrix(np.zeros((4, 6)), "silent"))
         serial = EtaHistogramAccumulator()
         merged = EtaHistogramAccumulator()
         for energies in matrices:
@@ -199,7 +199,7 @@ class TestEnergyRatioCurve:
         assert np.array_equal(merged.energy, serial.energy)
 
     def test_all_silent_corpus_is_empty(self):
-        silent = [EnergyMatrix(np.zeros((3, 4)), "s0"), EnergyMatrix(np.zeros((0, 4)), "s1")]
+        silent = [FeatureMatrix(np.zeros((3, 4)), "s0"), FeatureMatrix(np.zeros((0, 4)), "s1")]
         with pytest.raises(EmptyCorpus):
             energy_ratio_curve(silent, [-20.0])
 
@@ -219,18 +219,18 @@ class TestEnergyRatioCurve:
 class TestMaskedFraction:
     def test_huge_threshold(self):
         values = np.random.default_rng(3).uniform(0.1, 1, size=(5, 5))
-        assert threshold_mask(EnergyMatrix(values, "x"), 100.0).masked_fraction == 1.0
+        assert threshold_mask(FeatureMatrix(values, "x"), 100.0).masked_fraction == 1.0
 
     def test_tiny_threshold(self):
         values = np.random.default_rng(4).uniform(0.1, 1, size=(5, 5))
-        assert threshold_mask(EnergyMatrix(values, "x"), -500.0).masked_fraction == 0.0
+        assert threshold_mask(FeatureMatrix(values, "x"), -500.0).masked_fraction == 0.0
 
     def test_empty(self):
         with pytest.raises(EmptyCorpus):
-            threshold_mask(EnergyMatrix(np.zeros((0, 2)), "e"), -20.0)
+            threshold_mask(FeatureMatrix(np.zeros((0, 2)), "e"), -20.0)
 
     def test_zero_peak_masks_nothing(self):
-        silent = EnergyMatrix(np.zeros((3, 4)), "silent")
+        silent = FeatureMatrix(np.zeros((3, 4)), "silent")
         assert threshold_mask(silent, -20.0) is None
 
     def test_equals_brute_force_count(self):
@@ -244,7 +244,7 @@ class TestMaskedFraction:
                 ratio_db = 10.0 * math.log10(max(entry, 1e-30) / sort_peak)
                 if ratio_db < threshold:
                     count += 1
-            frac = threshold_mask(EnergyMatrix(values, "bf"), threshold).masked_fraction
+            frac = threshold_mask(FeatureMatrix(values, "bf"), threshold).masked_fraction
             assert frac == count / values.size
 
     def test_matches_binary_mask_zero_fraction(self, mixed_corpus):

@@ -10,8 +10,9 @@ FMX1 layout (little-endian):
 
 The stats file is text: a header line "SEMSTATS v1 C=<channels> N=<frames>",
 both counts at least 1 and nothing else on the line, followed by C lines of
-"<channel> <mean> <std>". Floats are written with repr so a
-write/read/write cycle is byte-identical.
+"<channel> <mean> <std>", each line ending in "\n". Floats are written with
+repr, so a write/read/write cycle is byte-identical, and a file is read only
+if it is byte for byte what save_stats writes for the values it holds.
 
 Every writer goes through atomic_write, so a file at its final path is
 always complete. Its temporary is named `.<name>.<pid>.<tid>.tmp`;
@@ -139,21 +140,34 @@ def load_features(path: str | Path) -> np.ndarray:
     return data.reshape(frames, channels)
 
 
-def save_stats(path: str | Path, stats: GlobalStats) -> None:
-    """Write global stats as the SEMSTATS text format."""
+def _stats_text(stats: GlobalStats) -> str:
+    """The one SEMSTATS spelling of stats: save_stats writes it, and
+    load_stats accepts nothing else."""
     lines = [f"{STATS_HEADER_PREFIX} C={stats.num_channels} N={stats.num_frames_seen}"]
     for channel in range(stats.num_channels):
         mean = repr(float(stats.mean[channel]))
         std = repr(float(stats.std[channel]))
         lines.append(f"{channel} {mean} {std}")
+    return "\n".join(lines) + "\n"
+
+
+def save_stats(path: str | Path, stats: GlobalStats) -> None:
+    """Write global stats as the SEMSTATS text format."""
     with atomic_write(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(_stats_text(stats))
 
 
 def load_stats(path: str | Path) -> GlobalStats:
-    """Parse a SEMSTATS file back into GlobalStats."""
+    """Parse a SEMSTATS file back into GlobalStats.
+
+    Only the text save_stats writes is accepted: a file whose values parse
+    but are spelled otherwise (CRLF line ends, `+0`, `1e-1`, `0.1_0`, a
+    double space, no final newline) raises FormatError naming its first
+    line that differs.
+    """
     try:
-        text = Path(path).read_text(encoding="ascii")
+        # bytes decoded as they are: read_text would turn "\r\n" into "\n"
+        text = Path(path).read_bytes().decode("ascii")
     except UnicodeDecodeError as exc:
         raise FormatError(
             f"{path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} is not ASCII"
@@ -185,7 +199,14 @@ def load_stats(path: str | Path) -> GlobalStats:
         raise FormatError(f"{path}: mean and std fields must be finite")
     if np.any(std <= 0):
         raise FormatError(f"{path}: std fields must be strictly positive")
-    return GlobalStats(mean=mean, std=std, num_frames_seen=frames)
+    stats = GlobalStats(mean=mean, std=std, num_frames_seen=frames)
+    expected = _stats_text(stats).splitlines(keepends=True)
+    for number, (line, want) in enumerate(zip(text.splitlines(keepends=True), expected), 1):
+        if line != want:
+            raise FormatError(
+                f"{path}: line {number} {line!r} is not spelled as save_stats writes it, {want!r}"
+            )
+    return stats
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

@@ -21,6 +21,12 @@ holds one (M, C) float64 array plus its uint8 mask, never two. The peak
 percentile, at every size, keeps the largest 5% of the bins seen so far
 and takes in CHUNK_BINS more at a time; r's masked sum and dropout's draws
 work CHUNK_BINS bins at a time, with the bits of their whole-matrix forms.
+
+Input dropout draws from SplitMix64 over element counters, keyed by the
+utterance's stream digest: draw i is a pure function of (key, i), so a
+chunk computes its draws on its own, in integer numpy arithmetic that gives
+the same bits on every CPU, and no command imports numpy.random (whose
+secrets import loads OpenSSL's libcrypto).
 """
 
 from __future__ import annotations
@@ -54,6 +60,17 @@ CHUNK_BINS = 1 << 16
 
 # numpy's pairwise sum adds up to this many elements in one unrolled loop
 _PAIRWISE_BLOCK = 128
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), a counter-based stream:
+# draw i of key k is mix(k + (i + 1) * gamma mod 2**64), where mix is
+# three xor-shifts, the first two each followed by a multiply
+_UINT64_MASK = (1 << 64) - 1
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MIX = (
+    (30, np.uint64(0xBF58476D1CE4E5B9)),
+    (27, np.uint64(0x94D049BB133111EB)),
+    (31, None),
+)
 
 
 @dataclass(frozen=True)
@@ -301,28 +318,56 @@ def apply_fixed_sem(
     return _mask_and_normalize(energies, stats, eta_th_fixed)
 
 
+def _drop_bound(rate: float) -> int:
+    """The b with z < b exactly when (z >> 11) * 2**-53 < rate, for every
+    64-bit z: ceil(rate * 2**53) << 11, below 2**64 for rate < 1."""
+    return math.ceil(rate * (1 << 53)) << 11
+
+
 def input_dropout(features: FeatureMatrix, rate: float, seed: int) -> FeatureMatrix:
     """Inverted input dropout: zero each element with probability `rate`,
     scale survivors by 1/(1 - rate). Deterministic per (seed,
-    features.utterance_id).
+    features.utterance_id, shape).
+
+    Element i, counted in row-major order, is dropped when its SplitMix64
+    draw z = mix(child_seed + (i + 1) * 0x9E3779B97F4A7C15 mod 2**64) has
+    (z >> 11) * 2**-53 < rate, with child_seed the utterance's "dropout"
+    stream digest. Each draw is a function of its counter alone, so a chunk
+    of about CHUNK_BINS bins, rows in order, computes its own draws: the
+    same stream as one draw of the whole shape, whatever the chunk size or
+    the matrix's strides.
 
     In place: returns `features`, whose values must be a writable float64
     matrix. Dropped entries become +0.0 whatever their sign
     (multiplying by a 0/1 mask would leave -0.0 where a value was negative).
-    The uniform draws come about CHUNK_BINS at a time, rows in order: the
-    same stream as one draw of the whole shape.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"rate must be in [0, 1), got {rate}")
     values = writable_values(features)
-    if rate == 0.0:
+    if rate == 0.0 or values.size == 0:
         return features
     child_seed = int.from_bytes(_stream_digest(seed, features.utterance_id, "dropout"), "little")
-    rng = np.random.default_rng(child_seed)
-    rows = max(1, CHUNK_BINS // max(1, values.shape[1]))
-    for start in range(0, values.shape[0], rows):
+    bound = np.uint64(_drop_bound(rate))
+    frames, channels = values.shape
+    rows = max(1, CHUNK_BINS // channels)
+    # steps[j] = (j + 1) * gamma for the chunk's j-th bin; z and shifted are
+    # the draws and the mix's scratch, all three reused by every chunk
+    steps = np.arange(1, min(rows, frames) * channels + 1, dtype=np.uint64).reshape(-1, channels)
+    steps *= _SPLITMIX_GAMMA
+    z = np.empty_like(steps)
+    shifted = np.empty_like(steps)
+    dropped = np.empty(steps.shape, dtype=np.bool_)
+    for start in range(0, frames, rows):
         block = values[start : start + rows]
-        dropped = rng.random(block.shape) < rate
+        n = block.shape[0]
+        # the chunk's first counter is start * channels
+        key = (child_seed + start * channels * int(_SPLITMIX_GAMMA)) & _UINT64_MASK
+        draws = np.add(steps[:n], np.uint64(key), out=z[:n])
+        for shift, multiplier in _SPLITMIX_MIX:
+            draws ^= np.right_shift(draws, shift, out=shifted[:n])
+            if multiplier is not None:
+                draws *= multiplier
+        np.less(draws, bound, out=dropped[:n])
         block *= 1.0 / (1.0 - rate)
-        block[dropped] = 0.0
+        block[dropped[:n]] = 0.0
     return features

@@ -1,5 +1,6 @@
 """Shared fixtures: a default front-end config, small mixed corpora, corpus
-statistics through the accumulators, the front-end and energy-ratio oracles,
+statistics through the accumulators, the front-end, energy-ratio and dropout
+oracles (the last on a scalar SplitMix64 reference),
 every command run at a chosen thread count, and memory and page-fault
 probes."""
 
@@ -22,7 +23,7 @@ from semaug import (
     mel_filterbank,
     power_mel,
 )
-from semaug import cli
+from semaug import cli, masking
 from semaug.audio_io import synth_fixture, synth_speech_like
 from semaug.dsp import BLOCK_FRAMES, hamming_window
 from semaug.errors import EmptyCorpus
@@ -198,6 +199,33 @@ def random_energy_matrix(rng, num_frames=None, num_channels=None):
     channels = num_channels or int(rng.integers(1, 16))
     magnitudes = rng.uniform(-8.0, 3.0, size=(frames, channels))
     return 10.0 ** magnitudes
+
+
+def splitmix64(key, count):
+    """The first `count` SplitMix64 outputs keyed by `key`, one Python int at
+    a time: output i is mix(key + (i + 1) * 0x9E3779B97F4A7C15 mod 2**64)."""
+    mask = (1 << 64) - 1
+    outputs = []
+    for i in range(count):
+        z = (key + (i + 1) * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        outputs.append(z ^ (z >> 31))
+    return outputs
+
+
+def dropout_oracle(values, rate, seed, utterance_id):
+    """What input_dropout makes of values, one scalar draw per element: the
+    utterance's "dropout" stream digest keys SplitMix64, element i in
+    row-major order is dropped when (z_i >> 11) * 2**-53 < rate, and the
+    survivors are scaled by 1/(1 - rate)."""
+    values = np.asarray(values, dtype=np.float64)
+    key = int.from_bytes(masking._stream_digest(seed, utterance_id, "dropout"), "little")
+    draws = splitmix64(key, values.size)
+    dropped = np.array([(z >> 11) * 2.0**-53 < rate for z in draws], dtype=bool)
+    expected = values * (1.0 / (1.0 - rate))
+    expected[dropped.reshape(values.shape)] = 0.0
+    return expected
 
 
 def traced_peak(fn):

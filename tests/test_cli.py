@@ -1216,19 +1216,20 @@ def test_multi_block_utterances_run_on_workers_at_most_n_at_a_time(
         )
 
 
-# Run as `python -c _FIRST_TO_LOAD_OPENSSL <JSON list of argv lists>`: prints
-# the first step after which _hashlib, and with it OpenSSL's libcrypto, is
-# loaded (`import semaug`, `import semaug.cli` or one of the commands), or
-# nothing if no step loads it.
-_FIRST_TO_LOAD_OPENSSL = textwrap.dedent(
+# Run as `python -c _FIRST_TO_LOAD <JSON list of argv lists>`: prints the
+# first step (`import semaug`, `import semaug.cli` or one of the commands)
+# after which _hashlib, and with it OpenSSL's libcrypto, or numpy.random is
+# loaded, with the module's name, or nothing if no step loads either.
+_FIRST_TO_LOAD = textwrap.dedent(
     """
     import json
     import sys
 
     def check(step):
-        if "_hashlib" in sys.modules:
-            print(step)
-            sys.exit(0)
+        for module in ("_hashlib", "numpy.random"):
+            if module in sys.modules:
+                print(f"{step}: {module}")
+                sys.exit(0)
 
     import semaug
     check("import semaug")
@@ -1240,14 +1241,13 @@ _FIRST_TO_LOAD_OPENSSL = textwrap.dedent(
     """
 )
 
-# mask modes that may load OpenSSL, with the reason
-OPENSSL_MODES = {"dropout": "numpy.random imports secrets, which imports hmac and _hashlib"}
 
-
-def test_no_command_but_dropout_loads_openssl(tmp_path):
+def test_no_command_loads_openssl_or_numpy_random(tmp_path):
     # importing hashlib loads _hashlib, which maps OpenSSL's libcrypto:
     # about 3.5 MB more resident memory for a command that hashes nothing
-    # with it (masking's BLAKE2b comes from _blake2)
+    # with it (masking's BLAKE2b comes from _blake2); numpy.random imports
+    # secrets, which imports hmac and _hashlib (dropout draws from its own
+    # SplitMix64 stream instead)
     wavs = tmp_path / "wavs"
     make_corpus(wavs, mixed_waveforms(3, 0.5))
     stats = tmp_path / "f" / "global_stats.txt"
@@ -1256,13 +1256,13 @@ def test_no_command_but_dropout_loads_openssl(tmp_path):
         *(
             ["mask", "--in", str(wavs), "--stats", str(stats), "--mode", mode,
              *MODE_FLAGS[mode], "--out", str(tmp_path / mode)]
-            for mode in MODE_FLAGS if mode not in OPENSSL_MODES
+            for mode in MODE_FLAGS
         ),
         ["stats", "--in", str(wavs), "--out", str(tmp_path / "dist.csv")],
         ["render", "--in", str(wavs / "utt_000.wav"), "--eta-th", "-30",
          "--out", str(tmp_path / "utt_000.pgm")],
     ]
-    run = run_python(["-c", _FIRST_TO_LOAD_OPENSSL, json.dumps(commands)])
+    run = run_python(["-c", _FIRST_TO_LOAD, json.dumps(commands)])
     assert (run.returncode, run.stdout) == (0, ""), run.stderr
 
 

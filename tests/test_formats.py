@@ -260,6 +260,32 @@ class TestStatsFile:
         with pytest.raises(FormatError):
             load_stats(path)
 
+    _CANONICAL = "SEMSTATS v1 C=2 N=5\n0 0.1 0.1\n1 -0.0 2.0\n"
+
+    @pytest.mark.parametrize("text,line", [
+        (_CANONICAL.replace("\n", "\r\n"), 1),
+        ("SEMSTATS v1 C=2 N=5\n+0 0.1 0.1\n1 -0.0 2.0\n", 2),
+        ("SEMSTATS v1 C=2 N=5\n0 1e-1 0.1\n1 -0.0 2.0\n", 2),
+        ("SEMSTATS v1 C=2 N=5\n0 0.1 0.1_0\n1 -0.0 2.0\n", 2),
+        ("SEMSTATS v1 C=2 N=5\n0 0.1 0.1\n1  -0.0 2.0\n", 3),
+        (_CANONICAL[:-1], 3),
+        ("SEMSTATS v1 C=2 N=5\r\n+0 1e-1 0.1_0\r\n1  -0.0 +2\r\n", 1),
+    ], ids=["crlf", "plus-index", "exponent", "underscore", "double-space",
+            "no-final-newline", "all-at-once"])
+    def test_rejects_what_save_stats_does_not_write(self, tmp_path, text, line):
+        # each text holds the values of _CANONICAL, which loads, spelled otherwise
+        canonical = tmp_path / "good.txt"
+        canonical.write_bytes(self._CANONICAL.encode("ascii"))
+        save_stats(tmp_path / "resaved.txt", load_stats(canonical))
+        assert (tmp_path / "resaved.txt").read_bytes() == canonical.read_bytes()
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(FormatError, match="is not spelled as save_stats writes it") as exc:
+            load_stats(path)
+        written = self._CANONICAL.splitlines(keepends=True)[line - 1]
+        assert str(exc.value).startswith(f"{path}: line {line} ")
+        assert str(exc.value).endswith(repr(written))
+
     def test_rejects_non_ascii_naming_the_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"SEMSTATS v1 C=1 N=5\n0 0.0 1\xff0\n")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -30,7 +31,15 @@ from semaug.masking import (
 )
 from semaug import masking
 from semaug.errors import AllMaskedSignal, EmptyCorpus
-from conftest import accumulated_stats, fresh, random_energy_matrix, traced_peak
+from conftest import (
+    accumulated_stats,
+    dropout_oracle,
+    fresh,
+    random_energy_matrix,
+    run_python,
+    splitmix64,
+    traced_peak,
+)
 
 
 def raw_feat(values, uid="u"):
@@ -434,3 +443,74 @@ class TestInputDropout:
         assert np.array_equal(multiplied, out.values)
         assert np.all(np.signbit(multiplied[dropped]))
         assert multiplied.astype("<f4").tobytes() != out.values.astype("<f4").tobytes()
+
+    def test_golden_positions(self):
+        # the SplitMix64 stream of seed 7's "utt0000" must not move
+        out = input_dropout(raw_feat(np.ones((3, 7)), "utt0000"), 0.5, seed=7)
+        dropped = np.argwhere(out.values == 0.0).tolist()
+        assert dropped == [[0, 2], [1, 2], [1, 3], [1, 5], [2, 0], [2, 1], [2, 2]]
+        assert np.array_equal(out.values, dropout_oracle(np.ones((3, 7)), 0.5, 7, "utt0000"))
+
+    @pytest.mark.parametrize("layout", ["every-other-row", "fortran"])
+    def test_in_place_on_a_matrix_that_is_not_c_contiguous(self, monkeypatch, layout):
+        # chunks of three rows count their draws from row * C, so a strided
+        # or Fortran-ordered matrix is neither copied nor drawn in its
+        # memory order
+        monkeypatch.setattr(masking, "CHUNK_BINS", 21)
+        big = np.random.default_rng(9).uniform(0.5, 1.5, size=(40, 7))
+        original = big.copy()
+        values = big[::2] if layout == "every-other-row" else np.asfortranarray(big[:20])
+        assert not values.flags.c_contiguous
+        expected = dropout_oracle(values, 0.4, 3, "u")
+        x = raw_feat(values)
+        out = input_dropout(x, 0.4, seed=3)
+        assert out is x and out.values is values
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        if layout == "every-other-row":
+            assert np.array_equal(big[1::2], original[1::2])
+
+
+class TestSplitMix64:
+    def test_reference_gives_the_published_outputs(self):
+        assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 2**26 + 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1])
+    def test_integer_compare_equals_float_compare(self, k):
+        # rates on and next to k * 2**-53, and z on both sides of the bound
+        on = k * 2.0**-53
+        for rate in (on, math.nextafter(on, 0.0), math.nextafter(on, 1.0)):
+            if not 0.0 < rate < 1.0:
+                continue
+            bound = masking._drop_bound(rate)
+            assert bound < 2**64
+            top = bound >> 11
+            for high in (top - 2, top - 1, top, top + 1):
+                for low in (0, 1, 2**11 - 1):
+                    z = (high << 11) | low
+                    if 0 <= z < 2**64:
+                        assert (z < bound) == ((z >> 11) * 2.0**-53 < rate), (rate, z)
+
+    def test_rates_finer_than_the_draws(self):
+        # below 2**-53 only z >> 11 == 0 drops; at the largest rate below 1,
+        # every z >> 11 but the largest
+        assert masking._drop_bound(2.0**-60) == 1 << 11
+        assert masking._drop_bound(math.nextafter(1.0, 0.0)) == (2**53 - 1) << 11
+
+    def test_positions_do_not_depend_on_cpu_features(self):
+        # integer xor, shift, multiply and compare: the same dropped
+        # positions whichever SIMD kernels numpy dispatches to
+        code = textwrap.dedent(
+            """
+            import numpy as np
+            from semaug import FeatureMatrix, input_dropout
+            values = input_dropout(FeatureMatrix(np.ones((2000, 40)), "utt0000"), 0.3, 11).values
+            print(np.packbits(values == 0.0).tobytes().hex())
+            """
+        )
+        here = input_dropout(raw_feat(np.ones((2000, 40)), "utt0000"), 0.3, 11).values
+        expected = np.packbits(here == 0.0).tobytes().hex()
+        for disabled in ("", "X86_V4,AVX512_ICL,AVX512_SPR", "X86_V4,AVX512_ICL,AVX512_SPR,X86_V3"):
+            env = {"NPY_DISABLE_CPU_FEATURES": disabled} if disabled else {}
+            run = run_python(["-c", code], env=env)
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.strip() == expected, disabled

@@ -28,10 +28,12 @@ from semaug.audio_io import (  # noqa: E402
 from conftest import (  # noqa: E402
     MULTI_BLOCK_FRAMES,
     assert_same_trees,
+    dropout_oracle,
     run_every_command,
     waveform_of_frames,
 )
 from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES  # noqa: E402
+from semaug.errors import FormatError  # noqa: E402
 from semaug.formats import load_features, load_stats, save_features, save_stats  # noqa: E402
 from semaug.masking import (  # noqa: E402
     MaskMatrix,
@@ -157,6 +159,54 @@ def test_semstats_round_trip_is_exact(tmp_path_factory, num_channels, num_frames
     assert loaded.num_frames_seen == num_frames
 
 
+# characters a stats-file mutation inserts or writes over another with:
+# every one the SEMSTATS text or Python's int and float literals may hold
+_STATS_TEXT_CHARS = "0123456789+-._eEinfa SEMTATSv1C=N\t\r\n\x0b\x0c"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num_channels=st.integers(1, 3),
+    num_frames=st.integers(1, 99),
+    data=st.data(),
+)
+def test_every_accepted_semstats_text_is_what_save_stats_writes(
+    tmp_path_factory, num_channels, num_frames, data
+):
+    # a saved file with up to four characters inserted, deleted or written
+    # over: whatever load_stats accepts must be byte-equal to save_stats of
+    # the result
+    short = st.floats(-9.0, 9.0).map(lambda v: round(v, 2))
+    stats = GlobalStats(
+        mean=np.array(data.draw(st.lists(short, min_size=num_channels, max_size=num_channels))),
+        std=np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 10.0, 0.25]),
+                                        min_size=num_channels, max_size=num_channels))),
+        num_frames_seen=num_frames,
+    )
+    root = tmp_path_factory.mktemp("stats")
+    save_stats(root / "saved.txt", stats)
+    text = (root / "saved.txt").read_text(encoding="ascii")
+    edits = st.tuples(
+        st.sampled_from(["insert", "delete", "replace"]),
+        st.integers(0, len(text)),
+        st.sampled_from(_STATS_TEXT_CHARS),
+    )
+    for kind, at, char in data.draw(st.lists(edits, min_size=1, max_size=4)):
+        at = min(at, len(text))
+        if kind == "insert":
+            text = text[:at] + char + text[at:]
+        else:
+            text = text[:at] + (char if kind == "replace" else "") + text[at + 1 :]
+    mutated = root / "mutated.txt"
+    mutated.write_bytes(text.encode("ascii"))
+    try:
+        loaded = load_stats(mutated)
+    except FormatError:
+        return
+    save_stats(root / "resaved.txt", loaded)
+    assert (root / "resaved.txt").read_bytes() == mutated.read_bytes()
+
+
 # CHUNK_BINS values for the chunked reductions below: tiny ones force many
 # passes, leaves and draws on small matrices
 chunk_sizes = st.sampled_from([1, 2, 7, 8, 64, 200])
@@ -240,16 +290,11 @@ def test_masked_sum_bits_for_every_small_size(monkeypatch):
 )
 def test_chunked_dropout_equals_one_whole_draw(chunk, shape, rate, seed):
     values = np.random.default_rng(seed % 1000).standard_normal(shape)
-    # the whole-matrix reference: one draw of the full shape, scale, zero
-    child_seed = int.from_bytes(masking._stream_digest(seed, "utt", "dropout"), "little")
-    dropped = np.random.default_rng(child_seed).random(shape) < rate
-    expected = values * (1.0 / (1.0 - rate))
-    expected[dropped] = 0.0
+    # the whole-matrix reference: one scalar draw per element, row-major
+    expected = dropout_oracle(values, rate, seed, "utt")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(masking, "CHUNK_BINS", chunk)
         out = input_dropout(FeatureMatrix(values, "utt"), rate, seed).values
-    if rate == 0.0:
-        expected = values
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 

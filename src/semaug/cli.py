@@ -46,7 +46,9 @@ from .audio_io import WavReader
 from .dsp import FeatureConfig, filterbank_energies, multi_block
 from .errors import SemaugError
 from .features import StatsAccumulator, normalize, power_mel
-from .masking import SemConfig, apply_fixed_sem, apply_sem, input_dropout, threshold_mask
+from .masking import (
+    SemConfig, apply_fixed_sem, apply_sem, input_dropout, threshold_mask, zero_fraction,
+)
 from .stats import EtaHistogramAccumulator
 
 log = logging.getLogger("semaug")
@@ -396,9 +398,9 @@ def cmd_mask(args: argparse.Namespace) -> int:
                 outcome = apply_fixed_sem(energies, stats, args.eta_th)
             row = (
                 uid,
-                _fmt(outcome.mask.eta_th_used),
-                _fmt(outcome.mask.e_th_used),
-                _fmt(outcome.mask.masked_fraction),
+                _fmt(outcome.eta_th),
+                _fmt(outcome.e_th),
+                _fmt(zero_fraction(outcome.mask)),
                 _fmt(outcome.scaling_r),
                 str(int(outcome.fallback_applied)),
             )
@@ -406,8 +408,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
             normalize(power_mel(energies), stats)
             if args.mode == "dropout":
                 values = input_dropout(energies, args.rate, given.get("seed", 0)).values
-                zero_fraction = (values.size - np.count_nonzero(values)) / values.size
-                row = (uid, "", "", _fmt(zero_fraction), _fmt(1.0 / (1.0 - args.rate)), "0")
+                row = (uid, "", "", _fmt(zero_fraction(values)), _fmt(1.0 / (1.0 - args.rate)), "0")
             else:  # none
                 row = (uid, "", "", "", "", "")
         formats.save_features(out_dir / (path.stem + FEATURE_SUFFIX), energies.values)
@@ -468,7 +469,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     _check_output_dir(args.out)
 
     def worker(path: Path, energies):
-        mask = threshold_mask(energies, args.eta_th)
+        masked = threshold_mask(energies, args.eta_th)
         values = power_mel(energies).values
         lo, hi = float(values.min()), float(values.max())
         # width = frames, height = channels, channel 0 at the bottom row: the
@@ -482,8 +483,8 @@ def cmd_render(args: argparse.Namespace) -> int:
             image = values.T[::-1].astype(np.uint8, order="C")
         else:
             image = np.zeros(values.T.shape, dtype=np.uint8)
-        if mask is not None:
-            image *= mask.values.T[::-1]
+        if masked is not None:
+            image *= masked[0].T[::-1]
         formats.write_pgm(args.out, image)
         return image.shape
 

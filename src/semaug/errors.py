@@ -23,7 +23,3 @@ class FormatError(SemaugError):
 
 class EmptyCorpus(SemaugError):
     """No frames, bins or matrix entries to compute a statistic from."""
-
-
-class AllMaskedSignal(SemaugError):
-    """Mask removed (numerically) all feature mass; no scaling possible."""

@@ -11,9 +11,11 @@ The masking pipeline per utterance:
 
 The scaling coefficient is computed from raw (nonnegative) power-mel
 features; the mask multiplies the mean-subtracted values so masked bins
-are exactly zero. Utterances the mask would wipe out entirely (including
-all-silence input with zero peak energy) fall back to an unmasked
-pass-through with a flag instead of failing the batch.
+are exactly zero. An utterance with no r (all silence, so no peak to take a
+dB ratio from, or no mass left under the mask) falls back to an unmasked
+pass-through with a flag instead of failing the batch: one branch gives it
+the all-ones mask, -inf dB, zero energy and r = 1. zero_fraction is the
+share of a mask's bins it drops, or of dropout's outputs it zeroes.
 
 Steps 3-5 run in place on the energy matrix: the mask is built from the
 energies, which then become x_raw and then the output, so an utterance
@@ -42,13 +44,13 @@ from _blake2 import blake2b
 import numpy as np
 
 from .dsp import FeatureMatrix
-from .errors import AllMaskedSignal, EmptyCorpus
+from .errors import EmptyCorpus
 from .features import GlobalStats, check_channels, normalize, power_mel, writable_values
 
 # energies below this floor are clamped before the dB ratio (keeps eta finite)
 ETA_FLOOR = 1e-30
 
-# denominators below this are treated as "everything masked"
+# masked sums below this leave no r: "everything masked"
 MASKED_SUM_FLOOR = 1e-12
 
 PEAK_PERCENTILE = 95
@@ -89,22 +91,19 @@ class SemConfig:
 
 
 @dataclass(frozen=True)
-class MaskMatrix:
-    """Binary keep/drop mask with the thresholds that produced it."""
-
-    values: np.ndarray  # uint8, entries in {0, 1}
-    eta_th_used: float
-    e_th_used: float
-
-    @property
-    def masked_fraction(self) -> float:
-        return (self.values.size - np.count_nonzero(self.values)) / self.values.size
-
-
-@dataclass(frozen=True)
 class SemOutcome:
+    """One utterance's masking: its output features, the uint8 keep mask
+    (1 = kept), the dB and energy thresholds that made the mask, and r.
+
+    A fallback has the all-ones mask, eta_th = -inf, e_th = 0 and r = 1;
+    fallback_applied tells it apart from a threshold of -inf dB, which
+    keeps every bin too.
+    """
+
     features: FeatureMatrix
-    mask: MaskMatrix
+    mask: np.ndarray
+    eta_th: float
+    e_th: float
     scaling_r: float
     fallback_applied: bool
 
@@ -193,24 +192,18 @@ def energy_threshold(e_peak: float, eta_th: float) -> float:
     return e_peak * 10.0 ** (eta_th / 10.0)
 
 
-def binary_mask(
-    energies: FeatureMatrix,
-    e_th: float,
-    eta_th: float = math.nan,
-) -> MaskMatrix:
-    """Keep bins with energy >= e_th (ties kept), drop the rest.
-
-    eta_th is recorded as provenance only; the comparison runs in the
-    energy domain.
-    """
+def binary_mask(energies: FeatureMatrix, e_th: float) -> np.ndarray:
+    """The uint8 mask keeping bins with energy >= e_th (ties kept): 1 where
+    kept, 0 where dropped."""
     values = np.asarray(energies.values, dtype=np.float64)
     mask = np.empty(values.shape, dtype=np.uint8)
     np.greater_equal(values, e_th, out=mask.view(np.bool_))
-    return MaskMatrix(values=mask, eta_th_used=float(eta_th), e_th_used=float(e_th))
+    return mask
 
 
-def threshold_mask(energies: FeatureMatrix, eta_th: float) -> MaskMatrix | None:
-    """Keep bins within eta_th dB of the utterance's peak energy.
+def threshold_mask(energies: FeatureMatrix, eta_th: float) -> tuple[np.ndarray, float] | None:
+    """(mask, e_th): keep bins within eta_th dB of the utterance's peak
+    energy, e_th being that bound in the energy domain.
 
     Returns None when the peak energy is zero (all silence): no dB ratio
     exists, and the caller passes the utterance through unmasked.
@@ -218,7 +211,14 @@ def threshold_mask(energies: FeatureMatrix, eta_th: float) -> MaskMatrix | None:
     e_peak = peak_energy(energies)
     if e_peak <= 0:
         return None
-    return binary_mask(energies, energy_threshold(e_peak, eta_th), eta_th=eta_th)
+    e_th = energy_threshold(e_peak, eta_th)
+    return binary_mask(energies, e_th), e_th
+
+
+def zero_fraction(values: np.ndarray) -> float:
+    """The share of entries that are zero: a mask's dropped bins, or the
+    outputs input dropout zeroed."""
+    return (values.size - np.count_nonzero(values)) / values.size
 
 
 def _masked_sum(x: np.ndarray, mu: np.ndarray, buffer: np.ndarray) -> float:
@@ -237,32 +237,21 @@ def _masked_sum(x: np.ndarray, mu: np.ndarray, buffer: np.ndarray) -> float:
     return _masked_sum(x[:half], mu[:half], buffer) + _masked_sum(x[half:], mu[half:], buffer)
 
 
-def scaling_coefficient(x_raw: FeatureMatrix, mask: MaskMatrix) -> float:
+def scaling_coefficient(x_raw: FeatureMatrix, mask: np.ndarray) -> float | None:
     """Sum-preserving rescale factor r = sum(x) / sum(x * mu).
 
-    Raises AllMaskedSignal when the surviving mass is numerically zero;
-    the caller decides the fallback. The masked sum has the bits of
+    None when the surviving mass is below MASKED_SUM_FLOOR (numerically
+    zero); the caller decides the fallback. The masked sum has the bits of
     (x * mu).sum() and holds one CHUNK_BINS buffer, not the product.
     """
-    if x_raw.values.shape != mask.values.shape:
-        raise ValueError(f"features {x_raw.values.shape} vs mask {mask.values.shape}")
+    if x_raw.values.shape != mask.shape:
+        raise ValueError(f"features {x_raw.values.shape} vs mask {mask.shape}")
     numerator = float(x_raw.values.sum())
     leaf = min(x_raw.values.size, max(CHUNK_BINS, _PAIRWISE_BLOCK))
-    denominator = _masked_sum(x_raw.values.ravel(), mask.values.ravel(), np.empty(leaf))
+    denominator = _masked_sum(x_raw.values.ravel(), mask.ravel(), np.empty(leaf))
     if denominator < MASKED_SUM_FLOOR:
-        raise AllMaskedSignal(
-            f"{x_raw.utterance_id}: masked feature sum {denominator!r} below floor"
-        )
+        return None
     return numerator / denominator
-
-
-def _passthrough_mask(shape) -> MaskMatrix:
-    # Effective thresholds of an all-ones mask: -inf dB, zero energy.
-    return MaskMatrix(
-        values=np.ones(shape, dtype=np.uint8),
-        eta_th_used=-math.inf,
-        e_th_used=0.0,
-    )
 
 
 def _mask_and_normalize(
@@ -271,24 +260,20 @@ def _mask_and_normalize(
     eta_th: float,
 ) -> SemOutcome:
     check_channels(energies, stats)
-    mask = threshold_mask(energies, eta_th)
+    masked = threshold_mask(energies, eta_th)
     x_raw = power_mel(energies)
-    fallback = mask is None
-    if not fallback:
-        try:
-            scaling_r = scaling_coefficient(x_raw, mask)
-        except AllMaskedSignal:
-            fallback = True
+    scaling_r = None if masked is None else scaling_coefficient(x_raw, masked[0])
+    fallback = scaling_r is None
     if fallback:
-        mask = _passthrough_mask(x_raw.values.shape)
-        scaling_r = 1.0
+        # silence, or no mass left under the mask: pass through unmasked
+        masked = np.ones(x_raw.values.shape, dtype=np.uint8), 0.0
+        eta_th, scaling_r = -math.inf, 1.0
+    mask, e_th = masked
 
     output = normalize(x_raw, stats).values
-    output *= mask.values
+    output *= mask
     output *= scaling_r
-    return SemOutcome(
-        features=energies, mask=mask, scaling_r=scaling_r, fallback_applied=fallback
-    )
+    return SemOutcome(energies, mask, eta_th, e_th, scaling_r, fallback)
 
 
 def apply_sem(

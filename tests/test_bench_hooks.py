@@ -9,7 +9,7 @@ against the current sources, pin the bytes of a small corpus that
 corpus.py generates, run the benchmark once at its self-test size, and
 check that a traced featurize of a long file counts every frame its
 threaded front end transforms and one of short files records every file's
-write.
+write, and that a traced mask counts the fallback of a silent file.
 """
 
 import ast
@@ -22,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from semaug.audio_io import synth_speech_like, write_wav
+from semaug.audio_io import synth_fixture, synth_speech_like, write_wav
+from semaug.cli import main
 from semaug.dsp import FeatureConfig
 from conftest import run_python
 
@@ -144,6 +145,30 @@ def test_trace_records_every_short_file_on_every_thread(tmp_path):
     assert sorted(span[5] for span in saves) == uids
     if len(os.sched_getaffinity(0)) >= 2:
         assert len({span[6] for span in saves}) >= 2
+
+
+@pytest.mark.parametrize("mode_flags,traced", [
+    (["sem"], "masking.apply_sem"),
+    (["fixed", "--eta-th", "-20"], "masking.apply_fixed_sem"),
+], ids=["sem", "fixed"])
+def test_trace_counts_the_fallback_of_a_silent_file(tmp_path, mode_flags, traced):
+    wavs = tmp_path / "wavs"
+    wavs.mkdir()
+    for i, uid in enumerate(("utt_0", "utt_1")):
+        write_wav(wavs / f"{uid}.wav", synth_speech_like(0.5, seed=i, utterance_id=uid))
+    write_wav(wavs / "quiet.wav", synth_fixture("silence", 0.5, utterance_id="quiet"))
+    assert main(["featurize", "--in", str(wavs), "--out", str(tmp_path / "feats")]) == 0
+    result_path = tmp_path / "result.json"
+    run = run_python([
+        str(ROOT / "perfbench" / "child.py"), str(result_path), "--trace",
+        "mask", "--in", str(wavs), "--stats", str(tmp_path / "feats" / "global_stats.txt"),
+        "--mode", *mode_flags, "--out", str(tmp_path / "masked"),
+    ])
+    assert run.returncode == 0, run.stderr
+    spans = json.loads(result_path.read_text(encoding="ascii"))["spans"]
+    masks = [span for span in spans if span[1] == traced]
+    assert sorted(span[5] for span in masks) == ["quiet", "utt_0", "utt_1"]
+    assert sum(span[7] for span in masks) == 1
 
 
 def test_tiny_benchmark_run():

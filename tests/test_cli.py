@@ -358,6 +358,24 @@ class TestMask:
         rows = read_manifest(out / "manifest.csv")
         assert all(row["eta_th"] == "-20" for row in rows)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "mode_flags", [["sem"], ["fixed", "--eta-th", "-20"]], ids=["sem", "fixed"]
+    )
+    def test_silent_utterance_falls_back(
+        self, tmp_path, corpus_dir, featurized, mode_flags, workers
+    ):
+        # no dB ratio exists for silence: the row holds the effective
+        # thresholds of the all-ones mask, -inf dB and 0 energy, r = 1
+        make_corpus(corpus_dir, [synth_fixture("silence", 0.5, utterance_id="quiet")])
+        out = tmp_path / "m"
+        assert main([
+            "mask", "--in", str(corpus_dir), "--stats", str(self._stats_path(featurized)),
+            "--mode", *mode_flags, "--workers", workers, "--out", str(out),
+        ]) == 0
+        lines = (out / "manifest.csv").read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("quiet,")] == ["quiet,-inf,0,0,1,1"]
+
     def test_flag_mode_mismatch_exits_2(self, tmp_path, corpus_dir, featurized):
         stats = str(self._stats_path(featurized))
         out = str(tmp_path / "m")

@@ -16,6 +16,7 @@ from semaug import (
     apply_sem,
     filterbank_energies,
     input_dropout,
+    normalize,
     power_mel,
 )
 from semaug.audio_io import Waveform, synth_fixture, synth_speech_like
@@ -28,9 +29,10 @@ from semaug.masking import (
     sample_threshold,
     scaling_coefficient,
     threshold_mask,
+    zero_fraction,
 )
 from semaug import masking
-from semaug.errors import AllMaskedSignal, EmptyCorpus
+from semaug.errors import EmptyCorpus
 from conftest import (
     accumulated_stats,
     dropout_oracle,
@@ -187,20 +189,20 @@ class TestEnergyThreshold:
 class TestBinaryMask:
     def test_zero_threshold_keeps_all(self):
         mask = binary_mask(FeatureMatrix(np.abs(np.random.default_rng(1).normal(size=(3, 4))), "a"), 0.0)
-        assert np.all(mask.values == 1)
+        assert np.all(mask == 1)
 
     def test_above_max_drops_all(self):
         mask = binary_mask(FeatureMatrix(np.ones((3, 4)), "b"), 2.0)
-        assert np.all(mask.values == 0)
+        assert np.all(mask == 0)
 
     def test_hand_example(self):
         energies = FeatureMatrix(np.array([[4.0, 1.0], [2.0, 8.0]]), "h")
         mask = binary_mask(energies, 2.0)
-        assert np.array_equal(mask.values, [[1, 0], [1, 1]])
+        assert np.array_equal(mask, [[1, 0], [1, 1]])
 
     def test_tie_is_kept(self):
         mask = binary_mask(FeatureMatrix(np.array([[5.0]]), "t"), 5.0)
-        assert mask.values[0, 0] == 1
+        assert mask[0, 0] == 1
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(7)
@@ -208,8 +210,8 @@ class TestBinaryMask:
             energies = FeatureMatrix(random_energy_matrix(rng), "m")
             e_peak = peak_energy(energies)
             t1, t2 = sorted(rng.uniform(-90, 5, size=2))
-            low = binary_mask(energies, energy_threshold(e_peak, t1)).values
-            high = binary_mask(energies, energy_threshold(e_peak, t2)).values
+            low = binary_mask(energies, energy_threshold(e_peak, t1))
+            high = binary_mask(energies, energy_threshold(e_peak, t2))
             assert np.all(low >= high)
 
 
@@ -227,8 +229,7 @@ class TestScalingCoefficient:
     def test_all_masked(self):
         x = raw_feat([[1.0, 1.0]])
         mask = binary_mask(FeatureMatrix(np.zeros((1, 2)), "m"), 1.0)
-        with pytest.raises(AllMaskedSignal):
-            scaling_coefficient(x, mask)
+        assert scaling_coefficient(x, mask) is None
 
     def test_shape_mismatch(self):
         x = raw_feat(np.ones((2, 3)))
@@ -263,7 +264,7 @@ class TestApplySem:
         outcome = apply_sem(energies, stats, cfg)
         assert outcome.scaling_r == 1.0
         assert not outcome.fallback_applied
-        assert np.all(outcome.mask.values == 1)
+        assert np.all(outcome.mask == 1)
         expected = divide_std(subtract_mean(x_raw, stats), stats).values
         assert np.array_equal(outcome.features.values, expected)
 
@@ -275,7 +276,7 @@ class TestApplySem:
             outcome = apply_fixed_sem(fresh(energies), stats, eta_th)
             if outcome.fallback_applied:
                 continue
-            masked_sum = (outcome.scaling_r * outcome.mask.values * x_raw.values).sum()
+            masked_sum = (outcome.scaling_r * outcome.mask * x_raw.values).sum()
             total = x_raw.values.sum()
             assert abs(masked_sum - total) / total <= 1e-6
 
@@ -290,7 +291,7 @@ class TestApplySem:
             x_raw = power_mel(fresh(energies))
             stats = accumulated_stats([x_raw])
             outcome = apply_sem(energies, stats, sem)
-            masks.append(outcome.mask.values)
+            masks.append(outcome.mask)
         assert np.array_equal(masks[0], masks[1])
         assert np.array_equal(masks[1], masks[2])
 
@@ -301,15 +302,15 @@ class TestApplySem:
         outcome = apply_sem(silent, stats, SemConfig(seed=3))
         assert outcome.fallback_applied
         assert outcome.scaling_r == 1.0
-        assert np.all(outcome.mask.values == 1)
+        assert np.all(outcome.mask == 1)
         expected = divide_std(subtract_mean(x_raw, stats), stats).values
         assert np.array_equal(outcome.features.values, expected)
 
     def test_masked_bins_are_exactly_zero(self):
         _, energies, _, stats = _pipeline_inputs(seed=4, kind="chirp")
         outcome = apply_fixed_sem(energies, stats, -20.0)
-        assert np.any(outcome.mask.values == 0)
-        assert np.all(outcome.features.values[outcome.mask.values == 0] == 0.0)
+        assert np.any(outcome.mask == 0)
+        assert np.all(outcome.features.values[outcome.mask == 0] == 0.0)
 
     def test_shape_mismatch(self):
         _, energies, _, stats = _pipeline_inputs()
@@ -334,14 +335,14 @@ class TestApplySem:
         stats = accumulated_stats([power_mel(fresh(energies))])
         outcome, peak = traced_peak(lambda: apply_sem(energies, stats, SemConfig(seed=2)))
         assert not outcome.fallback_applied
-        assert peak <= outcome.mask.values.nbytes + 4 * 8 * masking.CHUNK_BINS
+        assert peak <= outcome.mask.nbytes + 4 * 8 * masking.CHUNK_BINS
 
     def test_same_seed_same_outcome(self):
         _, energies, x_raw, stats = _pipeline_inputs(seed=6)
         cfg = SemConfig(seed=123)
         a = apply_sem(fresh(energies), stats, cfg)
         b = apply_sem(fresh(energies), stats, cfg)
-        assert a.mask.eta_th_used == b.mask.eta_th_used
+        assert a.eta_th == b.eta_th
         assert np.array_equal(a.features.values, b.features.values)
 
 
@@ -351,7 +352,7 @@ class TestApplyFixedSem:
             _, energies, _, stats = _pipeline_inputs(seed=2, kind=kind)
             outcome = apply_fixed_sem(energies, stats, -200.0)
             assert not outcome.fallback_applied
-            assert np.all(outcome.mask.values == 1)
+            assert np.all(outcome.mask == 1)
             assert outcome.scaling_r == 1.0
 
     def test_hand_chain(self):
@@ -361,8 +362,8 @@ class TestApplyFixedSem:
         # e_peak = 8; eta_th puts e_th exactly at 2.5
         eta_th = 10.0 * math.log10(2.5 / 8.0)
         outcome = apply_fixed_sem(energies, stats, eta_th)
-        assert outcome.mask.e_th_used == pytest.approx(2.5, rel=1e-12)
-        assert np.array_equal(outcome.mask.values, [[1, 0], [0, 1]])
+        assert outcome.e_th == pytest.approx(2.5, rel=1e-12)
+        assert np.array_equal(outcome.mask, [[1, 0], [0, 1]])
         expected_r = x_raw.values.sum() / (x_raw.values[0, 0] + x_raw.values[1, 1])
         assert outcome.scaling_r == pytest.approx(expected_r, rel=1e-12)
 
@@ -372,7 +373,7 @@ class TestApplyFixedSem:
         stats = GlobalStats(np.zeros(2), np.ones(2), 2)
         outcome = apply_fixed_sem(energies, stats, -20.0)
         # e_th = 0.08, below every entry
-        assert np.all(outcome.mask.values == 1)
+        assert np.all(outcome.mask == 1)
 
     def test_repeated_calls_identical(self):
         _, energies, _, stats = _pipeline_inputs(seed=9)
@@ -388,9 +389,35 @@ class TestApplyFixedSem:
             energies = filterbank_energies(wav, cfg_feat)
             x_raw = power_mel(fresh(energies))
             stats = accumulated_stats([x_raw])
-            expected = threshold_mask(energies, -20.0).masked_fraction
+            expected = zero_fraction(threshold_mask(energies, -20.0)[0])
             outcome = apply_fixed_sem(energies, stats, -20.0)
-            assert outcome.mask.masked_fraction == expected
+            assert zero_fraction(outcome.mask) == expected
+
+    def test_floor_fallback_through_both_masks(self):
+        # a positive peak, but the kept power-mel mass (12 * 5e-324 ** (1/15),
+        # about 3e-21) is below MASKED_SUM_FLOOR: r is None, so pass through
+        energies = FeatureMatrix(np.full((3, 4), 5e-324), "tiny")
+        stats = GlobalStats(np.zeros(4), np.ones(4), 3)
+        expected = normalize(power_mel(fresh(energies)), stats).values
+        assert peak_energy(energies) > 0.0
+        for outcome in (
+            apply_sem(fresh(energies), stats, SemConfig()),
+            apply_fixed_sem(fresh(energies), stats, -20.0),
+        ):
+            assert outcome.fallback_applied
+            assert outcome.eta_th == -math.inf
+            assert outcome.e_th == 0.0
+            assert outcome.scaling_r == 1.0
+            assert outcome.mask.dtype == np.uint8
+            assert np.all(outcome.mask == 1)
+            assert np.array_equal(outcome.features.values, expected)
+        # a threshold of -inf dB keeps every bin too, but is no fallback
+        _, ordinary, _, ordinary_stats = _pipeline_inputs(seed=3)
+        outcome = apply_fixed_sem(ordinary, ordinary_stats, -math.inf)
+        assert not outcome.fallback_applied
+        assert outcome.eta_th == -math.inf
+        assert np.all(outcome.mask == 1)
+        assert outcome.scaling_r == 1.0
 
 
 class TestInputDropout:

@@ -10,7 +10,7 @@ from semaug import EtaHistogramAccumulator, FeatureMatrix
 from semaug.masking import binary_mask, energy_threshold, eta, peak_energy
 from semaug import masking
 from semaug.errors import EmptyCorpus
-from semaug.masking import threshold_mask
+from semaug.masking import threshold_mask, zero_fraction
 from conftest import (
     accumulated_histogram,
     energy_ratio_curve,
@@ -219,11 +219,11 @@ class TestEnergyRatioCurve:
 class TestMaskedFraction:
     def test_huge_threshold(self):
         values = np.random.default_rng(3).uniform(0.1, 1, size=(5, 5))
-        assert threshold_mask(FeatureMatrix(values, "x"), 100.0).masked_fraction == 1.0
+        assert zero_fraction(threshold_mask(FeatureMatrix(values, "x"), 100.0)[0]) == 1.0
 
     def test_tiny_threshold(self):
         values = np.random.default_rng(4).uniform(0.1, 1, size=(5, 5))
-        assert threshold_mask(FeatureMatrix(values, "x"), -500.0).masked_fraction == 0.0
+        assert zero_fraction(threshold_mask(FeatureMatrix(values, "x"), -500.0)[0]) == 0.0
 
     def test_empty(self):
         with pytest.raises(EmptyCorpus):
@@ -244,7 +244,7 @@ class TestMaskedFraction:
                 ratio_db = 10.0 * math.log10(max(entry, 1e-30) / sort_peak)
                 if ratio_db < threshold:
                     count += 1
-            frac = threshold_mask(FeatureMatrix(values, "bf"), threshold).masked_fraction
+            frac = zero_fraction(threshold_mask(FeatureMatrix(values, "bf"), threshold)[0])
             assert frac == count / values.size
 
     def test_matches_binary_mask_zero_fraction(self, mixed_corpus):
@@ -252,4 +252,4 @@ class TestMaskedFraction:
             e_peak = peak_energy(energies)
             for threshold in (-60.0, -20.0, -5.0, 0.0, 5.0):
                 mask = binary_mask(energies, energy_threshold(e_peak, threshold))
-                assert threshold_mask(energies, threshold).masked_fraction == mask.masked_fraction
+                assert zero_fraction(threshold_mask(energies, threshold)[0]) == zero_fraction(mask)

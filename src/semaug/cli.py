@@ -18,10 +18,11 @@ thread and one pool of N x T - 1, for --workers N (stats and render have
 one) and T = max(1, C // N), C being the CPUs in the process's affinity
 mask. Each of them takes whole utterances of fewer than two front-end
 blocks. An utterance of two or more runs after those on the calling thread
-or one of N - 1 pool threads, at most N at a time, its front end computed
-there and on T - 1 of the other N x (T - 1) pool threads. main holds
-OpenBLAS to one thread, once per process and with no restore. Neither count
-changes an output byte or a log line, and no thread outlives the command.
+or one of N - 1 pool threads, at most N at a time, its front end's blocks
+claimed there and on up to T - 1 of the other N x (T - 1) pool threads.
+Files and blocks are claimed by one loop, dsp.share. main holds OpenBLAS to
+one thread, once per process and with no restore. Neither count changes an
+output byte or a log line, and no thread outlives the command.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ import logging
 import math
 import os
 import sys
-import threading
-from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from . import formats
 from .audio_io import WavReader
-from .dsp import FeatureConfig, filterbank_energies, multi_block
+from .dsp import FeatureConfig, filterbank_energies, multi_block, share
 from .errors import SemaugError
 from .features import StatsAccumulator, normalize, power_mel
 from .masking import (
@@ -223,9 +222,10 @@ def _run_utterances(paths, worker, num_workers: int):
     pool of N * T - 1, N = num_workers. First all of them take whole
     utterances of fewer than two front-end blocks (dsp.multi_block), in
     input order; then the calling thread and N - 1 pool threads take the
-    multi-block ones, each computing its front end on itself and T - 1 of
-    the N * (T - 1) pool threads left. At T = 1 the first pass takes every
-    utterance. Every thread has ended when this returns or raises. A
+    multi-block ones, each sharing its front end's blocks with up to T - 1
+    of the N * (T - 1) pool threads left, all through dsp.share. At T = 1
+    the first pass takes every utterance. Every thread has ended when this
+    returns or raises. A
     SemaugError or OSError fails only its file, which is logged after the
     run and yields no result. Input order holds whatever the thread counts.
     """
@@ -251,8 +251,8 @@ def _run_utterances(paths, worker, num_workers: int):
     # always takes part, as a pool thread in its place would bring a malloc
     # arena of its own, 3.6 MB more peak RSS on a 600 s file
     with ThreadPoolExecutor(max(1, num_workers * threads - 1), "semaug-pool") as pool:
-        _share(range(len(paths)), attempt, pool, num_workers * threads)
-        _share(sorted(deferred), lambda index: attempt(index, pool), pool, num_workers)
+        share(range(len(paths)), attempt, pool, num_workers * threads)
+        share(sorted(deferred), lambda index: attempt(index, pool), pool, num_workers)
     results = []
     for path, outcome in zip(paths, outcomes):
         if isinstance(outcome, Exception):
@@ -260,39 +260,6 @@ def _run_utterances(paths, worker, num_workers: int):
         else:
             results.append(outcome)
     return results, len(paths) - len(results)
-
-
-def _share(indices, run, pool, threads: int) -> None:
-    """Call run(index) for each of indices, claimed in order by the calling
-    thread and threads - 1 threads of pool. No more threads than indices
-    take part, and this returns when every call has ended. An exception
-    that escapes run, or interrupts the calling thread, ends all claims and
-    is raised here: the calling thread's own, else the first pool thread's
-    in the order they were started."""
-    claims = iter(indices)
-    lock = threading.Lock()
-    done = threading.Event()
-
-    def claim_until_done() -> None:
-        try:
-            while not done.is_set():
-                with lock:
-                    index = next(claims, None)
-                if index is None:
-                    return
-                run(index)
-        finally:
-            # after the last claim, or an exception, no thread claims again
-            done.set()
-
-    pending = [pool.submit(claim_until_done) for _ in range(min(threads, len(indices)) - 1)]
-    try:
-        claim_until_done()
-    finally:
-        done.set()
-        futures.wait(pending)
-    for future in pending:
-        future.result()
 
 
 def _sweep_stale_temporaries(*directories: Path) -> None:
@@ -335,9 +302,6 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     corpus_acc = StatsAccumulator()
     for acc in accumulators:
         corpus_acc.merge(acc)
-    if corpus_acc.count == 0:
-        log.error("no utterance produced features")
-        return EXIT_USAGE
     formats.save_stats(stats_path, corpus_acc.finalize())
     log.info("featurized %d utterances (%d failed), stats at %s",
              len(accumulators), failures, stats_path)
@@ -443,10 +407,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             log.info("%s has zero peak energy (silence): no bins added", path.name)
         else:
             acc.merge(partial)
-    if int(acc.counts.sum()) == 0:
-        log.error("empty corpus")
-        return EXIT_USAGE
-
     dist = acc.finalize()
     with formats.atomic_write(out_path, "w", encoding="ascii", newline="") as handle:
         handle.write("eta_db,pdf,cdf,energy_ratio\n")

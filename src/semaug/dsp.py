@@ -20,20 +20,22 @@ span at a time into one reused buffer. Within a block the window and FFT
 run SUB_BLOCK_FRAMES (64) rows at a time through one zero-padded float64
 workspace; only the block's power spectrum, the input of its mel matmul,
 is held at full block height. Every frame is read and transformed once; a
-final partial block's matmul runs on past its new frames into at most 511
-padding rows.
+final partial block zeroes its power rows past its new frames, and its
+matmul runs on into at most 511 padding rows.
 
-Given a thread pool, an utterance of two or more whole blocks (see
-multi_block) is cut into contiguous ranges of blocks computed on several
-threads, each range with its own block buffers (about 1.6 MB); every block
-is computed as it would be serially, so the bits do not depend on the
-split. Called without a pool, as a library call is, the front end runs
-serially.
+Given a thread pool and a thread count T, the calling thread and up to
+T - 1 pool threads claim an utterance's blocks in order through share,
+each thread with its own block buffers (about 1.6 MB); every block is
+computed as it would be serially, so the bits do not depend on which
+thread takes it. share is also the CLI's loop over files, the package's
+one fan-out. Called without a pool, as a library call is, the front end
+runs serially.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from concurrent import futures
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -111,7 +113,7 @@ def hamming_window(length: int) -> np.ndarray:
 @functools.cache
 def _analysis_window(cfg: FeatureConfig) -> np.ndarray:
     """The front end's Hamming window, built once per process and shared
-    by every range of every utterance: read-only, like mel_filterbank's
+    by every block of every utterance: read-only, like mel_filterbank's
     weights."""
     window = hamming_window(cfg.window_samples)
     window.flags.writeable = False
@@ -121,7 +123,7 @@ def _analysis_window(cfg: FeatureConfig) -> np.ndarray:
 def multi_block(num_samples: int, cfg: FeatureConfig) -> bool:
     """Whether num_samples samples make two or more whole blocks of frames
     (2 * BLOCK_FRAMES = 1024 frames, about 10.3 s): the only utterances
-    whose front end filterbank_energies splits over threads."""
+    whose front end the CLI gives a thread pool."""
     return num_samples >= cfg.window_samples + (2 * BLOCK_FRAMES - 1) * cfg.hop_samples
 
 
@@ -216,22 +218,18 @@ def filterbank_energies(
     row gets the bits of a BLOCK_FRAMES-row product (of one M-row product
     when M < BLOCK_FRAMES); some OpenBLAS kernels round the rows of another
     height's product, a whole-utterance one too, otherwise. That last block
-    reads and transforms only its new frames; the rest of its power rows
-    still hold the block before it, and their products land in padding rows
-    that nothing reads. Power rows are filled SUB_BLOCK_FRAMES at a time: the
-    windowed frames are written, promoted to float64 exactly, into the
-    first L columns of a zeroed (sub-block, fft_size) workspace whose other
-    columns stay zero, so the FFT sees the zero-padded frames and needs no
-    padding copy of its own.
+    reads and transforms only its new frames and zeroes the rest of its
+    power rows, whose products land in padding rows that nothing reads.
+    Power rows are filled SUB_BLOCK_FRAMES at a time: the windowed frames
+    are written, promoted to float64 exactly, into the first L columns of a
+    zeroed (sub-block, fft_size) workspace whose other columns stay zero,
+    so the FFT sees the zero-padded frames and needs no padding copy of its
+    own.
 
-    With a pool and threads > 1, the blocks are cut into up to `threads`
-    contiguous ranges of whole blocks, each at least one whole block long,
-    so no range starts at the final partial block. The calling thread
-    computes the first range and pool threads the others, each range with
-    its own buffers; the calling thread waits for them all, then raises the
-    error of the earliest range that failed, the error a serial run would
-    raise. Without a pool, or with fewer than two whole blocks, all runs on
-    the calling thread.
+    The blocks are claimed in order through share by the calling thread
+    and, given a pool, up to threads - 1 of its threads, each with one set
+    of block buffers allocated here on the calling thread; the lowest
+    failed block's error is raised, as a serial run would raise it.
     """
     if source.sample_rate_hz != cfg.sample_rate_hz:
         name = source.path if isinstance(source, WavReader) else source.utterance_id
@@ -239,58 +237,86 @@ def filterbank_energies(
             f"{name}: sample rate {source.sample_rate_hz} != configured {cfg.sample_rate_hz}"
         )
     _check_length(source.num_samples, cfg, source.utterance_id)
-    num_frames = 1 + (source.num_samples - cfg.window_samples) // cfg.hop_samples
+    length, hop = cfg.window_samples, cfg.hop_samples
+    num_frames = 1 + (source.num_samples - length) // hop
     block_rows = min(num_frames, BLOCK_FRAMES)
-    padded_frames = -(-num_frames // block_rows) * block_rows
-    energies = np.empty((padded_frames, cfg.num_channels))
-    ranges = 1 if pool is None else max(1, min(threads, num_frames // BLOCK_FRAMES))
-    edges = [r * num_frames // (ranges * BLOCK_FRAMES) * BLOCK_FRAMES for r in range(ranges)]
-    jobs = [
-        _range_job(source, cfg, energies, first, stop)
-        for first, stop in zip(edges, edges[1:] + [num_frames])
+    num_blocks = -(-num_frames // block_rows)
+    energies = np.empty((num_blocks * block_rows, cfg.num_channels))
+    window = _analysis_window(cfg)
+    weights_t = mel_filterbank(cfg).T
+    streamed = isinstance(source, WavReader)
+    span = (block_rows - 1) * hop + length
+    claimers = 1 if pool is None else min(threads, num_blocks)
+    # one set per claiming thread, so a set is always free (a failed block
+    # keeps its set, as its thread claims no other)
+    free = [
+        (
+            np.empty(span, dtype=np.float32) if streamed else None,
+            np.empty((block_rows, cfg.fft_size // 2 + 1)),
+            np.zeros((min(block_rows, SUB_BLOCK_FRAMES), cfg.fft_size)),
+        )
+        for _ in range(claimers)
     ]
-    helpers = [pool.submit(job) for job in jobs[1:]]
-    try:
-        jobs[0]()
-    finally:
-        futures.wait(helpers)
-    for helper in helpers:
-        helper.result()
+
+    def compute_block(index: int) -> None:
+        samples, power, workspace = free.pop()
+        start = index * block_rows
+        new = min(block_rows, num_frames - start)
+        lo = start * hop
+        hi = lo + (new - 1) * hop + length
+        if streamed:
+            block = read_wav(source, lo, hi, out=samples)
+        else:
+            block = Waveform(source.samples[lo:hi], source.sample_rate_hz, source.utterance_id)
+        frames = frame_signal(block, cfg)
+        for row in range(0, new, SUB_BLOCK_FRAMES):
+            rows = min(SUB_BLOCK_FRAMES, new - row)
+            np.multiply(frames[row : row + rows], window, out=workspace[:rows, :length])
+            power_spectrum(workspace[:rows], cfg.fft_size, out=power[row : row + rows])
+        power[new:] = 0.0
+        np.matmul(power, weights_t, out=energies[start : start + block_rows])
+        free.append((samples, power, workspace))
+
+    share(range(num_blocks), compute_block, pool, claimers)
     return FeatureMatrix(values=energies[:num_frames], utterance_id=source.utterance_id)
 
 
-def _range_job(source, cfg: FeatureConfig, energies: np.ndarray, first: int, stop: int):
-    """A call that fills energies[first:stop], block by block from `first`,
-    each block's mel matmul writing all block_rows rows of its slice (a
-    final partial block's run on into padding).
-
-    Its power block, workspace and sample buffer are allocated here, on the
-    thread that calls filterbank_energies, and belong to that call alone.
+def share(indices, run, pool: Executor | None, threads: int) -> None:
+    """Call run(index) for each of indices, claimed in order by the calling
+    thread and up to threads - 1 claim loops on pool (None at threads = 1),
+    no more threads than indices. When the calling thread's claims end, the
+    loops not yet started are cancelled and the rest waited for, so a busy
+    pool costs time, never a hang. An exception that escapes run ends all
+    claims; of those, the lowest index's is raised, as a serial run would,
+    every lower index having been claimed first and ended, except that an
+    interrupt (a BaseException that is no Exception) outranks every error.
+    One of the calling thread outside run propagates as it is.
     """
-    length, hop = cfg.window_samples, cfg.hop_samples
-    window = _analysis_window(cfg)
-    weights_t = mel_filterbank(cfg).T
-    block_rows = min(stop - first, BLOCK_FRAMES)
-    streamed = isinstance(source, WavReader)
-    span = (block_rows - 1) * hop + length
-    samples = np.empty(span, dtype=np.float32) if streamed else None
-    power = np.empty((block_rows, cfg.fft_size // 2 + 1))
-    workspace = np.zeros((min(block_rows, SUB_BLOCK_FRAMES), cfg.fft_size))
+    claims = iter(indices)
+    lock = threading.Lock()
+    done = threading.Event()
+    failures = {}
 
-    def run() -> None:
-        for start in range(first, stop, BLOCK_FRAMES):
-            new = min(BLOCK_FRAMES, stop - start)
-            lo = start * hop
-            hi = lo + (new - 1) * hop + length
-            if streamed:
-                block = read_wav(source, lo, hi, out=samples)
-            else:
-                block = Waveform(source.samples[lo:hi], source.sample_rate_hz, source.utterance_id)
-            frames = frame_signal(block, cfg)
-            for row in range(0, new, SUB_BLOCK_FRAMES):
-                rows = min(SUB_BLOCK_FRAMES, new - row)
-                np.multiply(frames[row : row + rows], window, out=workspace[:rows, :length])
-                power_spectrum(workspace[:rows], cfg.fft_size, out=power[row : row + rows])
-            np.matmul(power, weights_t, out=energies[start : start + block_rows])
+    def claim_until_done() -> None:
+        while not done.is_set():
+            with lock:
+                index = next(claims, None)
+            if index is None:
+                return
+            try:
+                run(index)
+            except BaseException as exc:
+                failures[index] = exc
+                done.set()
 
-    return run
+    loops = [pool.submit(claim_until_done) for _ in range(min(threads, len(indices)) - 1)]
+    try:
+        claim_until_done()
+    finally:
+        done.set()
+        # a cancelled loop counts as done for futures.wait only once a pool
+        # thread has dequeued it
+        futures.wait([loop for loop in loops if not loop.cancel()])
+    if failures:
+        interrupts = [index for index, exc in failures.items() if not isinstance(exc, Exception)]
+        raise failures[min(interrupts or failures)]

@@ -16,9 +16,10 @@ from .errors import EmptyCorpus
 # std floor keeps divide_std total on degenerate constant channels
 STD_FLOOR = 1e-8
 
-# rows per pass of StatsAccumulator.update: bounds its temporaries to 656 kB
-# at 40 channels, whatever the utterance length
-STATS_CHUNK_ROWS = 2048
+# bins per pass of every chunked loop over a matrix (masking, stats, the
+# StatsAccumulator.update below, formats.save_features), read at call time:
+# 512 kB of float64 (a 600 s utterance has 2.4 M bins)
+CHUNK_BINS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,21 +84,27 @@ class StatsAccumulator:
 
     def finalize(self) -> GlobalStats:
         if self.count == 0:
-            raise EmptyCorpus("no frames accumulated")
+            raise EmptyCorpus("no utterance produced features")
         variance = self._m2 / self.count  # population variance
         std = np.maximum(np.sqrt(variance), STD_FLOOR)
         return GlobalStats(mean=self._mean.copy(), std=std, num_frames_seen=self.count)
 
 
+def chunk_rows(channels: int) -> int:
+    """Rows of a matrix of `channels` columns per pass of a chunked loop:
+    CHUNK_BINS // channels, and at least one (1638 at 40 channels)."""
+    return max(1, CHUNK_BINS // max(channels, 1))
+
+
 def _centred_square_sums(values: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """((values - center) ** 2).sum(axis=0), with the same bits,
-    STATS_CHUNK_ROWS rows at a time.
+    """((values - center) ** 2).sum(axis=0), with the same bits, chunk_rows
+    rows at a time.
 
     numpy's axis-0 sum adds the rows in order, so the running sum carried in
     as the first row of the next chunk continues it exactly; adding per-chunk
     sums would round differently.
     """
-    rows = min(values.shape[0], STATS_CHUNK_ROWS)
+    rows = min(values.shape[0], chunk_rows(values.shape[1]))
     buffer = np.empty((rows + 1, values.shape[1]))
     total = None
     for start in range(0, values.shape[0], rows):

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .features import GlobalStats
+from .features import GlobalStats, chunk_rows
 
 FEATURE_MAGIC = b"FMX1"
 FEATURE_VERSION = 1
@@ -42,9 +42,6 @@ _TEMP_NAME = re.compile(r"\.(.+)\.([1-9][0-9]*)\.([0-9]+)\.tmp")
 
 STATS_HEADER_PREFIX = "SEMSTATS v1"
 _STATS_HEADER = re.compile(rf"{STATS_HEADER_PREFIX} C=([1-9][0-9]*) N=([1-9][0-9]*)")
-
-# FMX1 payload bytes converted to float32 per write call
-_WRITE_CHUNK_BYTES = 1 << 18
 
 
 @contextlib.contextmanager
@@ -113,7 +110,7 @@ def save_features(path: str | Path, values: np.ndarray) -> None:
     if values.ndim != 2:
         raise FormatError(f"feature matrix must be 2-D, got shape {values.shape}")
     frames, channels = values.shape
-    rows = max(1, _WRITE_CHUNK_BYTES // (4 * max(channels, 1)))
+    rows = chunk_rows(channels)
     with atomic_write(path) as handle:
         handle.write(_FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, frames, channels))
         for start in range(0, frames, rows):

@@ -21,8 +21,9 @@ Steps 3-5 run in place on the energy matrix: the mask is built from the
 energies, which then become x_raw and then the output, so an utterance
 holds one (M, C) float64 array plus its uint8 mask, never two. The peak
 percentile, at every size, keeps the largest 5% of the bins seen so far
-and takes in CHUNK_BINS more at a time; r's masked sum and dropout's draws
-work CHUNK_BINS bins at a time, with the bits of their whole-matrix forms.
+and takes in features.CHUNK_BINS more at a time; r's masked sum and
+dropout's draws work CHUNK_BINS bins at a time, with the bits of their
+whole-matrix forms.
 
 Input dropout draws from SplitMix64 over element counters, keyed by the
 utterance's stream digest: draw i is a pure function of (key, i), so a
@@ -43,9 +44,12 @@ from _blake2 import blake2b
 
 import numpy as np
 
+from . import features
 from .dsp import FeatureMatrix
 from .errors import EmptyCorpus
-from .features import GlobalStats, check_channels, normalize, power_mel, writable_values
+from .features import (
+    GlobalStats, check_channels, chunk_rows, normalize, power_mel, writable_values,
+)
 
 # energies below this floor are clamped before the dB ratio (keeps eta finite)
 ETA_FLOOR = 1e-30
@@ -54,11 +58,6 @@ ETA_FLOOR = 1e-30
 MASKED_SUM_FLOOR = 1e-12
 
 PEAK_PERCENTILE = 95
-
-# bins per pass of the peak selection, per leaf of r's masked sum, per
-# dropout draw and per dB-ratio pass of stats.EtaHistogramAccumulator.update:
-# 512 kB of float64 (a 600 s utterance has 2.4 M bins)
-CHUNK_BINS = 1 << 16
 
 # numpy's pairwise sum adds up to this many elements in one unrolled loop
 _PAIRWISE_BLOCK = 128
@@ -149,14 +148,15 @@ def peak_energy(energies: FeatureMatrix) -> float:
     rank = (PEAK_PERCENTILE * values.size + 99) // 100 - 1
     flat = values.ravel()
     keep = flat.size - rank
-    pool = np.empty(CHUNK_BINS + keep)
-    pool[CHUNK_BINS:] = flat[:keep]
-    for start in range(keep, flat.size, CHUNK_BINS):
-        chunk = flat[start : start + CHUNK_BINS]
-        view = pool[CHUNK_BINS - chunk.size :]
+    slot = features.CHUNK_BINS
+    pool = np.empty(slot + keep)
+    pool[slot:] = flat[:keep]
+    for start in range(keep, flat.size, slot):
+        chunk = flat[start : start + slot]
+        view = pool[slot - chunk.size :]
         view[: chunk.size] = chunk
         view.partition(chunk.size)
-    return float(pool[CHUNK_BINS])
+    return float(pool[slot])
 
 
 def eta(e_val, e_peak: float):
@@ -247,7 +247,7 @@ def scaling_coefficient(x_raw: FeatureMatrix, mask: np.ndarray) -> float | None:
     if x_raw.values.shape != mask.shape:
         raise ValueError(f"features {x_raw.values.shape} vs mask {mask.shape}")
     numerator = float(x_raw.values.sum())
-    leaf = min(x_raw.values.size, max(CHUNK_BINS, _PAIRWISE_BLOCK))
+    leaf = min(x_raw.values.size, max(features.CHUNK_BINS, _PAIRWISE_BLOCK))
     denominator = _masked_sum(x_raw.values.ravel(), mask.ravel(), np.empty(leaf))
     if denominator < MASKED_SUM_FLOOR:
         return None
@@ -334,7 +334,7 @@ def input_dropout(features: FeatureMatrix, rate: float, seed: int) -> FeatureMat
     child_seed = int.from_bytes(_stream_digest(seed, features.utterance_id, "dropout"), "little")
     bound = np.uint64(_drop_bound(rate))
     frames, channels = values.shape
-    rows = max(1, CHUNK_BINS // channels)
+    rows = chunk_rows(channels)
     # steps[j] = (j + 1) * gamma for the chunk's j-th bin; z and shifted are
     # the draws and the mix's scratch, all three reused by every chunk
     steps = np.arange(1, min(rows, frames) * channels + 1, dtype=np.uint64).reshape(-1, channels)

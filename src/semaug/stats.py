@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import masking
+from . import features
 from .dsp import FeatureMatrix
 from .errors import EmptyCorpus
 from .masking import eta, peak_energy
@@ -72,8 +72,8 @@ class EtaHistogramAccumulator:
         # per-chunk bincounts would not)
         energy = np.zeros(self.energy.size)
         # a chunk of float64 dB ratios and as much of int64 indices at a time
-        for start in range(0, values.size, masking.CHUNK_BINS):
-            chunk = values[start : start + masking.CHUNK_BINS]
+        for start in range(0, values.size, features.CHUNK_BINS):
+            chunk = values[start : start + features.CHUNK_BINS]
             # bin index floor(eta - lo) (the bins are 1 dB wide), in place on
             # eta's fresh array
             ratios_db = eta(chunk, e_peak)
@@ -97,7 +97,7 @@ class EtaHistogramAccumulator:
     def finalize(self) -> EtaDistribution:
         total = int(self.counts.sum())
         if total == 0:
-            raise EmptyCorpus("no bins accumulated")
+            raise EmptyCorpus("empty corpus")
         pdf = self.counts / total
         cdf = np.cumsum(self.counts) / total
         cum_energy = np.cumsum(self.energy)

@@ -141,6 +141,20 @@ class TestFeaturize:
         assert main(["featurize", "--in", str(empty), "--out", str(tmp_path / "o")]) == 2
         assert "no input files" in caplog.text
 
+    def test_all_broken_corpus_exits_2(self, tmp_path, caplog):
+        wavs = tmp_path / "w"
+        wavs.mkdir()
+        for name in ("a", "b"):
+            (wavs / f"{name}.wav").write_bytes(b"not audio")
+        out = tmp_path / "f"
+        assert main(["featurize", "--in", str(wavs), "--out", str(out)]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert [line.split(":")[0] for line in errors[:2]] == [
+            "failed on a.wav", "failed on b.wav",
+        ]
+        assert errors[2:] == ["no utterance produced features"]
+        assert list(out.iterdir()) == []
+
     def test_one_second_default_shapes(self, tmp_path):
         wavs = tmp_path / "w"
         make_corpus(wavs, [synth_fixture("white_noise", 1.0, seed=1, utterance_id="one")])
@@ -1016,21 +1030,31 @@ def test_main_holds_blas_at_one_thread(tmp_path, corpus_dir, monkeypatch):
             set_threads(count)
 
 
-def fail_second_range(monkeypatch, uid, error):
-    """Make the front end raise `error` at the first block of the second of
-    two ranges of utterance uid (a file of MULTI_BLOCK_FRAMES[-1] frames),
-    whichever thread computes it; return the names of the threads it was
-    raised on."""
-    # with two ranges, the first is num_frames // 1024 whole blocks
-    first_frame = MULTI_BLOCK_FRAMES[-1] // (2 * dsp.BLOCK_FRAMES) * dsp.BLOCK_FRAMES
-    first_sample = first_frame * FeatureConfig.hop_samples
+def fail_second_range(monkeypatch, uid, error, on_a_helper):
+    """Make the front end raise `error` at the third block of utterance uid
+    (a file of MULTI_BLOCK_FRAMES[-1] frames, six blocks), whichever thread
+    reads it; return the names of the threads it was raised on. With
+    on_a_helper, a pool thread reads no block of uid before the calling
+    thread has read its first, and the calling thread then waits there
+    until the error has been raised: it holds the first or the second
+    block, so a pool thread claims the third."""
+    failing_sample = 2 * dsp.BLOCK_FRAMES * FeatureConfig.hop_samples
     read = dsp.read_wav
     raised_on = []
+    caller_read = threading.Event()
+    raised = threading.Event()
 
     def read_or_fail(source, start, stop, out):
-        if source.utterance_id == uid and start == first_sample:
-            raised_on.append(threading.current_thread().name)
-            raise error
+        if source.utterance_id == uid:
+            if on_a_helper and threading.current_thread() is not threading.main_thread():
+                assert caller_read.wait(timeout=30)
+            elif on_a_helper and not caller_read.is_set():
+                caller_read.set()
+                assert raised.wait(timeout=30)
+            if start == failing_sample:
+                raised_on.append(threading.current_thread().name)
+                raised.set()
+                raise error
         return read(source, start, stop, out=out)
 
     monkeypatch.setattr(dsp, "read_wav", read_or_fail)
@@ -1040,12 +1064,14 @@ def fail_second_range(monkeypatch, uid, error):
 def fail_short_file(monkeypatch, uid, error, on_a_helper):
     """Make the front end raise `error` when it reads utterance uid, a file
     of fewer than two blocks, whichever thread runs it; return the names of
-    the threads it was raised on. With on_a_helper, the calling thread
-    waits at its first read until the pool threads' claim loops have ended,
-    so a helper takes uid (any file after the first two)."""
+    the threads it was raised on. With on_a_helper, a pool thread reads no
+    file before the calling thread has read its first, and the calling
+    thread waits at its first read until the pool threads' claim loops have
+    ended, so a helper takes uid (any file after the first two)."""
     read = dsp.read_wav
     raised_on = []
     claim_loops = []
+    caller_read = threading.Event()
 
     class RecordingPool(ThreadPoolExecutor):
         def submit(self, *args, **kwargs):
@@ -1053,11 +1079,14 @@ def fail_short_file(monkeypatch, uid, error, on_a_helper):
             return claim_loops[-1]
 
     def read_or_fail(source, start, stop, out):
+        if on_a_helper and threading.current_thread() is not threading.main_thread():
+            assert caller_read.wait(timeout=30)
+        elif on_a_helper:
+            caller_read.set()
+            assert not futures.wait(claim_loops, timeout=30).not_done
         if source.utterance_id == uid:
             raised_on.append(threading.current_thread().name)
             raise error
-        if on_a_helper and threading.current_thread() is threading.main_thread():
-            assert not futures.wait(claim_loops, timeout=30).not_done
         return read(source, start, stop, out=out)
 
     monkeypatch.setattr(dsp, "read_wav", read_or_fail)
@@ -1066,7 +1095,7 @@ def fail_short_file(monkeypatch, uid, error, on_a_helper):
 
 
 class TestThreads:
-    """No thread outlives a command, and a front-end range or a short file
+    """No thread outlives a command, and a front-end block or a short file
     on a helper fails its file as the serial front end would."""
 
     @pytest.fixture()
@@ -1103,24 +1132,27 @@ class TestThreads:
     def test_bad_audio_in_a_helper_range_fails_its_file_alone(
         self, tmp_path, wavs, monkeypatch, caplog
     ):
-        raised_on = fail_second_range(monkeypatch, "long", BadAudio("long.wav: cut"))
         errors = {}
+        raised_on = {}
         for cpus in (1, 2):
             caplog.clear()
             out = tmp_path / f"c{cpus}"
-            assert self.featurize(wavs, out, cpus, monkeypatch) == 1
+            with monkeypatch.context() as patch:
+                error = BadAudio("long.wav: cut")
+                raised_on[cpus] = fail_second_range(patch, "long", error, cpus == 2)
+                assert self.featurize(wavs, out, cpus, monkeypatch) == 1
             errors[cpus] = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
             assert sorted(p.name for p in out.glob("*.fmx")) == [
                 f"utt_{i:03d}.fmx" for i in range(6)
             ]
         assert errors[1] == errors[2] == ["failed on long.wav: long.wav: cut"]
         # at T = 1 on the utterance's worker, at T = 2 on a helper
-        assert raised_on[0] == threading.main_thread().name
-        assert raised_on[1].startswith("semaug-pool")
+        assert raised_on[1] == [threading.main_thread().name]
+        assert len(raised_on[2]) == 1 and raised_on[2][0].startswith("semaug-pool")
         assert_same_files(tmp_path / "c1", tmp_path / "c2")
 
     def test_interrupt_in_a_helper_range(self, tmp_path, wavs, monkeypatch):
-        raised_on = fail_second_range(monkeypatch, "long", KeyboardInterrupt())
+        raised_on = fail_second_range(monkeypatch, "long", KeyboardInterrupt(), True)
         with pytest.raises(KeyboardInterrupt):
             self.featurize(wavs, tmp_path / "f", 2, monkeypatch)
         assert len(raised_on) == 1 and raised_on[0].startswith("semaug-pool")

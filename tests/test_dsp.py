@@ -1,9 +1,13 @@
 """Front-end tests: windowing, framing, spectra, mel filters, energies."""
 
+import ast
 import math
+import sys
 import textwrap
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,7 +359,7 @@ class TestFilterbankEnergies:
     def test_ranges_on_a_pool_give_the_serial_bits(
         self, cfg, tmp_path, monkeypatch, num_frames, threads, streamed
     ):
-        # cut into ranges of whole blocks on several threads, every frame is
+        # its blocks claimed by up to `threads` threads, every frame is
         # still transformed once and every bit is the serial front end's
         transformed = []
 
@@ -380,9 +384,9 @@ class TestFilterbankEnergies:
             else:
                 energies = filterbank_energies(wav, cfg, pool, threads)
         assert sum(rows for rows, _ in transformed) == num_frames
-        ranges = min(threads, num_frames // BLOCK_FRAMES)
-        assert (len({thread for _, thread in transformed}) > 1) == (ranges > 1)
-        assert dsp.multi_block(num, cfg) == (ranges > 1)
+        blocks = -(-num_frames // BLOCK_FRAMES)
+        assert len({thread for _, thread in transformed}) <= min(threads, blocks)
+        assert dsp.multi_block(num, cfg) == (num_frames >= 2 * BLOCK_FRAMES)
         assert np.array_equal(energies.values, serial)
 
     @pytest.mark.skipif(not cli._openblas_thread_controls(), reason="no OpenBLAS")
@@ -394,6 +398,55 @@ class TestFilterbankEnergies:
             ["-c", _KERNEL_CHECK, str(tmp_path)], env={"OPENBLAS_CORETYPE": coretype}
         )
         assert (run.returncode, run.stdout) == (0, ""), run.stderr
+
+    def test_a_busy_pool_does_not_hold_the_front_end(self, cfg):
+        # the pool's one thread is taken, so the claim loop queued behind it
+        # cannot start: the calling thread computes all three blocks, then
+        # cancels it rather than wait
+        num = (3 * BLOCK_FRAMES - 1) * cfg.hop_samples + cfg.window_samples
+        samples = np.random.default_rng(3).integers(-3000, 3000, size=num) / PCM_SCALE
+        wav = Waveform(samples, cfg.sample_rate_hz, "busy")
+        release = threading.Event()
+        result = []
+        with ThreadPoolExecutor(1) as pool:
+            pool.submit(release.wait, 60)
+            caller = threading.Thread(
+                target=lambda: result.append(filterbank_energies(wav, cfg, pool, 2))
+            )
+            try:
+                caller.start()
+                caller.join(timeout=10)
+                returned = not caller.is_alive()
+            finally:
+                release.set()
+                caller.join()
+        assert returned
+        assert np.array_equal(result[0].values, front_end_oracle(samples, cfg))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_the_lowest_failing_block_raises(self, cfg, tmp_path, monkeypatch, threads):
+        # blocks 1 and 3 fail; block 1 fails late, so that at T > 1 block 3
+        # fails first on another thread, yet block 1's error is the one raised
+        num = (5 * BLOCK_FRAMES - 1) * cfg.hop_samples + cfg.window_samples
+        write_wav(tmp_path / "fail.wav", synth_fixture(
+            "white_noise", num / cfg.sample_rate_hz, seed=5, utterance_id="fail"
+        ))
+        block_span = BLOCK_FRAMES * cfg.hop_samples
+        read = dsp.read_wav
+
+        def read_or_fail(source, start, stop, out):
+            block = start // block_span
+            if block == 1:
+                time.sleep(0.02)
+            if block in (1, 3):
+                raise BadAudio(f"block {block}")
+            return read(source, start, stop, out=out)
+
+        monkeypatch.setattr(dsp, "read_wav", read_or_fail)
+        with ThreadPoolExecutor(2) as pool, WavReader(tmp_path / "fail.wav") as reader:
+            for _ in range(5):
+                with pytest.raises(BadAudio, match="^block 1$"):
+                    filterbank_energies(reader, cfg, pool, threads)
 
     @pytest.mark.parametrize(
         "num_frames", [SUB_BLOCK_FRAMES + 1, BLOCK_FRAMES + 3, 4 * BLOCK_FRAMES + 3]
@@ -471,6 +524,96 @@ class TestFilterbankEnergies:
         wav = Waveform(np.zeros(100), 16000, "tiny")
         with pytest.raises(BadAudio, match="< one window"):
             filterbank_energies(wav, cfg)
+
+
+class TestShare:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_raises_the_lowest_failing_index(self, threads):
+        # index 1 fails late, so that at two or more threads index 3 fails
+        # first; every call has ended when share raises
+        running = set()
+        lock = threading.Lock()
+
+        def run(index):
+            with lock:
+                running.add(index)
+            try:
+                if index == 1:
+                    time.sleep(0.02)
+                if index in (1, 3):
+                    raise ValueError(index)
+            finally:
+                with lock:
+                    running.discard(index)
+
+        with ThreadPoolExecutor(3) as pool:
+            for _ in range(5):
+                with pytest.raises(ValueError) as exc:
+                    dsp.share(range(8), run, pool, threads)
+                assert exc.value.args == (1,)
+                assert not running
+
+
+    def test_is_the_package_s_one_fan_out(self):
+        # a second fan-out beside share would need a pool's submit: no code
+        # under semaug calls .submit( anywhere else
+        package = Path(dsp.__file__).parent
+        calls = []
+        for path in sorted(package.rglob("*.py")):
+            module = ".".join(path.relative_to(package).with_suffix("").parts)
+
+            def visit(node, scope):
+                for child in ast.iter_child_nodes(node):
+                    inner = scope
+                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                        inner = scope or child.name
+                    if (
+                        isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == "submit"
+                    ):
+                        calls.append(f"{module}.{scope}")
+                    visit(child, inner)
+
+            visit(ast.parse(path.read_text(encoding="utf-8")), "")
+        assert calls == ["dsp.share"]
+
+    def test_claims_hold_under_a_short_switch_interval(self, cfg):
+        # four claiming threads on two CPUs, switching every microsecond:
+        # every index runs once, and no two blocks share a buffer set
+        num = (12 * BLOCK_FRAMES + 5 - 1) * cfg.hop_samples + cfg.window_samples
+        samples = np.random.default_rng(12).integers(-3000, 3000, size=num) / PCM_SCALE
+        wav = Waveform(samples, cfg.sample_rate_hz, "switch")
+        serial = filterbank_energies(wav, cfg).values
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                dsp.share(range(2000), seen.append, pool, 4)
+                energies = filterbank_energies(wav, cfg, pool, 4).values
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(2000))
+        assert np.array_equal(energies, serial)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_an_interrupt_outranks_a_lower_error(self, threads):
+        # index 1's error waits for index 3's interrupt, which must not be
+        # lost to it
+        interrupted = threading.Event()
+
+        def run(index):
+            if index == 1:
+                assert interrupted.wait(timeout=30)
+                raise ValueError(index)
+            if index == 3:
+                interrupted.set()
+                raise KeyboardInterrupt
+
+        with ThreadPoolExecutor(2) as pool:
+            with pytest.raises(KeyboardInterrupt):
+                dsp.share(range(8), run, pool, threads)
 
 
 class TestFeatureConfig:

@@ -14,7 +14,7 @@ from semaug import (
     normalize,
     power_mel,
 )
-from semaug.features import STATS_CHUNK_ROWS, STD_FLOOR, divide_std, subtract_mean
+from semaug.features import STD_FLOOR, chunk_rows, divide_std, subtract_mean
 from conftest import accumulated_stats, traced_peak
 from semaug.errors import EmptyCorpus
 from semaug.formats import load_features, save_features
@@ -151,13 +151,12 @@ class TestGlobalStats:
         assert np.allclose(a.mean, b.mean, atol=1e-12)
         assert np.allclose(a.std, b.std, atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "rows", [1, STATS_CHUNK_ROWS - 1, STATS_CHUNK_ROWS, STATS_CHUNK_ROWS + 1,
-                 2 * STATS_CHUNK_ROWS + 3]
-    )
-    def test_chunked_update_keeps_whole_matrix_bits(self, rows):
+    # at and around one and two chunks of 2048 rows
+    @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 2 * 2048 + 3])
+    def test_chunked_update_keeps_whole_matrix_bits(self, rows, monkeypatch):
         # the row chunks carry the running sum, so mean and m2 are bit-equal
         # to numpy's one-pass axis-0 reductions; per-chunk partial sums are not
+        monkeypatch.setattr("semaug.features.CHUNK_BINS", 2048 * 40)
         values = np.random.default_rng(rows).uniform(0.0, 3.0, size=(rows, 40))
         acc = StatsAccumulator()
         acc.update(feat(values))
@@ -169,7 +168,7 @@ class TestGlobalStats:
         values = np.random.default_rng(8).uniform(0.0, 3.0, size=(60000, 40))
         features = feat(values)
         _, peak = traced_peak(lambda: StatsAccumulator().update(features))
-        chunk_buffer = (STATS_CHUNK_ROWS + 1) * 40 * 8
+        chunk_buffer = (chunk_rows(40) + 1) * 40 * 8
         assert peak <= chunk_buffer + (256 << 10)
 
     def test_mismatched_channels(self):

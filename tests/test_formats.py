@@ -7,7 +7,7 @@ import pytest
 
 from semaug import GlobalStats
 from semaug.errors import FormatError
-from semaug import formats
+from semaug import features, formats
 from semaug.formats import (
     atomic_write,
     load_features,
@@ -68,7 +68,7 @@ class TestFeatureFile:
             save_features(tmp_path / "x.fmx", np.zeros(5))
 
     def test_chunked_payload_matches_whole_cast(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(formats, "_WRITE_CHUNK_BYTES", 3 * 4 * 7)  # 3 rows a chunk
+        monkeypatch.setattr(features, "CHUNK_BINS", 3 * 7)  # 3 rows a chunk
         values = np.random.default_rng(63).normal(size=(10, 7))
         path = tmp_path / "c.fmx"
         save_features(path, values)
@@ -80,7 +80,7 @@ class TestFeatureFile:
         assert peak < 2 << 20
 
     def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(formats, "_WRITE_CHUNK_BYTES", 4)  # one row a chunk
+        monkeypatch.setattr(features, "CHUNK_BINS", 1)  # one row a chunk
         values = np.array([[1.0], [2.0], ["not a number"]], dtype=object)
         with pytest.raises(ValueError):
             save_features(tmp_path / "f.fmx", values)

@@ -31,7 +31,7 @@ from semaug.masking import (
     threshold_mask,
     zero_fraction,
 )
-from semaug import masking
+from semaug import features, masking
 from semaug.errors import EmptyCorpus
 from conftest import (
     accumulated_stats,
@@ -79,7 +79,7 @@ class TestPeakEnergy:
     def test_around_one_chunk(self, offset):
         # around CHUNK_BINS bins: one pass through the pool, as for any size
         rng = np.random.default_rng(offset + 5)
-        values = random_energy_matrix(rng, masking.CHUNK_BINS + offset, 1)
+        values = random_energy_matrix(rng, features.CHUNK_BINS + offset, 1)
         assert peak_energy(FeatureMatrix(values, "c")) == sort_oracle_percentile(values)
 
     def test_long_utterance_value_and_memory(self):
@@ -89,7 +89,7 @@ class TestPeakEnergy:
         peak, traced = traced_peak(lambda: peak_energy(FeatureMatrix(values, "l")))
         assert peak == sort_oracle_percentile(values)
         rank = (95 * values.size + 99) // 100 - 1
-        assert traced <= 8 * (values.size - rank + masking.CHUNK_BINS) + 4096
+        assert traced <= 8 * (values.size - rank + features.CHUNK_BINS) + 4096
 
 
 class TestEta:
@@ -335,7 +335,7 @@ class TestApplySem:
         stats = accumulated_stats([power_mel(fresh(energies))])
         outcome, peak = traced_peak(lambda: apply_sem(energies, stats, SemConfig(seed=2)))
         assert not outcome.fallback_applied
-        assert peak <= outcome.mask.nbytes + 4 * 8 * masking.CHUNK_BINS
+        assert peak <= outcome.mask.nbytes + 4 * 8 * features.CHUNK_BINS
 
     def test_same_seed_same_outcome(self):
         _, energies, x_raw, stats = _pipeline_inputs(seed=6)
@@ -483,7 +483,7 @@ class TestInputDropout:
         # chunks of three rows count their draws from row * C, so a strided
         # or Fortran-ordered matrix is neither copied nor drawn in its
         # memory order
-        monkeypatch.setattr(masking, "CHUNK_BINS", 21)
+        monkeypatch.setattr(features, "CHUNK_BINS", 21)
         big = np.random.default_rng(9).uniform(0.5, 1.5, size=(40, 7))
         original = big.copy()
         values = big[::2] if layout == "every-other-row" else np.asfortranarray(big[:20])

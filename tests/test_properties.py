@@ -17,7 +17,7 @@ from semaug import (  # noqa: E402
     input_dropout,
     power_mel,
 )
-from semaug import masking  # noqa: E402
+from semaug import features  # noqa: E402
 from semaug.audio_io import (  # noqa: E402
     PCM_SCALE,
     Waveform,
@@ -250,7 +250,7 @@ def test_peak_selection_equals_partition(chunk, data):
     energies = FeatureMatrix(flat.reshape(-1, columns), "utt")
     index = (95 * size + 99) // 100 - 1
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(masking, "CHUNK_BINS", chunk)
+        patch.setattr(features, "CHUNK_BINS", chunk)
         assert peak_energy(energies) == np.partition(flat, index)[index]
 
 
@@ -263,14 +263,14 @@ def test_masked_sum_has_the_product_sum_bits(chunk, data):
     mu = (rng.random((size, 1)) < data.draw(st.floats(0.05, 1.0))).astype(np.uint8)
     mu[0] = 1
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(masking, "CHUNK_BINS", chunk)
+        patch.setattr(features, "CHUNK_BINS", chunk)
         r = scaling_coefficient(FeatureMatrix(x, "utt"), mu)
     assert r == float(x.sum()) / float((x * mu).sum())
 
 
 def test_masked_sum_bits_for_every_small_size(monkeypatch):
     # every size numpy's pairwise sum adds in one block, and its first splits
-    monkeypatch.setattr(masking, "CHUNK_BINS", 1)
+    monkeypatch.setattr(features, "CHUNK_BINS", 1)
     rng = np.random.default_rng(8)
     for size in range(1, 301):
         x = rng.standard_normal((size, 1)) + 4.0
@@ -292,7 +292,7 @@ def test_chunked_dropout_equals_one_whole_draw(chunk, shape, rate, seed):
     # the whole-matrix reference: one scalar draw per element, row-major
     expected = dropout_oracle(values, rate, seed, "utt")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(masking, "CHUNK_BINS", chunk)
+        patch.setattr(features, "CHUNK_BINS", chunk)
         out = input_dropout(FeatureMatrix(values, "utt"), rate, seed).values
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 

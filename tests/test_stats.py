@@ -8,7 +8,7 @@ import pytest
 
 from semaug import EtaHistogramAccumulator, FeatureMatrix
 from semaug.masking import binary_mask, energy_threshold, eta, peak_energy
-from semaug import masking
+from semaug import features
 from semaug.errors import EmptyCorpus
 from semaug.masking import threshold_mask, zero_fraction
 from conftest import (
@@ -99,13 +99,13 @@ class TestEtaHistogram:
         energies = FeatureMatrix(random_energy_matrix(rng, 60000, 40), "mem")
         acc = EtaHistogramAccumulator()
         _, peak = traced_peak(lambda: acc.update(energies))
-        assert peak <= 4 * 8 * masking.CHUNK_BINS
+        assert peak <= 4 * 8 * features.CHUNK_BINS
 
     @pytest.mark.parametrize("size", [1, 6, 7, 8, 17])
     def test_chunked_update_keeps_whole_matrix_bits(self, monkeypatch, size):
         # chunks of 7 bins: counts and the energy column equal one bincount
         # over the whole matrix, bit for bit
-        monkeypatch.setattr(masking, "CHUNK_BINS", 7)
+        monkeypatch.setattr(features, "CHUNK_BINS", 7)
         values = random_energy_matrix(np.random.default_rng(size), size, 1)
         acc = EtaHistogramAccumulator()
         assert acc.update(FeatureMatrix(values, "c"))

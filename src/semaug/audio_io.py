@@ -31,13 +31,6 @@ KSDATAFORMAT_SUBTYPE_PCM = bytes.fromhex("0100000000001000800000aa00389b71")
 _FMT_PCM_SIZE = 16
 _FMT_EXTENSIBLE_SIZE = 40
 
-SINE_FREQ_HZ = 440.0
-SINE_AMPLITUDE = 0.5
-CHIRP_START_HZ = 100.0
-
-FIXTURE_KINDS = ("sine", "white_noise", "chirp", "silence")
-
-
 @dataclass(frozen=True)
 class Waveform:
     """Mono amplitude sequence with its sample rate and an utterance label.
@@ -227,46 +220,6 @@ def write_wav(path: str | Path, waveform: Waveform) -> None:
         handle.writeframes(ints.tobytes())
 
 
-def synth_fixture(
-    kind: str,
-    duration_s: float,
-    sample_rate_hz: int = 16000,
-    seed: int = 0,
-    utterance_id: str | None = None,
-) -> Waveform:
-    """Synthesize a deterministic test waveform.
-
-    kind is one of "sine" (440 Hz, amplitude 0.5), "white_noise",
-    "chirp" (linear sweep), or "silence". The result is a pure function
-    of (kind, duration_s, sample_rate_hz, seed).
-    """
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    num = int(round(duration_s * sample_rate_hz))
-    t = np.arange(num) / sample_rate_hz
-
-    if kind == "silence":
-        samples = np.zeros(num)
-    elif kind == "sine":
-        samples = SINE_AMPLITUDE * np.sin(2.0 * np.pi * SINE_FREQ_HZ * t)
-    elif kind == "chirp":
-        # Linear sweep from CHIRP_START_HZ up to 45% of Nyquist.
-        f_end = 0.45 * (sample_rate_hz / 2.0)
-        phase = 2.0 * np.pi * (
-            CHIRP_START_HZ * t + (f_end - CHIRP_START_HZ) * t * t / (2.0 * duration_s)
-        )
-        samples = SINE_AMPLITUDE * np.sin(phase)
-    elif kind == "white_noise":
-        rng = np.random.default_rng(seed)
-        samples = rng.uniform(-0.5, 0.5, size=num)
-    else:
-        raise ValueError(f"unknown fixture kind: {kind!r} (expected one of {FIXTURE_KINDS})")
-
-    if utterance_id is None:
-        utterance_id = f"{kind}_{seed}"
-    return Waveform(samples=samples, sample_rate_hz=sample_rate_hz, utterance_id=utterance_id)
-
-
 def synth_speech_like(
     duration_s: float,
     sample_rate_hz: int = 16000,
@@ -284,7 +237,7 @@ def synth_speech_like(
     """
     if duration_s <= 0:
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    # Salted so the stream differs from synth_fixture("white_noise", seed=seed).
+    # Salted so the stream differs from a plain default_rng(seed).
     rng = np.random.default_rng([seed, 0x5EE])
     num = int(round(duration_s * sample_rate_hz))
     t = np.arange(num) / sample_rate_hz

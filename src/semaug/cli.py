@@ -6,12 +6,11 @@ randomness comes from keyed hash streams, and output files carry no
 timestamps. Exit codes: 0 success, 1 partial per-file failure, 2
 usage/empty-input error or an output that cannot be written.
 
-A run's record, featurize's stats file or mask's manifest.csv, is removed
-before the run writes its first feature file and written last, so an
-interrupted run leaves none that would describe its outputs; right after,
-featurize and mask remove each input's feature file, so it leaves none of
-an earlier run's either. Both first remove the atomic-write temporaries
-that processes no longer running left in their output directories.
+Before it reads a WAV, each command claims its outputs (_claim_outputs):
+featurize its stats file and feature files, mask its manifest.csv and
+feature files, stats its CSV, render its PGM. The record (stats file or
+manifest) is removed first and written last: an interrupted run leaves no
+record of outputs it did not finish, and no feature file of an earlier run.
 
 Every command runs its utterances on N x T threads it owns: the calling
 thread and one pool of N x T - 1, for --workers N (stats and render have
@@ -34,6 +33,7 @@ import ctypes
 import logging
 import math
 import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -86,14 +86,6 @@ def _input_wavs(in_dir: str) -> list[Path]:
     if not wavs:
         raise SemaugError("no input files")
     return wavs
-
-
-def _check_output_dir(path: str | Path) -> None:
-    """A usage error naming path when its directory is missing or not a
-    directory; called before any input is read."""
-    directory = Path(path).parent
-    if not directory.is_dir():
-        raise SemaugError(f"cannot write {path}: {directory} is not a directory")
 
 
 def _worker_count(text: str) -> int:
@@ -262,20 +254,36 @@ def _run_utterances(paths, worker, num_workers: int):
     return results, len(paths) - len(results)
 
 
-def _sweep_stale_temporaries(*directories: Path) -> None:
-    """Remove the temporaries that dead processes' atomic writes left in
-    each directory (see formats.sweep_stale_temporaries)."""
-    for directory in sorted(set(directories)):
+def _claim_outputs(outputs: list[Path], inputs: list[Path]) -> None:
+    """Check, sweep and clear a run's outputs, before any WAV is read.
+
+    A usage error names the first output that lies in no directory, is a
+    directory, or is an input (the same file). Then dead processes'
+    temporaries go from each output directory, and each output in order.
+    """
+    taken = set()
+    for path in inputs:
+        with contextlib.suppress(OSError):  # it fails its own read later
+            found = path.stat()
+            taken.add((found.st_dev, found.st_ino))
+    directories = set()
+    for path in outputs:
+        if path.parent not in directories and not path.parent.is_dir():
+            raise SemaugError(f"cannot write {path}: {path.parent} is not a directory")
+        directories.add(path.parent)
+        try:
+            found = path.stat()
+        except FileNotFoundError:
+            continue
+        if stat.S_ISDIR(found.st_mode):
+            raise SemaugError(f"cannot write {path}: it is a directory")
+        if (found.st_dev, found.st_ino) in taken:
+            raise SemaugError(f"cannot write {path}: it is an input of this run")
+    for directory in sorted(directories):
         for path in formats.sweep_stale_temporaries(directory):
             log.info("removed %s, left by a process that no longer runs", path)
-
-
-def _remove_earlier_features(out_dir: Path, wavs) -> None:
-    """Remove each input's .fmx from out_dir; one that cannot be removed (a
-    directory, say) is left for its own write to fail."""
-    for path in wavs:
-        with contextlib.suppress(OSError):
-            (out_dir / (path.stem + FEATURE_SUFFIX)).unlink()
+    for path in outputs:
+        path.unlink(missing_ok=True)
 
 
 # --- featurize -------------------------------------------------------------
@@ -285,15 +293,12 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats_path = Path(args.stats_out) if args.stats_out else out_dir / DEFAULT_STATS_NAME
-    _check_output_dir(stats_path)
-    _sweep_stale_temporaries(out_dir, stats_path.parent)
-    # the stats of an earlier run must not outlive this one's first output
-    stats_path.unlink(missing_ok=True)
-    _remove_earlier_features(out_dir, wavs)
+    fmx = {path: out_dir / (path.stem + FEATURE_SUFFIX) for path in wavs}
+    _claim_outputs([stats_path, *fmx.values()], wavs)
 
     def worker(path: Path, energies):
         x_raw = power_mel(energies)
-        formats.save_features(out_dir / (path.stem + FEATURE_SUFFIX), x_raw.values)
+        formats.save_features(fmx[path], x_raw.values)
         acc = StatsAccumulator()
         acc.update(x_raw)
         return acc
@@ -333,24 +338,18 @@ def cmd_mask(args: argparse.Namespace) -> int:
     stats_path = Path(args.stats)
     if not stats_path.is_file():
         problem = "is not a file" if stats_path.exists() else "does not exist"
-        log.error("stats file %s %s", stats_path, problem)
-        return EXIT_USAGE
-
-    cfg = FeatureConfig()
+        raise SemaugError(f"stats file {stats_path} {problem}")
     stats = formats.load_stats(stats_path)
-    if stats.num_channels != cfg.num_channels:
-        log.error("stats file has %d channels, the front end has %d",
-                  stats.num_channels, cfg.num_channels)
-        return EXIT_USAGE
+    if stats.num_channels != FeatureConfig.num_channels:
+        raise SemaugError(f"stats file has {stats.num_channels} channels, "
+                          f"the front end has {FeatureConfig.num_channels}")
 
     # after _mode_flags, the flags given to sem are SemConfig fields
     sem_cfg = SemConfig(**given) if args.mode == "sem" else None
     out_dir.mkdir(parents=True, exist_ok=True)
-    _sweep_stale_temporaries(out_dir)
     manifest_path = out_dir / MANIFEST_NAME
-    # an earlier run's manifest must not describe this run's outputs
-    manifest_path.unlink(missing_ok=True)
-    _remove_earlier_features(out_dir, wavs)
+    fmx = {path: out_dir / (path.stem + FEATURE_SUFFIX) for path in wavs}
+    _claim_outputs([manifest_path, *fmx.values()], [*wavs, stats_path])
 
     def worker(path: Path, energies):
         # every mode turns the energies into its output in place
@@ -375,7 +374,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
                 row = (uid, "", "", _fmt(zero_fraction(values)), _fmt(1.0 / (1.0 - args.rate)), "0")
             else:  # none
                 row = (uid, "", "", "", "", "")
-        formats.save_features(out_dir / (path.stem + FEATURE_SUFFIX), energies.values)
+        formats.save_features(fmx[path], energies.values)
         return row
 
     rows, failures = _run_utterances(wavs, worker, args.workers)
@@ -393,7 +392,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     wavs = _input_wavs(args.in_dir)
     out_path = Path(args.out)
-    _check_output_dir(out_path)
+    _claim_outputs([out_path], wavs)
 
     def worker(path: Path, energies):
         # the utterance's own histogram, or None when it adds no bins
@@ -424,9 +423,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     in_path = Path(args.in_path)
     if not in_path.is_file():
-        log.error("input file %s does not exist", in_path)
-        return EXIT_USAGE
-    _check_output_dir(args.out)
+        raise SemaugError(f"input file {in_path} does not exist")
+    _claim_outputs([Path(args.out)], [in_path])
 
     def worker(path: Path, energies):
         masked = threshold_mask(energies, args.eta_th)

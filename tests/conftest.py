@@ -1,8 +1,8 @@
-"""Shared fixtures: a default front-end config, small mixed corpora, corpus
-statistics through the accumulators, the front-end, energy-ratio and dropout
-oracles (the last on a scalar SplitMix64 reference),
-every command run at a chosen thread count, and memory and page-fault
-probes."""
+"""Shared fixtures: a default front-end config, synthesized test waveforms
+(synth_fixture), small mixed corpora, corpus statistics through the
+accumulators, the front-end, energy-ratio and dropout oracles (the last on
+a scalar SplitMix64 reference), every command run at a chosen thread count,
+and memory and page-fault probes."""
 
 import os
 import subprocess
@@ -24,7 +24,7 @@ from semaug import (
     power_mel,
 )
 from semaug import cli, masking
-from semaug.audio_io import synth_fixture, synth_speech_like
+from semaug.audio_io import Waveform, synth_speech_like
 from semaug.dsp import BLOCK_FRAMES, hamming_window
 from semaug.errors import EmptyCorpus
 from semaug.masking import energy_threshold, peak_energy
@@ -38,6 +38,53 @@ def cfg():
 @pytest.fixture(scope="session")
 def filterbank(cfg):
     return mel_filterbank(cfg)
+
+
+SINE_FREQ_HZ = 440.0
+SINE_AMPLITUDE = 0.5
+CHIRP_START_HZ = 100.0
+
+FIXTURE_KINDS = ("sine", "white_noise", "chirp", "silence")
+
+
+def synth_fixture(
+    kind: str,
+    duration_s: float,
+    sample_rate_hz: int = 16000,
+    seed: int = 0,
+    utterance_id: str | None = None,
+) -> Waveform:
+    """Synthesize a deterministic test waveform.
+
+    kind is one of "sine" (440 Hz, amplitude 0.5), "white_noise",
+    "chirp" (linear sweep), or "silence". The result is a pure function
+    of (kind, duration_s, sample_rate_hz, seed).
+    """
+    if duration_s <= 0:
+        raise ValueError(f"duration_s must be > 0, got {duration_s}")
+    num = int(round(duration_s * sample_rate_hz))
+    t = np.arange(num) / sample_rate_hz
+
+    if kind == "silence":
+        samples = np.zeros(num)
+    elif kind == "sine":
+        samples = SINE_AMPLITUDE * np.sin(2.0 * np.pi * SINE_FREQ_HZ * t)
+    elif kind == "chirp":
+        # Linear sweep from CHIRP_START_HZ up to 45% of Nyquist.
+        f_end = 0.45 * (sample_rate_hz / 2.0)
+        phase = 2.0 * np.pi * (
+            CHIRP_START_HZ * t + (f_end - CHIRP_START_HZ) * t * t / (2.0 * duration_s)
+        )
+        samples = SINE_AMPLITUDE * np.sin(phase)
+    elif kind == "white_noise":
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-0.5, 0.5, size=num)
+    else:
+        raise ValueError(f"unknown fixture kind: {kind!r} (expected one of {FIXTURE_KINDS})")
+
+    if utterance_id is None:
+        utterance_id = f"{kind}_{seed}"
+    return Waveform(samples=samples, sample_rate_hz=sample_rate_hz, utterance_id=utterance_id)
 
 
 def mixed_waveforms(num=8, duration_s=1.0):

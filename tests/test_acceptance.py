@@ -24,7 +24,7 @@ from semaug import (
     input_dropout,
     power_mel,
 )
-from semaug.audio_io import synth_fixture, synth_speech_like, write_wav
+from semaug.audio_io import synth_speech_like, write_wav
 from semaug.dsp import power_spectrum
 from semaug.masking import (
     binary_mask,
@@ -33,7 +33,13 @@ from semaug.masking import (
     threshold_mask,
     zero_fraction,
 )
-from conftest import accumulated_histogram, accumulated_stats, energy_ratio_curve, fresh
+from conftest import (
+    accumulated_histogram,
+    accumulated_stats,
+    energy_ratio_curve,
+    fresh,
+    synth_fixture,
+)
 from semaug.cli import main
 from semaug.formats import load_features, load_stats, save_features, save_stats
 

@@ -20,11 +20,11 @@ from semaug import cli, dsp
 from semaug.audio_io import (
     KSDATAFORMAT_SUBTYPE_PCM,
     WAVE_FORMAT_EXTENSIBLE,
-    synth_fixture,
     synth_speech_like,
     write_wav,
 )
 from semaug.errors import BadAudio, SemaugError
+from conftest import synth_fixture
 
 # KSDATAFORMAT_SUBTYPE_IEEE_FLOAT, as stored in the file
 FLOAT_SUBFORMAT = bytes.fromhex("0300000000001000800000aa00389b71")

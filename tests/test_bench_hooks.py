@@ -22,10 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from semaug.audio_io import synth_fixture, synth_speech_like, write_wav
+from semaug.audio_io import synth_speech_like, write_wav
 from semaug.cli import main
 from semaug.dsp import FeatureConfig
-from conftest import run_python
+from conftest import run_python, synth_fixture
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -23,7 +23,7 @@ from semaug import (
     power_mel,
     read_wav,
 )
-from semaug.audio_io import synth_fixture, synth_speech_like, write_wav
+from semaug.audio_io import synth_speech_like, write_wav
 from semaug.features import divide_std, subtract_mean
 from semaug import cli, dsp, formats
 from semaug.cli import main
@@ -38,6 +38,7 @@ from conftest import (
     run_every_command,
     run_python,
     run_with_rusage,
+    synth_fixture,
     traced_peak,
     waveform_of_frames,
 )
@@ -889,9 +890,11 @@ def test_removed_flag_is_usage_error(tmp_path, corpus_dir, capsys, command, flag
     assert not out.exists()
 
 
-# an output path (always the last argument) blocked by the existing file
-# {file}, as the output itself or as a directory on the way to it, or under
-# the missing directory {tmp}/nodir
+# an output path (always the last argument, or the directory it is in) blocked
+# by the existing file {file}, as the output itself or as a directory on the
+# way to it; under the missing directory {tmp}/nodir; by a directory: {dir}
+# itself, or {dir}/manifest.csv and {dir}/utt.fmx; or by an input, a WAV of
+# {wavs} or the stats file {tmp}/manifest.csv
 BLOCKED_OUTPUTS = [
     pytest.param(["featurize", "--in", "{wavs}", "--out", "{file}"], id="featurize-out"),
     pytest.param(
@@ -916,30 +919,75 @@ BLOCKED_OUTPUTS = [
         ["render", "--in", "{wavs}/utt.wav", "--eta-th", "-30", "--out", "{tmp}/nodir/x.pgm"],
         id="render-out-nodir",
     ),
+    pytest.param(["stats", "--in", "{wavs}", "--out", "{dir}"], id="stats-out-dir"),
+    pytest.param(
+        ["render", "--in", "{wavs}/utt.wav", "--eta-th", "-30", "--out", "{dir}"],
+        id="render-out-dir",
+    ),
+    pytest.param(
+        ["featurize", "--in", "{wavs}", "--out", "{tmp}/f", "--stats-out", "{dir}"],
+        id="featurize-stats-out-dir",
+    ),
+    pytest.param(
+        ["mask", "--in", "{wavs}", "--stats", "{stats}", "--mode", "none", "--out", "{dir}"],
+        id="mask-manifest-dir",
+    ),
+    pytest.param(["featurize", "--in", "{wavs}", "--out", "{dir}"], id="featurize-fmx-dir"),
+    pytest.param(
+        ["featurize", "--in", "{wavs}", "--out", "{tmp}/f", "--stats-out", "{wavs}/utt.wav"],
+        id="featurize-stats-out-input",
+    ),
+    pytest.param(["stats", "--in", "{wavs}", "--out", "{wavs}/utt.wav"], id="stats-out-input"),
+    pytest.param(
+        ["render", "--in", "{wavs}/utt.wav", "--eta-th", "-30", "--out", "{wavs}/utt.wav"],
+        id="render-out-input",
+    ),
+    pytest.param(
+        ["mask", "--in", "{wavs}", "--stats", "{stats}", "--mode", "none", "--out", "{tmp}"],
+        id="mask-manifest-input",
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv", BLOCKED_OUTPUTS)
 def test_unwritable_output_exits_2(tmp_path, argv):
+    # a run that read the one WAV would log a second ERROR: it is not a WAV
     wavs = tmp_path / "wavs"
-    make_corpus(wavs, [synth_fixture("white_noise", 0.3, seed=1, utterance_id="utt")])
-    stats = tmp_path / "stats.txt"
+    wavs.mkdir()
+    (wavs / "utt.wav").write_text("not a WAV\n")
+    stats = tmp_path / "manifest.csv"
     save_stats(stats, GlobalStats(np.zeros(40), np.ones(40), 1))
     blocker = tmp_path / "afile"
     blocker.write_text("in the way\n")
-    args = [arg.format(wavs=wavs, tmp=tmp_path, file=blocker, stats=stats) for arg in argv]
+    directory = tmp_path / "adir"
+    (directory / "manifest.csv").mkdir(parents=True)
+    (directory / "utt.fmx").mkdir()
+    # a dead writer's temporary in every directory an output may be in
+    dead = reaped_pid()
+    for place in (tmp_path, wavs, directory):
+        (place / f".utt.fmx.{dead}.77.tmp").write_bytes(b"partial")
+    args = [
+        arg.format(wavs=wavs, tmp=tmp_path, file=blocker, stats=stats, dir=directory)
+        for arg in argv
+    ]
+
+    def files():
+        return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+    before = files()
     run = run_python(["-m", "semaug.cli", *args])
     assert run.returncode == 2, run.stderr
     assert "Traceback" not in run.stderr
     errors = [line for line in run.stderr.splitlines() if line.startswith("ERROR ")]
     assert len(errors) == 1, run.stderr
-    # the path as given, not a temporary beside it
+    # the path as given, not a temporary beside it, nor an input blamed
     assert args[-1] in errors[0]
     assert ".tmp" not in errors[0]
-    assert blocker.read_text() == "in the way\n"
+    assert not errors[0].startswith("ERROR failed on ")
+    # no file is written, changed or removed: no .fmx, no temporary swept
+    assert files() == before
+    assert (directory / "manifest.csv").is_dir() and (directory / "utt.fmx").is_dir()
     assert not (tmp_path / "nodir").exists()
-    # the output is checked before any input is read
-    assert not list(tmp_path.rglob("*.fmx"))
 
 
 def test_stats_out_in_the_new_out_dir(tmp_path, corpus_dir):
@@ -951,7 +999,9 @@ def test_stats_out_in_the_new_out_dir(tmp_path, corpus_dir):
     assert load_stats(out / "s.txt").num_channels == 40
 
 
-@pytest.mark.parametrize("command", ["featurize", "featurize-stats-out", "mask"])
+@pytest.mark.parametrize(
+    "command", ["featurize", "featurize-stats-out", "mask", "stats", "render"]
+)
 def test_run_sweeps_dead_writers_temporaries(tmp_path, corpus_dir, featurized, caplog, command):
     # an earlier run killed mid-write left a temporary; one of this
     # process's own (alive) is kept
@@ -968,6 +1018,9 @@ def test_run_sweeps_dead_writers_temporaries(tmp_path, corpus_dir, featurized, c
                                 "--stats-out", str(elsewhere / "s.txt")],
         "mask": ["mask", "--in", str(corpus_dir), "--stats",
                  str(featurized / "global_stats.txt"), "--mode", "none", "--out", str(out)],
+        "stats": ["stats", "--in", str(corpus_dir), "--out", str(out / "x.csv")],
+        "render": ["render", "--in", str(corpus_dir / "utt_000.wav"), "--eta-th", "-30",
+                   "--out", str(out / "x.pgm")],
     }[command]
     assert main(argv) == 0
     swept = [out] + ([elsewhere] if command == "featurize-stats-out" else [])
@@ -976,19 +1029,6 @@ def test_run_sweeps_dead_writers_temporaries(tmp_path, corpus_dir, featurized, c
         assert (directory / f".utt_000.fmx.{alive}.77.tmp").exists()
     removed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("removed ")]
     assert len(removed) == len(swept)
-
-
-def test_unwritable_output_of_one_file_fails_that_file(tmp_path, corpus_dir, caplog):
-    # a directory where one utterance's .fmx goes: os.replace fails for that
-    # file alone, the run goes on and exits 1
-    out = tmp_path / "f"
-    (out / "utt_001.fmx").mkdir(parents=True)
-    assert main(["featurize", "--in", str(corpus_dir), "--out", str(out)]) == 1
-    failed = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-    assert len(failed) == 1 and failed[0].startswith("failed on utt_001.wav: ")
-    expected = {f"utt_{i:03d}.fmx" for i in range(6)} | {"global_stats.txt"}
-    assert {p.name for p in out.iterdir()} == expected
-    assert (out / "utt_001.fmx").is_dir()
 
 
 blas_controls = cli._openblas_thread_controls()

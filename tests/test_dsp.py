@@ -14,7 +14,7 @@ import pytest
 
 from semaug import FeatureConfig, filterbank_energies, mel_filterbank
 from semaug import cli, dsp
-from semaug.audio_io import PCM_SCALE, WavReader, Waveform, synth_fixture, write_wav
+from semaug.audio_io import PCM_SCALE, WavReader, Waveform, write_wav
 from semaug.dsp import (
     BLOCK_FRAMES,
     SUB_BLOCK_FRAMES,
@@ -25,7 +25,7 @@ from semaug.dsp import (
     power_spectrum,
 )
 from semaug.errors import BadAudio
-from conftest import front_end_oracle, run_python, traced_peak
+from conftest import front_end_oracle, run_python, synth_fixture, traced_peak
 
 
 def direct_dft_power(frame, fft_size):
@@ -614,6 +614,21 @@ class TestShare:
         with ThreadPoolExecutor(2) as pool:
             with pytest.raises(KeyboardInterrupt):
                 dsp.share(range(8), run, pool, threads)
+
+
+def test_cli_claims_its_outputs_in_one_place():
+    # a second output rule would need to remove a file: no function of cli
+    # but _claim_outputs calls .unlink( or sweep_stale_temporaries(
+    calls = []
+    for top in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("unlink", "sweep_stale_temporaries"):
+                    calls.append((getattr(top, "name", None), name))
+    assert sorted(calls) == [
+        ("_claim_outputs", "sweep_stale_temporaries"), ("_claim_outputs", "unlink"),
+    ]
 
 
 class TestFeatureConfig:

@@ -19,7 +19,7 @@ from semaug import (
     normalize,
     power_mel,
 )
-from semaug.audio_io import Waveform, synth_fixture, synth_speech_like
+from semaug.audio_io import Waveform, synth_speech_like
 from semaug.features import divide_std, subtract_mean
 from semaug.masking import (
     binary_mask,
@@ -40,6 +40,7 @@ from conftest import (
     random_energy_matrix,
     run_python,
     splitmix64,
+    synth_fixture,
     traced_peak,
 )
 

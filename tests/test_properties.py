@@ -21,7 +21,6 @@ from semaug import features  # noqa: E402
 from semaug.audio_io import (  # noqa: E402
     PCM_SCALE,
     Waveform,
-    synth_fixture,
     synth_speech_like,
     write_wav,
 )
@@ -30,6 +29,7 @@ from conftest import (  # noqa: E402
     assert_same_trees,
     dropout_oracle,
     run_every_command,
+    synth_fixture,
     waveform_of_frames,
 )
 from semaug.dsp import BLOCK_FRAMES, SUB_BLOCK_FRAMES  # noqa: E402

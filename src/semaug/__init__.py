@@ -5,8 +5,8 @@ filterbank energies, raise them to power-mel features, accumulate corpus
 stats, then mask and normalize. An utterance is one FeatureMatrix:
 filterbank_energies returns its energies, and power_mel, normalize,
 apply_sem, apply_fixed_sem and input_dropout turn them into features in
-place, each returning the matrix it was given (apply_sem and
-apply_fixed_sem as their outcome's features). The steps inside it
+place (power_mel, normalize and input_dropout return the matrix they were
+given; the two masks return their outcome). The steps inside it
 (framing, spectra, peak energy, thresholds, masks, the rescale factor)
 stay importable from their modules: semaug.dsp, semaug.masking, and so on.
 """

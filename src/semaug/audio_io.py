@@ -53,10 +53,6 @@ class Waveform:
     def num_samples(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration_s(self) -> float:
-        return self.num_samples / self.sample_rate_hz
-
 
 class WavReader:
     """A 16-bit mono PCM WAV file, open for reading its samples by span.
@@ -87,7 +83,6 @@ class WavReader:
             self._handle.close()
             raise
         self.num_samples = data_size // 2
-        self._pcm = np.empty(0, dtype="<i2")
         self._lock = threading.Lock()
 
     def _parse_chunks(self) -> tuple[bytes, int, int]:
@@ -145,19 +140,18 @@ class WavReader:
 
     def _read_into(self, start: int, out: np.ndarray) -> None:
         """Fill float32 `out` with the samples from `start` on: one seek and one
-        readinto of the raw integers into a buffer kept for the next read.
+        readinto of the raw integers into an array of this call's own.
 
-        The handle's position and that buffer are shared, so a read holds
-        the reader's lock until its samples are in `out`.
+        The handle's position is shared, so the seek and the read hold the
+        reader's lock; the samples are scaled into `out` after it.
         """
+        pcm = np.empty(out.size, dtype="<i2")
         with self._lock:
-            if self._pcm.size < out.size:
-                self._pcm = np.empty(out.size, dtype="<i2")
-            pcm = self._pcm[: out.size]
             self._handle.seek(self._data_offset + 2 * start)
-            if self._handle.readinto(pcm) != pcm.nbytes:
-                raise BadAudio(f"{self.path}: sample data ends early")
-            np.divide(pcm, np.float32(PCM_SCALE), out=out)
+            read = self._handle.readinto(pcm)
+        if read != pcm.nbytes:
+            raise BadAudio(f"{self.path}: sample data ends early")
+        np.divide(pcm, np.float32(PCM_SCALE), out=out)
 
     def close(self) -> None:
         self._handle.close()

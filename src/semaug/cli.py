@@ -8,7 +8,9 @@ usage/empty-input error or an output that cannot be written.
 
 Before it reads a WAV, each command claims its outputs (_claim_outputs):
 featurize its stats file and feature files, mask its manifest.csv and
-feature files, stats its CSV, render its PGM. The record (stats file or
+feature files, stats its CSV, render its PGM. An output that cannot be
+written, is an input, or is another output of the run refuses the run
+before featurize or mask makes its --out. The record (stats file or
 manifest) is removed first and written last: an interrupted run leaves no
 record of outputs it did not finish, and no feature file of an earlier run.
 
@@ -48,7 +50,7 @@ from .features import StatsAccumulator, normalize, power_mel
 from .masking import (
     SemConfig, apply_fixed_sem, apply_sem, input_dropout, threshold_mask, zero_fraction,
 )
-from .stats import EtaHistogramAccumulator
+from .stats import BIN_EDGES, EtaHistogramAccumulator
 
 log = logging.getLogger("semaug")
 
@@ -215,9 +217,8 @@ def _run_utterances(paths, worker, num_workers: int):
     utterances of fewer than two front-end blocks (dsp.multi_block), in
     input order; then the calling thread and N - 1 pool threads take the
     multi-block ones, each sharing its front end's blocks with up to T - 1
-    of the N * (T - 1) pool threads left, all through dsp.share. At T = 1
-    the first pass takes every utterance. Every thread has ended when this
-    returns or raises. A
+    of the N * (T - 1) pool threads left (none at T = 1), all through
+    dsp.share. Every thread has ended when this returns or raises. A
     SemaugError or OSError fails only its file, which is logged after the
     run and yields no result. Input order holds whatever the thread counts.
     """
@@ -231,7 +232,7 @@ def _run_utterances(paths, worker, num_workers: int):
         try:
             with WavReader(path) as wav:
                 # before the second pass a multi-block file waits for the pool
-                if pool is None and threads > 1 and multi_block(wav.num_samples, cfg):
+                if pool is None and multi_block(wav.num_samples, cfg):
                     deferred.append(index)
                     return
                 energies = filterbank_energies(wav, cfg, pool, threads)
@@ -254,23 +255,42 @@ def _run_utterances(paths, worker, num_workers: int):
     return results, len(paths) - len(results)
 
 
-def _claim_outputs(outputs: list[Path], inputs: list[Path]) -> None:
+def _claim_outputs(outputs: list[Path], inputs: list[Path], out_dir: Path | None = None) -> None:
     """Check, sweep and clear a run's outputs, before any WAV is read.
 
     A usage error names the first output that lies in no directory, is a
-    directory, or is an input (the same file). Then dead processes'
-    temporaries go from each output directory, and each output in order.
+    directory or out_dir, is an input (the same file), or is an earlier
+    output (the same name in the same directory). Then out_dir, the run's --out, is made
+    if it is missing, dead processes' temporaries go from each output
+    directory, and each output goes in order.
     """
     taken = set()
     for path in inputs:
         with contextlib.suppress(OSError):  # it fails its own read later
             found = path.stat()
             taken.add((found.st_dev, found.st_ino))
-    directories = set()
+    # a missing out_dir, by its resolved path: nothing is in it yet
+    new_dir = out_dir.resolve() if out_dir is not None and not out_dir.exists() else None
+    # output directory -> its (device, inode), or new_dir
+    directories = {}
+    claimed = set()
     for path in outputs:
-        if path.parent not in directories and not path.parent.is_dir():
-            raise SemaugError(f"cannot write {path}: {path.parent} is not a directory")
-        directories.add(path.parent)
+        if path.parent not in directories:
+            if new_dir is not None and path.parent.resolve() == new_dir:
+                directories[path.parent] = new_dir
+            elif not path.parent.is_dir():
+                raise SemaugError(f"cannot write {path}: {path.parent} is not a directory")
+            else:
+                found = path.parent.stat()
+                directories[path.parent] = (found.st_dev, found.st_ino)
+        key = (directories[path.parent], path.name)
+        if key in claimed:
+            raise SemaugError(f"cannot write {path}: it is another output of this run")
+        claimed.add(key)
+        if key[0] == new_dir:
+            continue
+        if new_dir is not None and path.resolve() == new_dir:
+            raise SemaugError(f"cannot write {path}: it is the --out directory")
         try:
             found = path.stat()
         except FileNotFoundError:
@@ -279,6 +299,8 @@ def _claim_outputs(outputs: list[Path], inputs: list[Path]) -> None:
             raise SemaugError(f"cannot write {path}: it is a directory")
         if (found.st_dev, found.st_ino) in taken:
             raise SemaugError(f"cannot write {path}: it is an input of this run")
+    if new_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     for directory in sorted(directories):
         for path in formats.sweep_stale_temporaries(directory):
             log.info("removed %s, left by a process that no longer runs", path)
@@ -291,10 +313,9 @@ def _claim_outputs(outputs: list[Path], inputs: list[Path]) -> None:
 def cmd_featurize(args: argparse.Namespace) -> int:
     wavs = _input_wavs(args.in_dir)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stats_path = Path(args.stats_out) if args.stats_out else out_dir / DEFAULT_STATS_NAME
     fmx = {path: out_dir / (path.stem + FEATURE_SUFFIX) for path in wavs}
-    _claim_outputs([stats_path, *fmx.values()], wavs)
+    _claim_outputs([stats_path, *fmx.values()], wavs, out_dir)
 
     def worker(path: Path, energies):
         x_raw = power_mel(energies)
@@ -346,10 +367,9 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
     # after _mode_flags, the flags given to sem are SemConfig fields
     sem_cfg = SemConfig(**given) if args.mode == "sem" else None
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / MANIFEST_NAME
     fmx = {path: out_dir / (path.stem + FEATURE_SUFFIX) for path in wavs}
-    _claim_outputs([manifest_path, *fmx.values()], [*wavs, stats_path])
+    _claim_outputs([manifest_path, *fmx.values()], [*wavs, stats_path], out_dir)
 
     def worker(path: Path, energies):
         # every mode turns the energies into its output in place
@@ -407,14 +427,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
         else:
             acc.merge(partial)
     dist = acc.finalize()
+    rows = list(zip(BIN_EDGES[1:], dist.pdf, dist.cdf, dist.energy_ratio))
     with formats.atomic_write(out_path, "w", encoding="ascii", newline="") as handle:
         handle.write("eta_db,pdf,cdf,energy_ratio\n")
-        for i in range(dist.num_bins):
-            handle.write(
-                f"{_fmt(dist.bin_edges[i + 1])},{_fmt(dist.pdf[i])},"
-                f"{_fmt(dist.cdf[i])},{_fmt(dist.energy_ratio[i])}\n"
-            )
-    log.info("wrote %d histogram rows to %s", dist.num_bins, out_path)
+        for row in rows:
+            handle.write(",".join(map(_fmt, row)) + "\n")
+    log.info("wrote %d histogram rows to %s", len(rows), out_path)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

@@ -94,10 +94,6 @@ class FeatureMatrix:
     utterance_id: str
 
     @property
-    def num_frames(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
     def num_channels(self) -> int:
         return int(self.values.shape[1])
 

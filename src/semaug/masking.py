@@ -91,15 +91,14 @@ class SemConfig:
 
 @dataclass(frozen=True)
 class SemOutcome:
-    """One utterance's masking: its output features, the uint8 keep mask
-    (1 = kept), the dB and energy thresholds that made the mask, and r.
+    """One utterance's masking: the uint8 keep mask (1 = kept), the dB and
+    energy thresholds that made the mask, and r.
 
     A fallback has the all-ones mask, eta_th = -inf, e_th = 0 and r = 1;
     fallback_applied tells it apart from a threshold of -inf dB, which
     keeps every bin too.
     """
 
-    features: FeatureMatrix
     mask: np.ndarray
     eta_th: float
     e_th: float
@@ -273,7 +272,7 @@ def _mask_and_normalize(
     output = normalize(x_raw, stats).values
     output *= mask
     output *= scaling_r
-    return SemOutcome(energies, mask, eta_th, e_th, scaling_r, fallback)
+    return SemOutcome(mask, eta_th, e_th, scaling_r, fallback)
 
 
 def apply_sem(
@@ -284,8 +283,7 @@ def apply_sem(
     """Full small-energy-masking pipeline with a per-utterance random threshold.
 
     In place: the energies, a writable float64 matrix, become the output
-    features (outcome.features is energies), by way of power_mel. Pass a
-    copy to keep the energies.
+    features, by way of power_mel. Pass a copy to keep the energies.
     """
     eta_th = sample_threshold(cfg, energies.utterance_id)
     return _mask_and_normalize(energies, stats, eta_th)

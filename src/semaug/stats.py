@@ -22,10 +22,8 @@ from .dsp import FeatureMatrix
 from .errors import EmptyCorpus
 from .masking import eta, peak_energy
 
-# the histogram's bins: 1 dB wide, over [-100, +10] dB
-RANGE_DB = (-100.0, 10.0)
-# their edges, shared read-only by every accumulator
-BIN_EDGES = np.arange(RANGE_DB[0], RANGE_DB[1] + 1.0)
+# the edges of the histogram's 1 dB bins over [-100, +10] dB, read-only
+BIN_EDGES = np.arange(-100.0, 11.0)
 BIN_EDGES.flags.writeable = False
 
 
@@ -33,26 +31,19 @@ BIN_EDGES.flags.writeable = False
 class EtaDistribution:
     """Binned distribution of the dB energy ratio over a corpus.
 
-    bin_edges has one more entry than the per-bin arrays; row i of the
-    pdf/cdf/energy_ratio arrays describes [bin_edges[i], bin_edges[i+1]).
-    cdf[i] and energy_ratio[i] are the bin/energy fractions strictly below
-    the right edge, with out-of-range values clamped into the end bins.
+    Entry i of the pdf/cdf/energy_ratio arrays describes the bin
+    [BIN_EDGES[i], BIN_EDGES[i+1]). cdf[i] and energy_ratio[i] are the
+    bin/energy fractions strictly below the right edge, with out-of-range
+    values clamped into the end bins.
     """
 
-    bin_edges: np.ndarray
     pdf: np.ndarray
     cdf: np.ndarray
     energy_ratio: np.ndarray
 
-    @property
-    def num_bins(self) -> int:
-        return int(self.pdf.shape[0])
-
 
 class EtaHistogramAccumulator:
-    """Count/energy histogram over the dB ratio, in RANGE_DB's bins."""
-
-    bin_edges = BIN_EDGES
+    """Count/energy histogram over the dB ratio, in BIN_EDGES' bins."""
 
     def __init__(self):
         self.counts = np.zeros(BIN_EDGES.size - 1, dtype=np.int64)
@@ -104,9 +95,4 @@ class EtaHistogramAccumulator:
         # every counted utterance has a positive peak, so the total is > 0;
         # dividing by the cumulative total makes the last entry exactly 1
         energy_ratio = cum_energy / cum_energy[-1]
-        return EtaDistribution(
-            bin_edges=BIN_EDGES.copy(),
-            pdf=pdf,
-            cdf=cdf,
-            energy_ratio=energy_ratio,
-        )
+        return EtaDistribution(pdf=pdf, cdf=cdf, energy_ratio=energy_ratio)

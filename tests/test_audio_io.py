@@ -355,7 +355,7 @@ class TestWavReader:
         whole = filterbank_energies(read_wav(path), cfg)
         with WavReader(path) as reader:
             energies = filterbank_energies(reader, cfg)
-        assert whole.num_frames == num_frames
+        assert whole.values.shape[0] == num_frames
         assert energies.utterance_id == kind
         assert np.array_equal(energies.values, whole.values)
 

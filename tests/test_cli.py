@@ -893,8 +893,9 @@ def test_removed_flag_is_usage_error(tmp_path, corpus_dir, capsys, command, flag
 # an output path (always the last argument, or the directory it is in) blocked
 # by the existing file {file}, as the output itself or as a directory on the
 # way to it; under the missing directory {tmp}/nodir; by a directory: {dir}
-# itself, or {dir}/manifest.csv and {dir}/utt.fmx; or by an input, a WAV of
-# {wavs} or the stats file {tmp}/manifest.csv
+# itself, or {dir}/manifest.csv and {dir}/utt.fmx; by an input, a WAV of
+# {wavs} or the stats file {tmp}/manifest.csv; or by another output, under
+# the directory {out} or {link}, a symlink to it
 BLOCKED_OUTPUTS = [
     pytest.param(["featurize", "--in", "{wavs}", "--out", "{file}"], id="featurize-out"),
     pytest.param(
@@ -946,6 +947,18 @@ BLOCKED_OUTPUTS = [
         ["mask", "--in", "{wavs}", "--stats", "{stats}", "--mode", "none", "--out", "{tmp}"],
         id="mask-manifest-input",
     ),
+    pytest.param(
+        ["featurize", "--in", "{wavs}", "--stats-out", "{tmp}/f/utt.fmx", "--out", "{tmp}/f"],
+        id="featurize-stats-out-fmx",
+    ),
+    pytest.param(
+        ["featurize", "--in", "{wavs}", "--stats-out", "{link}/utt.fmx", "--out", "{out}"],
+        id="featurize-stats-out-fmx-symlink",
+    ),
+    pytest.param(
+        ["featurize", "--in", "{wavs}", "--stats-out", "{tmp}/f", "--out", "{tmp}/f"],
+        id="featurize-stats-out-is-out",
+    ),
 ]
 
 
@@ -962,19 +975,28 @@ def test_unwritable_output_exits_2(tmp_path, argv):
     directory = tmp_path / "adir"
     (directory / "manifest.csv").mkdir(parents=True)
     (directory / "utt.fmx").mkdir()
+    out = tmp_path / "out"
+    out.mkdir()
+    link = tmp_path / "alink"
+    link.symlink_to(out)
     # a dead writer's temporary in every directory an output may be in
     dead = reaped_pid()
-    for place in (tmp_path, wavs, directory):
+    for place in (tmp_path, wavs, directory, out):
         (place / f".utt.fmx.{dead}.77.tmp").write_bytes(b"partial")
     args = [
-        arg.format(wavs=wavs, tmp=tmp_path, file=blocker, stats=stats, dir=directory)
+        arg.format(
+            wavs=wavs, tmp=tmp_path, file=blocker, stats=stats, dir=directory, out=out, link=link
+        )
         for arg in argv
     ]
 
-    def files():
-        return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    def tree():
+        # each file's bytes, and each directory (None)
+        return {
+            path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")
+        }
 
-    before = files()
+    before = tree()
     run = run_python(["-m", "semaug.cli", *args])
     assert run.returncode == 2, run.stderr
     assert "Traceback" not in run.stderr
@@ -984,14 +1006,13 @@ def test_unwritable_output_exits_2(tmp_path, argv):
     assert args[-1] in errors[0]
     assert ".tmp" not in errors[0]
     assert not errors[0].startswith("ERROR failed on ")
-    # no file is written, changed or removed: no .fmx, no temporary swept
-    assert files() == before
-    assert (directory / "manifest.csv").is_dir() and (directory / "utt.fmx").is_dir()
-    assert not (tmp_path / "nodir").exists()
+    # no file or directory is made, changed or removed: no .fmx, no
+    # temporary swept, no --out made
+    assert tree() == before
 
 
 def test_stats_out_in_the_new_out_dir(tmp_path, corpus_dir):
-    # the output directory is made before the stats file's directory is checked
+    # a stats file in the --out that the run makes
     out = tmp_path / "f"
     argv = ["featurize", "--in", str(corpus_dir), "--out", str(out),
             "--stats-out", str(out / "s.txt")]

@@ -341,7 +341,7 @@ class TestFilterbankEnergies:
                 energies = filterbank_energies(reader, cfg)
         else:
             energies = filterbank_energies(wav, cfg)
-        assert energies.num_frames == num_frames
+        assert energies.values.shape[0] == num_frames
         assert sum(transformed) == num_frames
 
     @pytest.mark.parametrize("threads", [2, 3, 8])

@@ -57,14 +57,15 @@ class TestPowerMel:
 
 def _transforms():
     """Each in-place transform as a call on a matrix, returning the matrix
-    it hands back (a masking outcome's features)."""
+    it hands back (the masks return an outcome: their matrix is the one
+    they were given)."""
     stats = GlobalStats(np.full(3, 0.5), np.full(3, 2.0), 4)
     return {
         "power_mel": power_mel,
         "normalize": lambda m: normalize(m, stats),
         "input_dropout": lambda m: input_dropout(m, 0.5, seed=1),
-        "apply_sem": lambda m: apply_sem(m, stats, SemConfig(seed=1)).features,
-        "apply_fixed_sem": lambda m: apply_fixed_sem(m, stats, -20.0).features,
+        "apply_sem": lambda m: (apply_sem(m, stats, SemConfig(seed=1)), m)[1],
+        "apply_fixed_sem": lambda m: (apply_fixed_sem(m, stats, -20.0), m)[1],
     }
 
 

@@ -10,6 +10,7 @@ from semaug import EtaHistogramAccumulator, FeatureMatrix
 from semaug.masking import binary_mask, energy_threshold, eta, peak_energy
 from semaug import features
 from semaug.errors import EmptyCorpus
+from semaug.stats import BIN_EDGES
 from semaug.masking import threshold_mask, zero_fraction
 from conftest import (
     accumulated_histogram,
@@ -26,20 +27,16 @@ def _matrices(rng, count=6):
 class TestEtaHistogram:
     def test_fixed_one_db_bins(self):
         acc = EtaHistogramAccumulator()
-        assert np.array_equal(acc.bin_edges, np.arange(-100.0, 11.0))
+        assert np.array_equal(BIN_EDGES, np.arange(-100.0, 11.0))
         assert acc.counts.shape == acc.energy.shape == (110,)
 
     def test_accumulators_share_read_only_bin_edges(self):
-        first, second = EtaHistogramAccumulator(), EtaHistogramAccumulator()
-        assert first.bin_edges is second.bin_edges
         with pytest.raises(ValueError, match="read-only"):
-            first.bin_edges[0] = 0.0
-        dist = accumulated_histogram([FeatureMatrix(np.full((2, 3), 1.0), "c")])
-        assert dist.bin_edges is not first.bin_edges and dist.bin_edges.flags.writeable
+            BIN_EDGES[0] = 0.0
 
     def test_constant_energies_fill_zero_db_bin(self):
         dist = accumulated_histogram([FeatureMatrix(np.full((5, 8), 2.0), "c")])
-        zero_bin = int(np.searchsorted(dist.bin_edges, 0.0))  # bin [0, 1)
+        zero_bin = int(np.searchsorted(BIN_EDGES, 0.0))  # bin [0, 1)
         assert dist.pdf[zero_bin] == 1.0
         assert dist.pdf.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -110,8 +107,8 @@ class TestEtaHistogram:
         acc = EtaHistogramAccumulator()
         assert acc.update(FeatureMatrix(values, "c"))
         flat = values.ravel()
-        ratios_db = (eta(flat, peak_energy(FeatureMatrix(values, "c"))) - acc.bin_edges[0]) / (
-            acc.bin_edges[1] - acc.bin_edges[0]
+        ratios_db = (eta(flat, peak_energy(FeatureMatrix(values, "c"))) - BIN_EDGES[0]) / (
+            BIN_EDGES[1] - BIN_EDGES[0]
         )
         idx = np.clip(np.floor(ratios_db).astype(np.int64), 0, acc.counts.size - 1)
         assert np.array_equal(acc.counts, np.bincount(idx, minlength=acc.counts.size))
@@ -138,7 +135,7 @@ class TestEtaHistogram:
         # oracle at every interior bin edge: equal but for summation order
         corpus = [e for e, _ in mixed_corpus]
         dist = accumulated_histogram(corpus)
-        oracle = energy_ratio_curve(corpus, dist.bin_edges[1:-1])
+        oracle = energy_ratio_curve(corpus, BIN_EDGES[1:-1])
         assert np.allclose(dist.energy_ratio[:-1], oracle, rtol=0.0, atol=1e-12)
 
 

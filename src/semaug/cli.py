@@ -14,16 +14,16 @@ before featurize or mask makes its --out. The record (stats file or
 manifest) is removed first and written last: an interrupted run leaves no
 record of outputs it did not finish, and no feature file of an earlier run.
 
-Every command runs its utterances on N x T threads it owns: the calling
-thread and one pool of N x T - 1, for --workers N (stats and render have
-one) and T = max(1, C // N), C being the CPUs in the process's affinity
-mask. Each of them takes whole utterances of fewer than two front-end
-blocks. An utterance of two or more runs after those on the calling thread
-or one of N - 1 pool threads, at most N at a time, its front end's blocks
-claimed there and on up to T - 1 of the other N x (T - 1) pool threads.
-Files and blocks are claimed by one loop, dsp.share. main holds OpenBLAS to
-one thread, once per process and with no restore. Neither count changes an
-output byte or a log line, and no thread outlives the command.
+Every command runs its utterances on the calling thread and helper
+threads, for --workers N (stats and render have one) and T = max(1, C // N),
+C being the CPUs in the process's affinity mask. First the calling thread
+and N x T - 1 helpers take whole utterances of fewer than two front-end
+blocks. Then the calling thread and N - 1 helpers take the utterances of
+two or more, at most N at a time, each sharing its front end's blocks with
+up to T - 1 helpers of its own. Files and blocks are claimed by one loop,
+dsp.share, which starts and joins the helpers of each call. main holds
+OpenBLAS to one thread, once per process and with no restore. Neither count
+changes an output byte or a log line, and no thread outlives the command.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import math
 import os
 import stat
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,7 @@ import numpy as np
 from . import formats
 from .audio_io import WavReader
 from .dsp import FeatureConfig, filterbank_energies, multi_block, share
-from .errors import SemaugError
+from .errors import EmptyCorpus, SemaugError
 from .features import StatsAccumulator, normalize, power_mel
 from .masking import (
     SemConfig, apply_fixed_sem, apply_sem, input_dropout, threshold_mask, zero_fraction,
@@ -79,11 +78,12 @@ def _fmt(value: float) -> str:
 
 
 def _input_wavs(in_dir: str) -> list[Path]:
-    """The directory's WAVs in utterance-id order; a usage error when the
-    directory is missing or holds none."""
+    """The directory's WAVs in utterance-id order; a usage error when it is
+    missing, is not a directory or holds none."""
     directory = Path(in_dir)
     if not directory.is_dir():
-        raise SemaugError(f"input directory {directory} does not exist")
+        problem = "is not a directory" if directory.exists() else "does not exist"
+        raise SemaugError(f"input directory {directory} {problem}")
     wavs = sorted(directory.glob("*.wav"), key=lambda p: p.stem)
     if not wavs:
         raise SemaugError("no input files")
@@ -212,40 +212,36 @@ def _run_utterances(paths, worker, num_workers: int):
     """Run `worker(path, energies)` on each path's energies; (results in
     input order, failure count).
 
-    The threads are those of the module docstring: the calling thread and a
-    pool of N * T - 1, N = num_workers. First all of them take whole
-    utterances of fewer than two front-end blocks (dsp.multi_block), in
-    input order; then the calling thread and N - 1 pool threads take the
-    multi-block ones, each sharing its front end's blocks with up to T - 1
-    of the N * (T - 1) pool threads left (none at T = 1), all through
-    dsp.share. Every thread has ended when this returns or raises. A
-    SemaugError or OSError fails only its file, which is logged after the
-    run and yields no result. Input order holds whatever the thread counts.
+    The threads are those of the module docstring, N = num_workers. First
+    the calling thread and N * T - 1 helpers take whole utterances of fewer
+    than two front-end blocks (dsp.multi_block), in input order; then the
+    calling thread and N - 1 helpers take the multi-block ones, each
+    sharing its front end's blocks with up to T - 1 helpers of its own
+    (none at T = 1), all through dsp.share. Every thread has ended when
+    this returns or raises. A SemaugError or OSError fails only its file,
+    which is logged after the run and yields no result. Input order holds
+    whatever the thread counts.
     """
     cfg = FeatureConfig()
     threads = max(1, _cpu_count() // num_workers)
     outcomes = [None] * len(paths)
     deferred = []
 
-    def attempt(index, pool=None):
+    def attempt(index, second_pass=False):
         path = paths[index]
         try:
             with WavReader(path) as wav:
-                # before the second pass a multi-block file waits for the pool
-                if pool is None and multi_block(wav.num_samples, cfg):
+                # a multi-block file waits for the second pass
+                if not second_pass and multi_block(wav.num_samples, cfg):
                     deferred.append(index)
                     return
-                energies = filterbank_energies(wav, cfg, pool, threads)
+                energies = filterbank_energies(wav, cfg, threads if second_pass else 1)
             outcomes[index] = worker(path, energies)
         except (SemaugError, OSError) as exc:
             outcomes[index] = exc
 
-    # a pool starts no thread before it is given work; the calling thread
-    # always takes part, as a pool thread in its place would bring a malloc
-    # arena of its own, 3.6 MB more peak RSS on a 600 s file
-    with ThreadPoolExecutor(max(1, num_workers * threads - 1), "semaug-pool") as pool:
-        share(range(len(paths)), attempt, pool, num_workers * threads)
-        share(sorted(deferred), lambda index: attempt(index, pool), pool, num_workers)
+    share(range(len(paths)), attempt, num_workers * threads)
+    share(sorted(deferred), lambda index: attempt(index, second_pass=True), num_workers)
     results = []
     for path, outcome in zip(paths, outcomes):
         if isinstance(outcome, Exception):
@@ -398,6 +394,8 @@ def cmd_mask(args: argparse.Namespace) -> int:
         return row
 
     rows, failures = _run_utterances(wavs, worker, args.workers)
+    if not rows:
+        raise EmptyCorpus("no utterance was masked")
     with formats.atomic_write(manifest_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(MANIFEST_COLUMNS)
@@ -441,7 +439,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     in_path = Path(args.in_path)
     if not in_path.is_file():
-        raise SemaugError(f"input file {in_path} does not exist")
+        problem = "is not a file" if in_path.exists() else "does not exist"
+        raise SemaugError(f"input file {in_path} {problem}")
     _claim_outputs([Path(args.out)], [in_path])
 
     def worker(path: Path, energies):

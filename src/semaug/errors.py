@@ -22,4 +22,4 @@ class FormatError(SemaugError):
 
 
 class EmptyCorpus(SemaugError):
-    """No frames, bins or matrix entries to compute a statistic from."""
+    """No frames, bins, matrix entries or utterances to compute a result from."""

@@ -9,8 +9,6 @@ import signal
 import subprocess
 import textwrap
 import threading
-from concurrent import futures
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -135,26 +133,74 @@ PARTIAL_FAILURE_COMMANDS = [
 ]
 
 
-class TestFeaturize:
+@pytest.mark.parametrize("command", ["featurize", "mask", "stats"])
+def test_all_broken_corpus_exits_2(tmp_path, caplog, command):
+    wavs = tmp_path / "w"
+    wavs.mkdir()
+    for name in ("a", "b"):
+        (wavs / f"{name}.wav").write_bytes(b"not audio")
+    stats = tmp_path / "global_stats.txt"
+    save_stats(stats, GlobalStats(np.zeros(40), np.ones(40), 1))
+    out = tmp_path / "out"
+    # the flags after --in, and the final ERROR line
+    flags, last_error = {
+        "featurize": (["--out", str(out)], "no utterance produced features"),
+        "mask": (["--stats", str(stats), "--mode", "sem", "--out", str(out)],
+                 "no utterance was masked"),
+        "stats": (["--out", str(out / "dist.csv")], "empty corpus"),
+    }[command]
+    if command == "stats":
+        out.mkdir()
+    assert main([command, "--in", str(wavs), *flags]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert [line.split(":")[0] for line in errors[:2]] == [
+        "failed on a.wav", "failed on b.wav",
+    ]
+    assert errors[2:] == [last_error]
+    assert list(out.iterdir()) == []
+
+
+class WorkersFlag:
+    """The --workers checks of featurize and mask, run by each command's
+    test class: its workers_argv fixture gives the command line before
+    --workers, and the --out it names."""
+
+    def test_workers_below_one_exit_2(self, workers_argv):
+        argv, out = workers_argv
+        for workers in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--workers", workers])
+            assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["abc", "1.5"])
+    def test_non_integer_workers_exit_2(self, workers_argv, capsys, workers):
+        argv, out = workers_argv
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", workers])
+        assert exc.value.code == 2
+        assert f"must be an integer, got '{workers}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFeaturize(WorkersFlag):
+    @pytest.fixture()
+    def workers_argv(self, tmp_path, corpus_dir):
+        out = tmp_path / "f"
+        return ["featurize", "--in", str(corpus_dir), "--out", str(out)], out
+
     def test_empty_dir_exits_2(self, tmp_path, caplog):
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["featurize", "--in", str(empty), "--out", str(tmp_path / "o")]) == 2
         assert "no input files" in caplog.text
 
-    def test_all_broken_corpus_exits_2(self, tmp_path, caplog):
-        wavs = tmp_path / "w"
-        wavs.mkdir()
-        for name in ("a", "b"):
-            (wavs / f"{name}.wav").write_bytes(b"not audio")
+    def test_input_that_is_a_file_exits_2(self, tmp_path, corpus_dir, caplog):
+        wav = corpus_dir / "utt_000.wav"
         out = tmp_path / "f"
-        assert main(["featurize", "--in", str(wavs), "--out", str(out)]) == 2
-        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert [line.split(":")[0] for line in errors[:2]] == [
-            "failed on a.wav", "failed on b.wav",
-        ]
-        assert errors[2:] == ["no utterance produced features"]
-        assert list(out.iterdir()) == []
+        assert main(["featurize", "--in", str(wav), "--out", str(out)]) == 2
+        assert f"input directory {wav} is not a directory" in caplog.text
+        assert not out.exists()
 
     def test_one_second_default_shapes(self, tmp_path):
         wavs = tmp_path / "w"
@@ -277,29 +323,18 @@ class TestFeaturize:
         for out in outs[1:]:
             assert_same_trees(outs[0], out)
 
-    def test_workers_below_one_exit_2(self, tmp_path, corpus_dir):
-        out = tmp_path / "f"
-        for workers in ("0", "-3"):
-            with pytest.raises(SystemExit) as exc:
-                main(["featurize", "--in", str(corpus_dir), "--out", str(out),
-                      "--workers", workers])
-            assert exc.value.code == 2
-        assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["abc", "1.5"])
-    def test_non_integer_workers_exit_2(self, tmp_path, corpus_dir, capsys, workers):
-        out = tmp_path / "f"
-        with pytest.raises(SystemExit) as exc:
-            main(["featurize", "--in", str(corpus_dir), "--out", str(out),
-                  "--workers", workers])
-        assert exc.value.code == 2
-        assert f"must be an integer, got '{workers}'" in capsys.readouterr().err
-        assert not out.exists()
-
-
-class TestMask:
+class TestMask(WorkersFlag):
     def _stats_path(self, featurized):
         return featurized / "global_stats.txt"
+
+    @pytest.fixture()
+    def workers_argv(self, tmp_path, corpus_dir, featurized):
+        out = tmp_path / "m"
+        return [
+            "mask", "--in", str(corpus_dir), "--stats", str(self._stats_path(featurized)),
+            "--mode", "none", "--out", str(out),
+        ], out
 
     def test_mode_none_is_plain_normalization(self, tmp_path, corpus_dir, featurized):
         out = tmp_path / "m"
@@ -420,31 +455,6 @@ class TestMask:
             kept = np.count_nonzero(energies.values >= float(row["e_th"]))
             zeros = energies.values.size - kept
             assert round(float(row["masked_fraction"]) * energies.values.size) == zeros
-
-    def test_workers_below_one_exit_2(self, tmp_path, corpus_dir, featurized):
-        out = tmp_path / "m"
-        for workers in ("0", "-3"):
-            with pytest.raises(SystemExit) as exc:
-                main([
-                    "mask", "--in", str(corpus_dir), "--stats", str(self._stats_path(featurized)),
-                    "--mode", "none", "--out", str(out), "--workers", workers,
-                ])
-            assert exc.value.code == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("workers", ["abc", "1.5"])
-    def test_non_integer_workers_exit_2(
-        self, tmp_path, corpus_dir, featurized, capsys, workers
-    ):
-        out = tmp_path / "m"
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "mask", "--in", str(corpus_dir), "--stats", str(self._stats_path(featurized)),
-                "--mode", "none", "--out", str(out), "--workers", workers,
-            ])
-        assert exc.value.code == 2
-        assert f"must be an integer, got '{workers}'" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "mode_flags",
@@ -822,6 +832,12 @@ class TestRender:
         assert main(["render", "--in", str(tmp_path / "no.wav"), "--eta-th", "0",
                      "--out", str(tmp_path / "o.pgm")]) == 2
 
+    def test_input_that_is_a_directory_exits_2(self, tmp_path, caplog):
+        out = tmp_path / "o.pgm"
+        assert main(["render", "--in", str(tmp_path), "--eta-th", "0", "--out", str(out)]) == 2
+        assert f"input file {tmp_path} is not a file" in caplog.text
+        assert not out.exists()
+
     def test_non_finite_threshold_exits_2(self, tmp_path):
         out = tmp_path / "o.pgm"
         with pytest.raises(SystemExit) as exc:
@@ -1095,10 +1111,10 @@ def fail_second_range(monkeypatch, uid, error, on_a_helper):
     """Make the front end raise `error` at the third block of utterance uid
     (a file of MULTI_BLOCK_FRAMES[-1] frames, six blocks), whichever thread
     reads it; return the names of the threads it was raised on. With
-    on_a_helper, a pool thread reads no block of uid before the calling
-    thread has read its first, and the calling thread then waits there
-    until the error has been raised: it holds the first or the second
-    block, so a pool thread claims the third."""
+    on_a_helper, a helper reads no block of uid before the calling thread
+    has read its first, and the calling thread then waits there until the
+    error has been raised: it holds the first or the second block, so a
+    helper claims the third."""
     failing_sample = 2 * dsp.BLOCK_FRAMES * FeatureConfig.hop_samples
     read = dsp.read_wav
     raised_on = []
@@ -1125,33 +1141,29 @@ def fail_second_range(monkeypatch, uid, error, on_a_helper):
 def fail_short_file(monkeypatch, uid, error, on_a_helper):
     """Make the front end raise `error` when it reads utterance uid, a file
     of fewer than two blocks, whichever thread runs it; return the names of
-    the threads it was raised on. With on_a_helper, a pool thread reads no
-    file before the calling thread has read its first, and the calling
-    thread waits at its first read until the pool threads' claim loops have
-    ended, so a helper takes uid (any file after the first two)."""
+    the threads it was raised on. With on_a_helper, a helper reads no file
+    before the calling thread has read its first, and the calling thread
+    waits at its first read until the live helpers have ended, so a helper
+    takes uid (any file after the first two)."""
     read = dsp.read_wav
     raised_on = []
-    claim_loops = []
     caller_read = threading.Event()
-
-    class RecordingPool(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            claim_loops.append(super().submit(*args, **kwargs))
-            return claim_loops[-1]
 
     def read_or_fail(source, start, stop, out):
         if on_a_helper and threading.current_thread() is not threading.main_thread():
             assert caller_read.wait(timeout=30)
         elif on_a_helper:
             caller_read.set()
-            assert not futures.wait(claim_loops, timeout=30).not_done
+            for thread in threading.enumerate():
+                if thread.name.startswith("semaug-helper"):
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
         if source.utterance_id == uid:
             raised_on.append(threading.current_thread().name)
             raise error
         return read(source, start, stop, out=out)
 
     monkeypatch.setattr(dsp, "read_wav", read_or_fail)
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
     return raised_on
 
 
@@ -1183,7 +1195,7 @@ class TestThreads:
 
         monkeypatch.setattr(dsp, "power_spectrum", recording)
         assert self.featurize(wavs, tmp_path / "f", 2, monkeypatch) == 0
-        assert any(name.startswith("semaug-pool") for name in seen)
+        assert any(name.startswith("semaug-helper") for name in seen)
 
     def test_broken_file(self, tmp_path, wavs, monkeypatch, caplog):
         (wavs / "broken.wav").write_bytes(b"not audio")
@@ -1209,14 +1221,14 @@ class TestThreads:
         assert errors[1] == errors[2] == ["failed on long.wav: long.wav: cut"]
         # at T = 1 on the utterance's worker, at T = 2 on a helper
         assert raised_on[1] == [threading.main_thread().name]
-        assert len(raised_on[2]) == 1 and raised_on[2][0].startswith("semaug-pool")
+        assert len(raised_on[2]) == 1 and raised_on[2][0].startswith("semaug-helper")
         assert_same_files(tmp_path / "c1", tmp_path / "c2")
 
     def test_interrupt_in_a_helper_range(self, tmp_path, wavs, monkeypatch):
         raised_on = fail_second_range(monkeypatch, "long", KeyboardInterrupt(), True)
         with pytest.raises(KeyboardInterrupt):
             self.featurize(wavs, tmp_path / "f", 2, monkeypatch)
-        assert len(raised_on) == 1 and raised_on[0].startswith("semaug-pool")
+        assert len(raised_on) == 1 and raised_on[0].startswith("semaug-helper")
 
     # an all-short corpus: every file runs whole, on the calling thread or a helper
 
@@ -1249,7 +1261,7 @@ class TestThreads:
             ]
         assert errors[1] == errors[2] == ["failed on utt_005.wav: utt_005.wav: cut"]
         assert raised_on[1] == [threading.main_thread().name]
-        assert len(raised_on[2]) == 1 and raised_on[2][0].startswith("semaug-pool")
+        assert len(raised_on[2]) == 1 and raised_on[2][0].startswith("semaug-helper")
         assert_same_files(tmp_path / "c1", tmp_path / "c2")
 
     def test_interrupt_in_a_short_file_on_a_helper(self, tmp_path, corpus_dir, monkeypatch):
@@ -1257,7 +1269,7 @@ class TestThreads:
         raised_on = fail_short_file(monkeypatch, "utt_002", KeyboardInterrupt(), True)
         with pytest.raises(KeyboardInterrupt):
             self.featurize(corpus_dir, tmp_path / "f", 2, monkeypatch)
-        assert len(raised_on) == 1 and raised_on[0].startswith("semaug-pool")
+        assert len(raised_on) == 1 and raised_on[0].startswith("semaug-helper")
         assert sorted(p.name for p in (tmp_path / "f").glob("*.fmx")) == [
             "utt_000.fmx", "utt_001.fmx",
         ]
@@ -1322,22 +1334,23 @@ def test_multi_block_utterances_run_on_workers_at_most_n_at_a_time(
         assert set(long_threads) == {threading.main_thread().name}
     else:
         assert all(
-            name == threading.main_thread().name or name.startswith("semaug-pool")
+            name == threading.main_thread().name or name.startswith("semaug-helper")
             for name in long_threads
         )
 
 
 # Run as `python -c _FIRST_TO_LOAD <JSON list of argv lists>`: prints the
 # first step (`import semaug`, `import semaug.cli` or one of the commands)
-# after which _hashlib, and with it OpenSSL's libcrypto, or numpy.random is
-# loaded, with the module's name, or nothing if no step loads either.
+# after which _hashlib, and with it OpenSSL's libcrypto, numpy.random or
+# concurrent.futures is loaded, with the module's name, or nothing if no
+# step loads any.
 _FIRST_TO_LOAD = textwrap.dedent(
     """
     import json
     import sys
 
     def check(step):
-        for module in ("_hashlib", "numpy.random"):
+        for module in ("_hashlib", "numpy.random", "concurrent.futures"):
             if module in sys.modules:
                 print(f"{step}: {module}")
                 sys.exit(0)
@@ -1358,7 +1371,8 @@ def test_no_command_loads_openssl_or_numpy_random(tmp_path):
     # about 3.5 MB more resident memory for a command that hashes nothing
     # with it (masking's BLAKE2b comes from _blake2); numpy.random imports
     # secrets, which imports hmac and _hashlib (dropout draws from its own
-    # SplitMix64 stream instead)
+    # SplitMix64 stream instead); dsp.share starts its own threads, so no
+    # command needs concurrent.futures
     wavs = tmp_path / "wavs"
     make_corpus(wavs, mixed_waveforms(3, 0.5))
     stats = tmp_path / "f" / "global_stats.txt"

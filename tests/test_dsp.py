@@ -6,7 +6,6 @@ import sys
 import textwrap
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +48,6 @@ def direct_dft_power(frame, fft_size):
 _KERNEL_CHECK = textwrap.dedent(
     """
     import sys
-    from concurrent.futures import ThreadPoolExecutor
     from pathlib import Path
 
     import numpy as np
@@ -59,21 +57,20 @@ _KERNEL_CHECK = textwrap.dedent(
     from semaug.audio_io import PCM_SCALE, WavReader, Waveform, write_wav
 
     cfg = FeatureConfig()
-    with ThreadPoolExecutor(2) as pool:
-        for num_frames in (513, 1025, 2577):
-            num = (num_frames - 1) * cfg.hop_samples + cfg.window_samples
-            rng = np.random.default_rng(num_frames)
-            samples = rng.integers(-3000, 3000, size=num) / PCM_SCALE
-            oracle = front_end_oracle(samples, cfg)
-            wav = Waveform(samples, cfg.sample_rate_hz, "kernel")
-            path = Path(sys.argv[1]) / f"{num_frames}.wav"
-            write_wav(path, wav)
-            for threads in (1, 3):
-                with WavReader(path) as reader:
-                    for name, source in (("waveform", wav), ("reader", reader)):
-                        values = filterbank_energies(source, cfg, pool, threads).values
-                        if not np.array_equal(values, oracle):
-                            print(num_frames, threads, name)
+    for num_frames in (513, 1025, 2577):
+        num = (num_frames - 1) * cfg.hop_samples + cfg.window_samples
+        rng = np.random.default_rng(num_frames)
+        samples = rng.integers(-3000, 3000, size=num) / PCM_SCALE
+        oracle = front_end_oracle(samples, cfg)
+        wav = Waveform(samples, cfg.sample_rate_hz, "kernel")
+        path = Path(sys.argv[1]) / f"{num_frames}.wav"
+        write_wav(path, wav)
+        for threads in (1, 3):
+            with WavReader(path) as reader:
+                for name, source in (("waveform", wav), ("reader", reader)):
+                    values = filterbank_energies(source, cfg, threads).values
+                    if not np.array_equal(values, oracle):
+                        print(num_frames, threads, name)
     """
 )
 
@@ -116,9 +113,8 @@ class TestHammingWindow:
         dsp._analysis_window.cache_clear()
         num = (3 * BLOCK_FRAMES - 1) * cfg.hop_samples + cfg.window_samples
         wav = synth_fixture("white_noise", num / cfg.sample_rate_hz, seed=5, utterance_id="w")
-        with ThreadPoolExecutor(2) as pool:
-            for _ in range(2):
-                filterbank_energies(wav, cfg, pool, 3)
+        for _ in range(2):
+            filterbank_energies(wav, cfg, 3)
         assert built == [cfg.window_samples]
         window = dsp._analysis_window(cfg)
         assert not window.flags.writeable
@@ -377,12 +373,11 @@ class TestFilterbankEnergies:
         monkeypatch.setattr(dsp, "power_spectrum", counting_power_spectrum)
         if streamed:
             write_wav(tmp_path / "ranges.wav", wav)
-        with ThreadPoolExecutor(threads - 1) as pool:
-            if streamed:
-                with WavReader(tmp_path / "ranges.wav") as reader:
-                    energies = filterbank_energies(reader, cfg, pool, threads)
-            else:
-                energies = filterbank_energies(wav, cfg, pool, threads)
+        if streamed:
+            with WavReader(tmp_path / "ranges.wav") as reader:
+                energies = filterbank_energies(reader, cfg, threads)
+        else:
+            energies = filterbank_energies(wav, cfg, threads)
         assert sum(rows for rows, _ in transformed) == num_frames
         blocks = -(-num_frames // BLOCK_FRAMES)
         assert len({thread for _, thread in transformed}) <= min(threads, blocks)
@@ -399,29 +394,28 @@ class TestFilterbankEnergies:
         )
         assert (run.returncode, run.stdout) == (0, ""), run.stderr
 
-    def test_a_busy_pool_does_not_hold_the_front_end(self, cfg):
-        # the pool's one thread is taken, so the claim loop queued behind it
-        # cannot start: the calling thread computes all three blocks, then
-        # cancels it rather than wait
+    def test_a_busy_share_does_not_hold_the_front_end(self, cfg):
+        # every thread of an outer share is inside run when it calls the
+        # front end, so none of them is free to take a block: each call
+        # starts a helper of its own rather than wait for one
         num = (3 * BLOCK_FRAMES - 1) * cfg.hop_samples + cfg.window_samples
         samples = np.random.default_rng(3).integers(-3000, 3000, size=num) / PCM_SCALE
         wav = Waveform(samples, cfg.sample_rate_hz, "busy")
-        release = threading.Event()
-        result = []
-        with ThreadPoolExecutor(1) as pool:
-            pool.submit(release.wait, 60)
-            caller = threading.Thread(
-                target=lambda: result.append(filterbank_energies(wav, cfg, pool, 2))
-            )
-            try:
-                caller.start()
-                caller.join(timeout=10)
-                returned = not caller.is_alive()
-            finally:
-                release.set()
-                caller.join()
-        assert returned
-        assert np.array_equal(result[0].values, front_end_oracle(samples, cfg))
+        barrier = threading.Barrier(3, timeout=30)
+        results = {}
+
+        def run(index):
+            barrier.wait()
+            results[index] = filterbank_energies(wav, cfg, 2).values
+
+        # a daemon, so that a hang fails this test rather than hold the process
+        outer = threading.Thread(target=dsp.share, args=(range(3), run, 3), daemon=True)
+        outer.start()
+        outer.join(timeout=30)
+        assert not outer.is_alive()
+        assert sorted(results) == [0, 1, 2]
+        oracle = front_end_oracle(samples, cfg)
+        assert all(np.array_equal(values, oracle) for values in results.values())
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_the_lowest_failing_block_raises(self, cfg, tmp_path, monkeypatch, threads):
@@ -443,10 +437,10 @@ class TestFilterbankEnergies:
             return read(source, start, stop, out=out)
 
         monkeypatch.setattr(dsp, "read_wav", read_or_fail)
-        with ThreadPoolExecutor(2) as pool, WavReader(tmp_path / "fail.wav") as reader:
+        with WavReader(tmp_path / "fail.wav") as reader:
             for _ in range(5):
                 with pytest.raises(BadAudio, match="^block 1$"):
-                    filterbank_energies(reader, cfg, pool, threads)
+                    filterbank_energies(reader, cfg, threads)
 
     @pytest.mark.parametrize(
         "num_frames", [SUB_BLOCK_FRAMES + 1, BLOCK_FRAMES + 3, 4 * BLOCK_FRAMES + 3]
@@ -546,19 +540,20 @@ class TestShare:
                 with lock:
                     running.discard(index)
 
-        with ThreadPoolExecutor(3) as pool:
-            for _ in range(5):
-                with pytest.raises(ValueError) as exc:
-                    dsp.share(range(8), run, pool, threads)
-                assert exc.value.args == (1,)
-                assert not running
+        for _ in range(5):
+            with pytest.raises(ValueError) as exc:
+                dsp.share(range(8), run, threads)
+            assert exc.value.args == (1,)
+            assert not running
 
 
     def test_is_the_package_s_one_fan_out(self):
-        # a second fan-out beside share would need a pool's submit: no code
-        # under semaug calls .submit( anywhere else
+        # a second fan-out beside share would need a thread or an executor:
+        # no code under semaug calls .submit( or imports concurrent.futures,
+        # and only dsp.share calls threading.Thread(
         package = Path(dsp.__file__).parent
         calls = []
+        imports = []
         for path in sorted(package.rglob("*.py")):
             module = ".".join(path.relative_to(package).with_suffix("").parts)
 
@@ -567,16 +562,19 @@ class TestShare:
                     inner = scope
                     if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                         inner = scope or child.name
-                    if (
-                        isinstance(child, ast.Call)
-                        and isinstance(child.func, ast.Attribute)
-                        and child.func.attr == "submit"
-                    ):
-                        calls.append(f"{module}.{scope}")
+                    if isinstance(child, ast.Call):
+                        name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                        if name in ("submit", "Thread"):
+                            calls.append((f"{module}.{scope}", name))
+                    if isinstance(child, ast.Import):
+                        imports.extend(alias.name for alias in child.names)
+                    if isinstance(child, ast.ImportFrom):
+                        imports.append(child.module)
                     visit(child, inner)
 
             visit(ast.parse(path.read_text(encoding="utf-8")), "")
-        assert calls == ["dsp.share"]
+        assert not [name for name in imports if name and name.startswith("concurrent")]
+        assert calls == [("dsp.share", "Thread")]
 
     def test_claims_hold_under_a_short_switch_interval(self, cfg):
         # four claiming threads on two CPUs, switching every microsecond:
@@ -589,9 +587,8 @@ class TestShare:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(3) as pool:
-                dsp.share(range(2000), seen.append, pool, 4)
-                energies = filterbank_energies(wav, cfg, pool, 4).values
+            dsp.share(range(2000), seen.append, 4)
+            energies = filterbank_energies(wav, cfg, 4).values
         finally:
             sys.setswitchinterval(interval)
         assert sorted(seen) == list(range(2000))
@@ -611,9 +608,8 @@ class TestShare:
                 interrupted.set()
                 raise KeyboardInterrupt
 
-        with ThreadPoolExecutor(2) as pool:
-            with pytest.raises(KeyboardInterrupt):
-                dsp.share(range(8), run, pool, threads)
+        with pytest.raises(KeyboardInterrupt):
+            dsp.share(range(8), run, threads)
 
 
 def test_cli_claims_its_outputs_in_one_place():

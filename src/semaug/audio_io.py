@@ -138,20 +138,20 @@ class WavReader:
             )
         return rate
 
-    def _read_into(self, start: int, out: np.ndarray) -> None:
-        """Fill float32 `out` with the samples from `start` on: one seek and one
-        readinto of the raw integers into an array of this call's own.
+    def _read(self, start: int, count: int) -> np.ndarray:
+        """The count samples from `start` on, as a new float32 array: one seek
+        and one readinto of the raw integers into an array of this call's own.
 
         The handle's position is shared, so the seek and the read hold the
-        reader's lock; the samples are scaled into `out` after it.
+        reader's lock; the samples are scaled after it.
         """
-        pcm = np.empty(out.size, dtype="<i2")
+        pcm = np.empty(count, dtype="<i2")
         with self._lock:
             self._handle.seek(self._data_offset + 2 * start)
             read = self._handle.readinto(pcm)
         if read != pcm.nbytes:
             raise BadAudio(f"{self.path}: sample data ends early")
-        np.divide(pcm, np.float32(PCM_SCALE), out=out)
+        return np.divide(pcm, np.float32(PCM_SCALE), dtype=np.float32)
 
     def close(self) -> None:
         self._handle.close()
@@ -164,10 +164,7 @@ class WavReader:
 
 
 def read_wav(
-    wav: str | Path | WavReader,
-    start: int = 0,
-    stop: int | None = None,
-    out: np.ndarray | None = None,
+    wav: str | Path | WavReader, start: int = 0, stop: int | None = None
 ) -> Waveform:
     """Read samples [start, stop) of a 16-bit mono PCM WAV file as float32.
 
@@ -175,25 +172,16 @@ def read_wav(
     header was parsed when it was opened. The format tag is PCM (1), or
     WAVE_FORMAT_EXTENSIBLE (0xFFFE) with the PCM subformat. stop defaults to
     the end of the data. Samples are the raw integers divided by 32768,
-    exactly (see Waveform), whatever the span; the utterance id is the file
-    stem. With `out`, a float32 array of at least stop - start entries, the
-    samples are written there and the waveform is a view of it; a shorter
-    `out` raises ValueError before anything is read.
+    exactly (see Waveform), whatever the span, in a new array of this
+    call's own; the utterance id is the file stem.
     """
     if not isinstance(wav, WavReader):
         with WavReader(wav) as reader:
-            return read_wav(reader, start, stop, out)
+            return read_wav(reader, start, stop)
     stop = wav.num_samples if stop is None else stop
     if not 0 <= start <= stop <= wav.num_samples:
         raise ValueError(f"span [{start}, {stop}) outside [0, {wav.num_samples})")
-    count = stop - start
-    if out is not None and len(out) < count:
-        raise ValueError(f"out holds {len(out)} samples < the {count} of span [{start}, {stop})")
-    samples = np.empty(count, dtype=np.float32) if out is None else out[:count]
-    wav._read_into(start, samples)
-    return Waveform(
-        samples=samples, sample_rate_hz=wav.sample_rate_hz, utterance_id=wav.utterance_id
-    )
+    return Waveform(wav._read(start, stop - start), wav.sample_rate_hz, wav.utterance_id)
 
 
 def write_wav(path: str | Path, waveform: Waveform) -> None:

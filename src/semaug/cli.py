@@ -222,7 +222,6 @@ def _run_utterances(paths, worker, num_workers: int):
     which is logged after the run and yields no result. Input order holds
     whatever the thread counts.
     """
-    cfg = FeatureConfig()
     threads = max(1, _cpu_count() // num_workers)
     outcomes = [None] * len(paths)
     deferred = []
@@ -232,10 +231,10 @@ def _run_utterances(paths, worker, num_workers: int):
         try:
             with WavReader(path) as wav:
                 # a multi-block file waits for the second pass
-                if not second_pass and multi_block(wav.num_samples, cfg):
+                if not second_pass and multi_block(wav.num_samples):
                     deferred.append(index)
                     return
-                energies = filterbank_energies(wav, cfg, threads if second_pass else 1)
+                energies = filterbank_energies(wav, threads if second_pass else 1)
             outcomes[index] = worker(path, energies)
         except (SemaugError, OSError) as exc:
             outcomes[index] = exc

@@ -16,19 +16,19 @@ energies written into a preallocated result of whole blocks, whose first M
 rows are the (M, C) output, so the peak memory of one utterance is
 O(block) above its output rather than O(utterance): no whole-utterance
 spectrum exists, and the samples of an open WAV file are read one block's
-span at a time into one reused buffer. Within a block the window and FFT
-run SUB_BLOCK_FRAMES (64) rows at a time through one zero-padded float64
-workspace; only the block's power spectrum, the input of its mel matmul,
-is held at full block height. Every frame is read and transformed once; a
-final partial block zeroes its power rows past its new frames, and its
-matmul runs on into at most 511 padding rows.
+span at a time. Within a block the window and FFT run SUB_BLOCK_FRAMES
+(64) rows at a time through one zero-padded float64 workspace; only the
+block's power spectrum, the input of its mel matmul, is held at full block
+height. Every frame is read and transformed once; a final partial block
+zeroes its power rows past its new frames, and its matmul runs on into at
+most 511 padding rows.
 
 Given a thread count T, the calling thread and up to T - 1 helper
 threads that share starts for the call claim an utterance's blocks in
-order, each thread with its own block buffers (about 1.6 MB); every block
-is computed as it would be serially, so the bits do not depend on which
-thread takes it. share is also the CLI's loop over files, the package's
-one fan-out. At T = 1, the default, the front end runs serially.
+order, each block with buffers of its own (about 1.6 MB) while it is
+computed; every block is computed as it would be serially, so the bits do
+not depend on which thread takes it. share is also the CLI's loop over
+files, the package's one fan-out. At T = 1, the default, the front end runs serially.
 """
 
 from __future__ import annotations
@@ -104,30 +104,32 @@ def hamming_window(length: int) -> np.ndarray:
 
 
 @functools.cache
-def _analysis_window(cfg: FeatureConfig) -> np.ndarray:
+def _analysis_window() -> np.ndarray:
     """The front end's Hamming window, built once per process and shared
     by every block of every utterance: read-only, like mel_filterbank's
     weights."""
-    window = hamming_window(cfg.window_samples)
+    window = hamming_window(FeatureConfig.window_samples)
     window.flags.writeable = False
     return window
 
 
-def multi_block(num_samples: int, cfg: FeatureConfig) -> bool:
+def multi_block(num_samples: int) -> bool:
     """Whether num_samples samples make two or more whole blocks of frames
     (2 * BLOCK_FRAMES = 1024 frames, about 10.3 s): the only utterances
     whose front end the CLI gives threads of its own."""
-    return num_samples >= cfg.window_samples + (2 * BLOCK_FRAMES - 1) * cfg.hop_samples
+    return num_samples >= (
+        FeatureConfig.window_samples + (2 * BLOCK_FRAMES - 1) * FeatureConfig.hop_samples
+    )
 
 
-def _check_length(num_samples: int, cfg: FeatureConfig, utterance_id: str) -> None:
-    if num_samples < cfg.window_samples:
+def _check_length(num_samples: int, utterance_id: str) -> None:
+    if num_samples < FeatureConfig.window_samples:
         raise BadAudio(
-            f"{utterance_id}: {num_samples} samples < one window of {cfg.window_samples}"
+            f"{utterance_id}: {num_samples} samples < one window of {FeatureConfig.window_samples}"
         )
 
 
-def frame_signal(waveform: Waveform, cfg: FeatureConfig) -> np.ndarray:
+def frame_signal(waveform: Waveform) -> np.ndarray:
     """Slice a waveform into overlapping frames of one window each.
 
     Returns an (M, L) array with M = 1 + floor((N - L) / H); the trailing
@@ -138,10 +140,9 @@ def frame_signal(waveform: Waveform, cfg: FeatureConfig) -> np.ndarray:
     samples = np.asarray(waveform.samples)
     if not np.issubdtype(samples.dtype, np.floating):
         samples = samples.astype(np.float64)
-    length = cfg.window_samples
-    hop = cfg.hop_samples
-    _check_length(samples.size, cfg, waveform.utterance_id)
-    return np.lib.stride_tricks.sliding_window_view(samples, length)[::hop]
+    _check_length(samples.size, waveform.utterance_id)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, FeatureConfig.window_samples)
+    return frames[:: FeatureConfig.hop_samples]
 
 
 def power_spectrum(
@@ -191,18 +192,14 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     return weights
 
 
-def filterbank_energies(
-    source: Waveform | WavReader,
-    cfg: FeatureConfig,
-    threads: int = 1,
-) -> FeatureMatrix:
+def filterbank_energies(source: Waveform | WavReader, threads: int = 1) -> FeatureMatrix:
     """Full front end: framing, Hamming windowing, power spectrum, mel sum.
 
     source is a Waveform, or an open WavReader whose samples are read one
-    block's span at a time (read_wav into a reused float32 buffer), so no
-    whole-utterance sample array exists; both give the same bits for the
-    same samples. A source at another sample rate than cfg's raises
-    BadAudio before anything is allocated.
+    block's span at a time (read_wav), so no whole-utterance sample array
+    exists; both give the same bits for the same samples. A source at
+    another sample rate than FeatureConfig's raises BadAudio before
+    anything is allocated.
 
     Runs BLOCK_FRAMES frames at a time into an energy buffer of whole blocks
     (just M rows when M < BLOCK_FRAMES) and returns its first M rows. Every
@@ -219,57 +216,45 @@ def filterbank_energies(
     own.
 
     The blocks are claimed in order through share by the calling thread
-    and up to threads - 1 helpers, each with one set of block buffers
-    allocated here on the calling thread; the lowest failed block's error
-    is raised, as a serial run would raise it.
+    and up to threads - 1 helpers, each block allocating its own power
+    block and workspace; the lowest failed block's error is raised, as a
+    serial run would raise it. threads < 1 raises ValueError.
     """
-    if source.sample_rate_hz != cfg.sample_rate_hz:
+    if source.sample_rate_hz != FeatureConfig.sample_rate_hz:
         name = source.path if isinstance(source, WavReader) else source.utterance_id
         raise BadAudio(
-            f"{name}: sample rate {source.sample_rate_hz} != configured {cfg.sample_rate_hz}"
+            f"{name}: sample rate {source.sample_rate_hz}"
+            f" != configured {FeatureConfig.sample_rate_hz}"
         )
-    _check_length(source.num_samples, cfg, source.utterance_id)
-    length, hop = cfg.window_samples, cfg.hop_samples
+    _check_length(source.num_samples, source.utterance_id)
+    length, hop = FeatureConfig.window_samples, FeatureConfig.hop_samples
     num_frames = 1 + (source.num_samples - length) // hop
     block_rows = min(num_frames, BLOCK_FRAMES)
     num_blocks = -(-num_frames // block_rows)
-    energies = np.empty((num_blocks * block_rows, cfg.num_channels))
-    window = _analysis_window(cfg)
-    weights_t = mel_filterbank(cfg).T
-    streamed = isinstance(source, WavReader)
-    span = (block_rows - 1) * hop + length
-    claimers = min(threads, num_blocks)
-    # one set per claiming thread, so a set is always free (a failed block
-    # keeps its set, as its thread claims no other)
-    free = [
-        (
-            np.empty(span, dtype=np.float32) if streamed else None,
-            np.empty((block_rows, cfg.fft_size // 2 + 1)),
-            np.zeros((min(block_rows, SUB_BLOCK_FRAMES), cfg.fft_size)),
-        )
-        for _ in range(claimers)
-    ]
+    energies = np.empty((num_blocks * block_rows, FeatureConfig.num_channels))
+    window = _analysis_window()
+    weights_t = mel_filterbank(FeatureConfig()).T
 
     def compute_block(index: int) -> None:
-        samples, power, workspace = free.pop()
         start = index * block_rows
         new = min(block_rows, num_frames - start)
         lo = start * hop
         hi = lo + (new - 1) * hop + length
-        if streamed:
-            block = read_wav(source, lo, hi, out=samples)
+        if isinstance(source, WavReader):
+            block = read_wav(source, lo, hi)
         else:
             block = Waveform(source.samples[lo:hi], source.sample_rate_hz, source.utterance_id)
-        frames = frame_signal(block, cfg)
+        frames = frame_signal(block)
+        power = np.empty((block_rows, FeatureConfig.fft_size // 2 + 1))
+        workspace = np.zeros((min(block_rows, SUB_BLOCK_FRAMES), FeatureConfig.fft_size))
         for row in range(0, new, SUB_BLOCK_FRAMES):
             rows = min(SUB_BLOCK_FRAMES, new - row)
             np.multiply(frames[row : row + rows], window, out=workspace[:rows, :length])
-            power_spectrum(workspace[:rows], cfg.fft_size, out=power[row : row + rows])
+            power_spectrum(workspace[:rows], FeatureConfig.fft_size, out=power[row : row + rows])
         power[new:] = 0.0
         np.matmul(power, weights_t, out=energies[start : start + block_rows])
-        free.append((samples, power, workspace))
 
-    share(range(num_blocks), compute_block, claimers)
+    share(range(num_blocks), compute_block, threads)
     return FeatureMatrix(values=energies[:num_frames], utterance_id=source.utterance_id)
 
 
@@ -283,8 +268,11 @@ def share(indices, run, threads: int) -> None:
     BaseException that is no Exception) outranks every error. One of the
     calling thread outside run propagates as it is. The calling thread
     always takes part: a helper in its place would bring a malloc arena of
-    its own, 3.6 MB more peak RSS on a 600 s file.
+    its own, 3.6 MB more peak RSS on a 600 s file. threads < 1 raises
+    ValueError before anything runs.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     claims = iter(indices)
     lock = threading.Lock()
     done = threading.Event()

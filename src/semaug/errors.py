@@ -2,7 +2,7 @@
 
 A SemaugError raised while one file is processed fails that file alone;
 the CLI tells no subclass apart. Checks that no command can reach (a
-non-default front end, a synthesis duration, a dropout rate, mismatched
+thread count below 1, a synthesis duration, a dropout rate, mismatched
 shapes) raise ValueError instead.
 """
 

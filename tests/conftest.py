@@ -102,11 +102,11 @@ def mixed_waveforms(num=8, duration_s=1.0):
 
 
 @pytest.fixture(scope="session")
-def mixed_corpus(cfg):
+def mixed_corpus():
     """(energies, raw features) pairs for a small mixed fixture corpus."""
     pairs = []
     for wave in mixed_waveforms(8):
-        energies = filterbank_energies(wave, cfg)
+        energies = filterbank_energies(wave)
         pairs.append((energies, power_mel(fresh(energies))))
     return pairs
 

@@ -66,7 +66,7 @@ def fixture_utterance(index, duration_s=0.4):
 
 
 def extract(waveform):
-    energies = filterbank_energies(waveform, CFG)
+    energies = filterbank_energies(waveform)
     return energies, power_mel(fresh(energies))
 
 
@@ -150,7 +150,7 @@ def test_criterion_5_distribution_reproduction():
         corpus = []
         for seed in range(120):
             wave = synth_speech_like(2.0, seed=seed, utterance_id=f"speech_{seed:03d}")
-            corpus.append(filterbank_energies(wave, CFG))
+            corpus.append(filterbank_energies(wave))
 
         raw_min, raw_max = math.inf, -math.inf
         from semaug.masking import eta as eta_fn
@@ -218,10 +218,10 @@ def test_criterion_8_dsp_oracle():
             assert np.max(np.abs(fast - oracle)) <= 1e-9 * oracle.max()
 
         wave = synth_fixture("white_noise", 0.5, seed=8)
-        base = filterbank_energies(wave, CFG).values
+        base = filterbank_energies(wave).values
         for gain in (0.1, 1.0, 10.0, 100.0):
             scaled = Waveform(wave.samples * gain, wave.sample_rate_hz, wave.utterance_id)
-            boosted = filterbank_energies(scaled, CFG).values
+            boosted = filterbank_energies(scaled).values
             expected = gain * gain * base
             assert np.max(np.abs(boosted - expected)) <= 1e-9 * expected.max()
 

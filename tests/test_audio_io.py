@@ -273,25 +273,17 @@ class TestWavReader:
         path = tmp_path / "span.wav"
         path.write_bytes(_wav_file_bytes("odd_chunk", ints))
         whole = read_wav(path).samples
-        out = np.full(400, np.nan, dtype=np.float32)
         with WavReader(path) as reader:
             assert reader.num_samples == 1000
             for start, stop in [(0, 1000), (0, 0), (5, 17), (999, 1000), (600, 1000)]:
                 span = read_wav(reader, start, stop).samples
                 assert span.dtype == np.float32
                 assert np.array_equal(span, whole[start:stop])
-            view = read_wav(reader, 100, 400, out=out).samples
-            assert np.shares_memory(view, out)
-            assert np.array_equal(view, whole[100:400])
-            with pytest.raises(ValueError, match=r"out holds 10 samples < the 1000 of span"):
-                read_wav(reader, 0, 1000, out=np.empty(10, np.float32))
-        with pytest.raises(ValueError, match=r"out holds 10 samples < the 1000 of span"):
-            read_wav(path, 0, 1000, out=np.empty(10, np.float32))
         assert np.array_equal(read_wav(path, 7, 9).samples, whole[7:9])
 
     def test_interleaved_reads_from_two_threads_match_serial(self, tmp_path):
-        # each thread reads its own spans into its own buffer through the one
-        # reader, as the front end's ranges do; switching threads every few
+        # each thread reads its own spans through the one reader, as the
+        # front end's blocks do; switching threads every few
         # microseconds interleaves one thread's seek with the other's read
         ints = np.random.default_rng(12).integers(-32768, 32768, size=20000)
         path = tmp_path / "shared.wav"
@@ -304,11 +296,10 @@ class TestWavReader:
         mismatches = []
 
         def read_spans(reader, order):
-            out = np.empty(ints.size, dtype=np.float32)
             barrier.wait()
             for start, stop in spans[::order]:
                 try:
-                    got = read_wav(reader, start, stop, out=out).samples
+                    got = read_wav(reader, start, stop).samples
                 except BadAudio as exc:  # a read from another thread's position
                     got = exc
                 if not np.array_equal(got, whole[start:stop]):
@@ -352,9 +343,9 @@ class TestWavReader:
         ints = np.random.default_rng(num_frames).integers(-32768, 32768, size=num)
         path = tmp_path / f"{kind}.wav"
         path.write_bytes(_wav_file_bytes(kind, ints))
-        whole = filterbank_energies(read_wav(path), cfg)
+        whole = filterbank_energies(read_wav(path))
         with WavReader(path) as reader:
-            energies = filterbank_energies(reader, cfg)
+            energies = filterbank_energies(reader)
         assert whole.values.shape[0] == num_frames
         assert energies.utterance_id == kind
         assert np.array_equal(energies.values, whole.values)

@@ -300,9 +300,8 @@ class TestFeaturize(WorkersFlag):
         assert_same_files(out, clean)
 
     def test_raw_features_match_library(self, corpus_dir, featurized):
-        cfg = FeatureConfig()
         wav = read_wav(corpus_dir / "utt_000.wav")
-        energies = filterbank_energies(wav, cfg)
+        energies = filterbank_energies(wav)
         expected = power_mel(energies).values.astype(np.float32)
         assert np.array_equal(load_features(featurized / "utt_000.fmx"), expected)
 
@@ -343,10 +342,9 @@ class TestMask(WorkersFlag):
             "--mode", "none", "--out", str(out),
         ])
         assert code == 0
-        cfg = FeatureConfig()
         stats = load_stats(self._stats_path(featurized))
         wav = read_wav(corpus_dir / "utt_001.wav")
-        x_raw = power_mel(filterbank_energies(wav, cfg))
+        x_raw = power_mel(filterbank_energies(wav))
         expected = divide_std(subtract_mean(x_raw, stats), stats).values.astype(np.float32)
         assert np.array_equal(load_features(out / "utt_001.fmx"), expected)
         rows = read_manifest(out / "manifest.csv")
@@ -389,10 +387,9 @@ class TestMask(WorkersFlag):
             "--mode", "dropout", "--rate", "0.1", "--seed", "5", "--out", str(out),
         ]) == 0
         dropped = load_features(out / "utt_002.fmx")
-        cfg = FeatureConfig()
         stats = load_stats(stats_path)
         wav = read_wav(corpus_dir / "utt_002.wav")
-        x_raw = power_mel(filterbank_energies(wav, cfg))
+        x_raw = power_mel(filterbank_energies(wav))
         normalized = divide_std(subtract_mean(x_raw, stats), stats).values
         scaled = (normalized * (1.0 / 0.9)).astype(np.float32)
         kept = dropped != 0.0
@@ -448,10 +445,9 @@ class TestMask(WorkersFlag):
             "mask", "--in", str(corpus_dir), "--stats", str(self._stats_path(featurized)),
             "--mode", "sem", "--seed", "21", "--out", str(out),
         ]) == 0
-        cfg = FeatureConfig()
         for row in read_manifest(out / "manifest.csv"):
             wav = read_wav(corpus_dir / f"{row['utterance_id']}.wav")
-            energies = filterbank_energies(wav, cfg)
+            energies = filterbank_energies(wav)
             kept = np.count_nonzero(energies.values >= float(row["e_th"]))
             zeros = energies.values.size - kept
             assert round(float(row["masked_fraction"]) * energies.values.size) == zeros
@@ -698,7 +694,7 @@ def _random_energies(shape):
     """A filterbank_energies stand-in: a wide-range random energy matrix of
     `shape`, built in place, whatever the source and the thread arguments."""
 
-    def extract(source, cfg, *front_end_threads):
+    def extract(source, *front_end_threads):
         values = np.random.default_rng(3).uniform(-8.0, 3.0, size=shape)
         np.power(10.0, values, out=values)
         return FeatureMatrix(values, source.utterance_id)
@@ -1121,7 +1117,7 @@ def fail_second_range(monkeypatch, uid, error, on_a_helper):
     caller_read = threading.Event()
     raised = threading.Event()
 
-    def read_or_fail(source, start, stop, out):
+    def read_or_fail(source, start, stop):
         if source.utterance_id == uid:
             if on_a_helper and threading.current_thread() is not threading.main_thread():
                 assert caller_read.wait(timeout=30)
@@ -1132,7 +1128,7 @@ def fail_second_range(monkeypatch, uid, error, on_a_helper):
                 raised_on.append(threading.current_thread().name)
                 raised.set()
                 raise error
-        return read(source, start, stop, out=out)
+        return read(source, start, stop)
 
     monkeypatch.setattr(dsp, "read_wav", read_or_fail)
     return raised_on
@@ -1149,7 +1145,7 @@ def fail_short_file(monkeypatch, uid, error, on_a_helper):
     raised_on = []
     caller_read = threading.Event()
 
-    def read_or_fail(source, start, stop, out):
+    def read_or_fail(source, start, stop):
         if on_a_helper and threading.current_thread() is not threading.main_thread():
             assert caller_read.wait(timeout=30)
         elif on_a_helper:
@@ -1161,7 +1157,7 @@ def fail_short_file(monkeypatch, uid, error, on_a_helper):
         if source.utterance_id == uid:
             raised_on.append(threading.current_thread().name)
             raise error
-        return read(source, start, stop, out=out)
+        return read(source, start, stop)
 
     monkeypatch.setattr(dsp, "read_wav", read_or_fail)
     return raised_on
@@ -1276,18 +1272,19 @@ class TestThreads:
 
 
 def test_short_utterances_take_every_thread(tmp_path, corpus_dir, monkeypatch):
-    # --workers 1 on two CPUs: the helper takes whole short files too; the
-    # calling thread waits at its first file until the helper has one
+    # --workers 1 on two CPUs: the helper takes whole short files too; each
+    # thread waits at its first file until the other holds one, so neither
+    # can claim a second file before both have a first
     idents = []
-    helper_started = threading.Event()
+    barrier = threading.Barrier(2, timeout=30)
     original = cli.filterbank_energies
 
     def recording(*args, **kwargs):
-        idents.append(threading.get_ident())
-        if threading.current_thread() is threading.main_thread():
-            helper_started.wait(timeout=30)
-        else:
-            helper_started.set()
+        ident = threading.get_ident()
+        first = ident not in idents
+        idents.append(ident)
+        if first:
+            barrier.wait()
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "filterbank_energies", recording)
@@ -1310,16 +1307,16 @@ def test_multi_block_utterances_run_on_workers_at_most_n_at_a_time(
     long_threads = []
     original = cli.filterbank_energies
 
-    def recording(source, cfg, *front_end_threads):
+    def recording(source, *front_end_threads):
         nonlocal peak
-        if not dsp.multi_block(source.num_samples, cfg):
-            return original(source, cfg, *front_end_threads)
+        if not dsp.multi_block(source.num_samples):
+            return original(source, *front_end_threads)
         with lock:
             running.append(source.utterance_id)
             peak = max(peak, len(running))
             long_threads.append(threading.current_thread().name)
         try:
-            return original(source, cfg, *front_end_threads)
+            return original(source, *front_end_threads)
         finally:
             with lock:
                 running.remove(source.utterance_id)

@@ -68,7 +68,7 @@ _KERNEL_CHECK = textwrap.dedent(
         for threads in (1, 3):
             with WavReader(path) as reader:
                 for name, source in (("waveform", wav), ("reader", reader)):
-                    values = filterbank_energies(source, cfg, threads).values
+                    values = filterbank_energies(source, threads).values
                     if not np.array_equal(values, oracle):
                         print(num_frames, threads, name)
     """
@@ -114,9 +114,9 @@ class TestHammingWindow:
         num = (3 * BLOCK_FRAMES - 1) * cfg.hop_samples + cfg.window_samples
         wav = synth_fixture("white_noise", num / cfg.sample_rate_hz, seed=5, utterance_id="w")
         for _ in range(2):
-            filterbank_energies(wav, cfg, 3)
+            filterbank_energies(wav, 3)
         assert built == [cfg.window_samples]
-        window = dsp._analysis_window(cfg)
+        window = dsp._analysis_window()
         assert not window.flags.writeable
         assert np.array_equal(window, build(cfg.window_samples))
 
@@ -129,44 +129,44 @@ class TestFrameSignal:
     def test_frame_counts(self, cfg, num_samples, length, hop, expected):
         assert (cfg.window_samples, cfg.hop_samples) == (length, hop)
         wav = Waveform(np.arange(num_samples, dtype=float), 16000, "n")
-        frames = frame_signal(wav, cfg)
+        frames = frame_signal(wav)
         assert frames.shape == (expected, length)
 
-    def test_too_short(self, cfg):
+    def test_too_short(self):
         wav = Waveform(np.zeros(399), 16000, "short")
         with pytest.raises(BadAudio, match="< one window"):
-            frame_signal(wav, cfg)
+            frame_signal(wav)
 
-    def test_frame_count_formula_randomized(self, cfg):
+    def test_frame_count_formula_randomized(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
             num = int(rng.integers(400, 4000))
             wav = Waveform(rng.normal(size=num), 16000, "r")
-            frames = frame_signal(wav, cfg)
+            frames = frame_signal(wav)
             assert frames.shape == (1 + (num - 400) // 160, 400)
 
-    def test_frames_are_hops_apart(self, cfg):
+    def test_frames_are_hops_apart(self):
         wav = Waveform(np.arange(1000, dtype=float), 16000, "ramp")
-        frames = frame_signal(wav, cfg)
+        frames = frame_signal(wav)
         assert np.array_equal(frames[0], np.arange(400))
         assert np.array_equal(frames[1], np.arange(160, 560))
         assert np.array_equal(frames[-1], np.arange(480, 880))
 
-    def test_returns_read_only_view_of_samples(self, cfg):
+    def test_returns_read_only_view_of_samples(self):
         wav = Waveform(np.arange(16000, dtype=np.float64), 16000, "view")
-        frames = frame_signal(wav, cfg)
+        frames = frame_signal(wav)
         assert np.shares_memory(frames, wav.samples)
         assert not frames.flags.writeable
 
-    def test_float32_samples_stay_float32_view(self, cfg):
+    def test_float32_samples_stay_float32_view(self):
         wav = Waveform(np.arange(16000, dtype=np.float32), 16000, "f32")
-        frames = frame_signal(wav, cfg)
+        frames = frame_signal(wav)
         assert frames.dtype == np.float32
         assert np.shares_memory(frames, wav.samples)
 
-    def test_integer_samples_become_float64(self, cfg):
+    def test_integer_samples_become_float64(self):
         wav = Waveform(np.arange(1000), 16000, "ints")
-        frames = frame_signal(wav, cfg)
+        frames = frame_signal(wav)
         assert frames.dtype == np.float64
         assert np.array_equal(frames[1], np.arange(160, 560))
 
@@ -253,31 +253,31 @@ class TestMelFilterbank:
 
 
 class TestFilterbankEnergies:
-    def test_silence_is_zero(self, cfg):
+    def test_silence_is_zero(self):
         wav = synth_fixture("silence", 0.5)
-        energies = filterbank_energies(wav, cfg)
+        energies = filterbank_energies(wav)
         assert np.all(energies.values == 0.0)
         assert energies.num_channels == 40
 
-    def test_gain_covariance(self, cfg):
+    def test_gain_covariance(self):
         wav = synth_fixture("white_noise", 0.3, seed=9)
-        base = filterbank_energies(wav, cfg).values
+        base = filterbank_energies(wav).values
         for gain in (0.5, 3.0):
             scaled = Waveform(wav.samples * gain, wav.sample_rate_hz, wav.utterance_id)
-            boosted = filterbank_energies(scaled, cfg).values
+            boosted = filterbank_energies(scaled).values
             assert np.max(np.abs(boosted - gain**2 * base)) <= 1e-9 * (gain**2 * base).max()
 
     def test_sine_peaks_in_covering_channel(self, cfg, filterbank):
         wav = synth_fixture("sine", 1.0)
-        energies = filterbank_energies(wav, cfg).values
+        energies = filterbank_energies(wav).values
         sine_bin = round(440.0 * cfg.fft_size / cfg.sample_rate_hz)
         covering = int(np.argmax(filterbank[:, sine_bin]))
         assert np.all(np.argmax(energies, axis=1) == covering)
 
-    def test_nonnegative(self, cfg):
+    def test_nonnegative(self):
         for seed in range(4):
             wav = synth_fixture("white_noise", 0.2, seed=seed)
-            assert filterbank_energies(wav, cfg).values.min() >= 0.0
+            assert filterbank_energies(wav).values.min() >= 0.0
 
     @pytest.mark.parametrize(
         "num_frames",
@@ -301,7 +301,7 @@ class TestFilterbankEnergies:
         rng = np.random.default_rng(num_frames)
         samples = rng.normal(size=(num_frames - 1) * cfg.hop_samples + cfg.window_samples)
         wav = Waveform(samples, cfg.sample_rate_hz, "blocks")
-        energies = filterbank_energies(wav, cfg).values
+        energies = filterbank_energies(wav).values
         assert np.array_equal(energies, front_end_oracle(samples, cfg))
 
     @pytest.mark.parametrize(
@@ -334,9 +334,9 @@ class TestFilterbankEnergies:
         if streamed:
             write_wav(tmp_path / "once.wav", wav)
             with WavReader(tmp_path / "once.wav") as reader:
-                energies = filterbank_energies(reader, cfg)
+                energies = filterbank_energies(reader)
         else:
-            energies = filterbank_energies(wav, cfg)
+            energies = filterbank_energies(wav)
         assert energies.values.shape[0] == num_frames
         assert sum(transformed) == num_frames
 
@@ -369,19 +369,19 @@ class TestFilterbankEnergies:
             cfg.sample_rate_hz,
             "ranges",
         )
-        serial = filterbank_energies(wav, cfg).values
+        serial = filterbank_energies(wav).values
         monkeypatch.setattr(dsp, "power_spectrum", counting_power_spectrum)
         if streamed:
             write_wav(tmp_path / "ranges.wav", wav)
         if streamed:
             with WavReader(tmp_path / "ranges.wav") as reader:
-                energies = filterbank_energies(reader, cfg, threads)
+                energies = filterbank_energies(reader, threads)
         else:
-            energies = filterbank_energies(wav, cfg, threads)
+            energies = filterbank_energies(wav, threads)
         assert sum(rows for rows, _ in transformed) == num_frames
         blocks = -(-num_frames // BLOCK_FRAMES)
         assert len({thread for _, thread in transformed}) <= min(threads, blocks)
-        assert dsp.multi_block(num, cfg) == (num_frames >= 2 * BLOCK_FRAMES)
+        assert dsp.multi_block(num) == (num_frames >= 2 * BLOCK_FRAMES)
         assert np.array_equal(energies.values, serial)
 
     @pytest.mark.skipif(not cli._openblas_thread_controls(), reason="no OpenBLAS")
@@ -406,7 +406,7 @@ class TestFilterbankEnergies:
 
         def run(index):
             barrier.wait()
-            results[index] = filterbank_energies(wav, cfg, 2).values
+            results[index] = filterbank_energies(wav, 2).values
 
         # a daemon, so that a hang fails this test rather than hold the process
         outer = threading.Thread(target=dsp.share, args=(range(3), run, 3), daemon=True)
@@ -428,19 +428,19 @@ class TestFilterbankEnergies:
         block_span = BLOCK_FRAMES * cfg.hop_samples
         read = dsp.read_wav
 
-        def read_or_fail(source, start, stop, out):
+        def read_or_fail(source, start, stop):
             block = start // block_span
             if block == 1:
                 time.sleep(0.02)
             if block in (1, 3):
                 raise BadAudio(f"block {block}")
-            return read(source, start, stop, out=out)
+            return read(source, start, stop)
 
         monkeypatch.setattr(dsp, "read_wav", read_or_fail)
         with WavReader(tmp_path / "fail.wav") as reader:
             for _ in range(5):
                 with pytest.raises(BadAudio, match="^block 1$"):
-                    filterbank_energies(reader, cfg, threads)
+                    filterbank_energies(reader, threads)
 
     @pytest.mark.parametrize(
         "num_frames", [SUB_BLOCK_FRAMES + 1, BLOCK_FRAMES + 3, 4 * BLOCK_FRAMES + 3]
@@ -454,36 +454,39 @@ class TestFilterbankEnergies:
         as64 = Waveform(samples, cfg.sample_rate_hz, "f64")
         as32 = Waveform(samples.astype(np.float32), cfg.sample_rate_hz, "f32")
         assert np.array_equal(as32.samples, samples)
-        reference = filterbank_energies(as64, cfg).values
-        energies = filterbank_energies(as32, cfg).values
+        reference = filterbank_energies(as64).values
+        energies = filterbank_energies(as32).values
         assert np.array_equal(energies, reference)
 
     def test_read_and_extract_memory(self, cfg, tmp_path):
         # Read block by block, the peak above the energies is one block's
         # power spectrum (the mel matmul's input), one block's samples and
-        # O(sub-block) temporaries: no samples-sized buffer, so it does not
-        # grow with the file, and no second power block for the final
-        # partial one. Its padding rows (at most 511) are part of the peak.
-        def extra_peak(duration_s):
+        # O(sub-block) temporaries per thread: no samples-sized buffer, so
+        # it does not grow with the file, no second power block for the
+        # final partial one, and no pile-up of blocks on a helper. Its
+        # padding rows (at most 511) are part of the peak.
+        def extra_peak(duration_s, threads):
             path = tmp_path / f"long_{duration_s:.0f}.wav"
-            write_wav(path, synth_fixture("white_noise", duration_s, seed=5))
+            if not path.exists():
+                write_wav(path, synth_fixture("white_noise", duration_s, seed=5))
 
             def read_and_extract():
                 with WavReader(path) as wav:
-                    return filterbank_energies(wav, cfg)
+                    return filterbank_energies(wav, threads)
 
             energies, peak = traced_peak(read_and_extract)
             return peak - energies.values.nbytes
 
-        short, long = extra_peak(60.0), extra_peak(300.0)
         power_block = BLOCK_FRAMES * (cfg.fft_size // 2 + 1) * 8
-        assert long <= power_block + (3 << 19)  # 1.5 MiB
-        assert abs(long - short) <= 1 << 20
+        for threads in (1, 2):
+            short, long = extra_peak(60.0, threads), extra_peak(300.0, threads)
+            assert long <= threads * (power_block + (3 << 19)), threads  # 1.5 MiB
+            assert abs(long - short) <= 1 << 20, threads
 
-    def test_memory_does_not_grow_with_length(self, cfg):
+    def test_memory_does_not_grow_with_length(self):
         def extra_peak(duration_s):
             wav = synth_fixture("white_noise", duration_s, seed=5)
-            energies, peak = traced_peak(lambda: filterbank_energies(wav, cfg))
+            energies, peak = traced_peak(lambda: filterbank_energies(wav))
             return peak - energies.values.nbytes
 
         mib = 1 << 20
@@ -493,7 +496,7 @@ class TestFilterbankEnergies:
         assert abs(long - short) <= mib
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["waveform", "reader"])
-    def test_other_sample_rate_raises_before_allocating(self, cfg, tmp_path, streamed):
+    def test_other_sample_rate_raises_before_allocating(self, tmp_path, streamed):
         # read as 16 kHz, these 10 s would take a 1 MB power block
         wav = synth_fixture("sine", 10.0, sample_rate_hz=8000, utterance_id="narrow")
         path = tmp_path / "narrow.wav"
@@ -501,7 +504,7 @@ class TestFilterbankEnergies:
 
         def extract(source):
             with pytest.raises(BadAudio) as exc:
-                filterbank_energies(source, cfg)
+                filterbank_energies(source)
             return str(exc.value)
 
         if streamed:
@@ -514,13 +517,26 @@ class TestFilterbankEnergies:
         assert message == f"{name}: sample rate 8000 != configured 16000"
         assert peak < 64 << 10
 
-    def test_propagates_too_short(self, cfg):
+    def test_propagates_too_short(self):
         wav = Waveform(np.zeros(100), 16000, "tiny")
         with pytest.raises(BadAudio, match="< one window"):
-            filterbank_energies(wav, cfg)
+            filterbank_energies(wav)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_fewer_than_one_thread_raises(self, threads):
+        wav = synth_fixture("white_noise", 1.5, seed=5, utterance_id="none")
+        with pytest.raises(ValueError, match=rf"^threads must be >= 1, got {threads}$"):
+            filterbank_energies(wav, threads)
 
 
 class TestShare:
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_fewer_than_one_thread_raises_before_running(self, threads):
+        ran = []
+        with pytest.raises(ValueError, match=rf"^threads must be >= 1, got {threads}$"):
+            dsp.share(range(3), ran.append, threads)
+        assert ran == []
+
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_raises_the_lowest_failing_index(self, threads):
         # index 1 fails late, so that at two or more threads index 3 fails
@@ -578,17 +594,17 @@ class TestShare:
 
     def test_claims_hold_under_a_short_switch_interval(self, cfg):
         # four claiming threads on two CPUs, switching every microsecond:
-        # every index runs once, and no two blocks share a buffer set
+        # every index runs once, and the blocks keep their serial bits
         num = (12 * BLOCK_FRAMES + 5 - 1) * cfg.hop_samples + cfg.window_samples
         samples = np.random.default_rng(12).integers(-3000, 3000, size=num) / PCM_SCALE
         wav = Waveform(samples, cfg.sample_rate_hz, "switch")
-        serial = filterbank_energies(wav, cfg).values
+        serial = filterbank_energies(wav).values
         seen = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             dsp.share(range(2000), seen.append, 4)
-            energies = filterbank_energies(wav, cfg, 4).values
+            energies = filterbank_energies(wav, 4).values
         finally:
             sys.setswitchinterval(interval)
         assert sorted(seen) == list(range(2000))

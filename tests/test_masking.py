@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from semaug import (
-    FeatureConfig,
     FeatureMatrix,
     GlobalStats,
     SemConfig,
@@ -250,9 +249,8 @@ class TestScalingCoefficient:
 
 
 def _pipeline_inputs(seed=0, kind="white_noise", duration=0.5):
-    cfg_feat = FeatureConfig()
     wav = synth_fixture(kind, duration, seed=seed, utterance_id=f"pipe_{kind}_{seed}")
-    energies = filterbank_energies(wav, cfg_feat)
+    energies = filterbank_energies(wav)
     x_raw = power_mel(fresh(energies))
     stats = accumulated_stats([x_raw])
     return wav, energies, x_raw, stats
@@ -283,12 +281,11 @@ class TestApplySem:
 
     def test_mask_is_gain_invariant(self):
         wav, _, _, _ = _pipeline_inputs(seed=8)
-        cfg_feat = FeatureConfig()
         sem = SemConfig(seed=77)
         masks = []
         for gain in (0.1, 1.0, 10.0):
             scaled = Waveform(wav.samples * gain, wav.sample_rate_hz, wav.utterance_id)
-            energies = filterbank_energies(scaled, cfg_feat)
+            energies = filterbank_energies(scaled)
             x_raw = power_mel(fresh(energies))
             stats = accumulated_stats([x_raw])
             outcome = apply_sem(energies, stats, sem)
@@ -386,10 +383,9 @@ class TestApplyFixedSem:
         assert a.scaling_r == b.scaling_r
 
     def test_mask_zero_fraction_equals_cdf_statistic(self):
-        cfg_feat = FeatureConfig()
         for seed in range(4):
             wav = synth_speech_like(1.0, seed=seed, utterance_id=f"cdf_{seed}")
-            energies = filterbank_energies(wav, cfg_feat)
+            energies = filterbank_energies(wav)
             x_raw = power_mel(fresh(energies))
             stats = accumulated_stats([x_raw])
             expected = zero_fraction(threshold_mask(energies, -20.0)[0])

@@ -71,9 +71,9 @@ def test_float32_and_float64_samples_give_identical_energies(
     bound = 1 << peak_bits
     ints = np.random.default_rng(seed).integers(-bound, bound, size=num)
     samples = np.clip(ints, -32768, 32767) / PCM_SCALE
-    as64 = filterbank_energies(Waveform(samples, CFG.sample_rate_hz, "f64"), CFG)
+    as64 = filterbank_energies(Waveform(samples, CFG.sample_rate_hz, "f64"))
     as32 = filterbank_energies(
-        Waveform(samples.astype(np.float32), CFG.sample_rate_hz, "f32"), CFG
+        Waveform(samples.astype(np.float32), CFG.sample_rate_hz, "f32")
     )
     assert as64.values.shape[0] == num_frames
     assert np.array_equal(as32.values, as64.values)
